@@ -4,10 +4,12 @@ C(T,S,v) counts rooted trees in the Gaifman graph that are isomorphic to the
 rooted treelet T, use exactly the color set S (one vertex per color), and are
 rooted at v.  The recurrence glues T1 (rooted at v) to T2 (rooted at a
 neighbor u), so each round needs eta(v) = sum of C(T2,S2,u) over neighbors u
-of v.  That neighbor-weight step is solved three ways: directly on an
-explicit Gaifman projection (naive), by inclusion-exclusion over per-vertex
-types (upper parts), or combined across an alpha-split with an overlap
-correction.  Counts are exact arbitrary-precision integers.
+of v.  That neighbor-weight step is solved two ways, combined across an
+alpha-split: directly on the Gaifman projection of the lower part, and by
+inclusion-exclusion over per-vertex types for the upper part, with an
+overlap correction for pairs adjacent in both.  The naive baseline is the
+split at alpha = H.rank, whose upper part is empty.  Counts are exact
+arbitrary-precision integers.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ import hashlib
 import random
 from itertools import combinations
 
-from .hypercore import Graph, Hypergraph, HypergraphError, gaifman
-from .splitter import AlphaSplit
+# gaifman is unused here but stays importable: perfbench traces buildup.gaifman.
+from .hypercore import HypergraphError, gaifman  # noqa: F401
+from .splitter import AlphaSplit, apply_split
 from .treelets import TreeletCatalog
 
 
@@ -139,7 +142,7 @@ def combined_neighbor_weight(split, w, cap=20):
         if not x or not types[u]:
             continue
         for v in lower_adj[u]:
-            if types[v] and split.upper_adjacent(u, v):
+            if types[v] and split.upper_overlap(u, v):
                 comb[v] -= x
     for v in range(split.n):
         h = high[v]
@@ -159,14 +162,14 @@ class CounterSet:
     tables[tid][S] is the length-n list C(T_tid, S, .); eta[(t2, S2)] is the
     retained (eta_low, eta_high, eta_comb) triple for that neighbor-weight
     round, or None when C(T2,S2,.) was identically zero (round skipped).
-    split is None for the naive build, in which case gaif holds the full
-    Gaifman projection and every neighbor is a "lower" neighbor.
+    split is the AlphaSplit the tables were built over; the naive build's is
+    the split at alpha = H.rank, whose upper part is empty.
     """
 
     __slots__ = ("k", "n", "H", "coloring", "catalog", "tables", "eta", "W",
-                 "split", "gaif", "alpha")
+                 "split")
 
-    def __init__(self, k, n, H, coloring, catalog, tables, eta, W, split, gaif):
+    def __init__(self, k, n, H, coloring, catalog, tables, eta, W, split):
         self.k = k
         self.n = n
         self.H = H
@@ -176,39 +179,6 @@ class CounterSet:
         self.eta = eta
         self.W = W
         self.split = split
-        self.gaif = gaif
-        self.alpha = split.alpha if split is not None else None
-
-    # Uniform topology accessors so the sampler ignores naive vs split.
-    def lower_neighbors(self, v):
-        if self.split is not None:
-            return self.split.lower_neighbors[v]
-        return self.gaif.adj[v]
-
-    def upper_types_of(self, v):
-        if self.split is not None:
-            return self.split.upper_types[v]
-        return ()
-
-    def upper_edge(self, j):
-        return self.split.upper.edges[j]
-
-    def upper_overlap(self, u, v):
-        """|E_>alpha(u) cap E_>alpha(v)| by sorted merge."""
-        if self.split is None:
-            return 0
-        a, b = self.split.upper_types[u], self.split.upper_types[v]
-        i = j = c = 0
-        while i < len(a) and j < len(b):
-            if a[i] == b[j]:
-                c += 1
-                i += 1
-                j += 1
-            elif a[i] < b[j]:
-                i += 1
-            else:
-                j += 1
-        return c
 
     def eta_triple(self, t2, S2):
         return self.eta.get((t2, S2))
@@ -234,7 +204,10 @@ class CounterSet:
         return True
 
 
-def _dp(H, k, coloring, catalog, eta_provider, split, gaif):
+def build_counters(H, split, k, coloring, cap=20):
+    """Bottom-up DP over the treelet catalog; each neighbor-weight round
+    runs combined_neighbor_weight across the split."""
+    catalog = TreeletCatalog(k)
     if coloring.k != k:
         raise BuildError("coloring has %d colors, build wants %d" % (coloring.k, k))
     if len(coloring) != H.n:
@@ -261,7 +234,8 @@ def _dp(H, k, coloring, catalog, eta_provider, split, gaif):
                     trip = eta_memo[key]
                 else:
                     w2 = tables[t.t2][S2]
-                    trip = eta_provider(w2) if any(w2) else None
+                    trip = (combined_neighbor_weight(split, w2, cap)
+                            if any(w2) else None)
                     eta_memo[key] = trip
                 if trip is None:
                     continue
@@ -309,37 +283,20 @@ def _dp(H, k, coloring, catalog, eta_provider, split, gaif):
         W += sum(tables[t.tid][full])
     eta = {key: (trip[1], trip[2], trip[0]) if trip is not None else None
            for key, trip in eta_memo.items()}
-    return CounterSet(k, n, H, coloring, catalog, tables, eta, W, split, gaif)
-
-
-def build_counters(H, split, k, coloring, cap=20):
-    """Split-aware build: neighbor weights via combined_neighbor_weight."""
-    catalog = TreeletCatalog(k)
-
-    def provider(w):
-        comb, low, high = combined_neighbor_weight(split, w, cap)
-        return (comb, low, high)
-
-    return _dp(H, k, coloring, catalog, provider, split, None)
+    return CounterSet(k, n, H, coloring, catalog, tables, eta, W, split)
 
 
 def build_counters_naive(H, k, coloring):
-    """Baseline build on the explicit Gaifman projection."""
-    catalog = TreeletCatalog(k)
-    G = gaifman(H)
-    zeros = [0] * H.n
-
-    def provider(w):
-        eta = nw_naive(G, w)
-        return (eta, eta, zeros)
-
-    return _dp(H, k, coloring, catalog, provider, None, G)
+    """Baseline build: the split at alpha = H.rank, so every edge is lower
+    and eta is nw_naive over the full Gaifman projection."""
+    return build_counters(H, apply_split(H, H.rank), k, coloring)
 
 
 # --- binary table persistence -------------------------------------------
 
 _MAGIC = b"HMTB"
-_VERSION = 1
+_VERSION = 2
+_CORRUPT = "truncated or corrupt table file"
 
 
 def _varint(x):
@@ -360,7 +317,10 @@ def _read_varint(buf, pos):
     x = 0
     shift = 0
     while True:
-        b = buf[pos]
+        try:
+            b = buf[pos]
+        except IndexError:
+            raise BuildError(_CORRUPT) from None
         pos += 1
         x |= (b & 0x7F) << shift
         if not b & 0x80:
@@ -378,8 +338,7 @@ def write_table(cs, path):
     out += _MAGIC
     out.append(_VERSION)
     out.append(cs.k)
-    out.append(1 if cs.split is not None else 0)
-    out += _varint(cs.alpha if cs.alpha is not None else 0)
+    out += _varint(cs.split.alpha)
     seed = ("" if cs.coloring.seed is None else str(cs.coloring.seed)).encode()
     out += _varint(len(seed))
     out += seed
@@ -411,20 +370,25 @@ def read_table(path):
         buf = fh.read()
     if buf[:4] != _MAGIC:
         raise BuildError("not a counter table file")
+    if len(buf) < 6:
+        raise BuildError(_CORRUPT)
     if buf[4] != _VERSION:
         raise BuildError("unsupported table version %d" % buf[4])
     k = buf[5]
-    has_split = bool(buf[6])
-    pos = 7
-    alpha, pos = _read_varint(buf, pos)
+    alpha, pos = _read_varint(buf, 6)
     slen, pos = _read_varint(buf, pos)
-    seed = buf[pos:pos + slen].decode()
+    try:
+        seed = buf[pos:pos + slen].decode()
+    except UnicodeDecodeError:
+        raise BuildError(_CORRUPT) from None
     pos += slen
     n, pos = _read_varint(buf, pos)
     digest = buf[pos:pos + 32]
     pos += 32
     colors = list(buf[pos:pos + n])
     pos += n
+    if pos > len(buf):
+        raise BuildError(_CORRUPT)
     catalog = TreeletCatalog(k)
     if digest != catalog_digest(catalog):
         raise BuildError("table was written with a different treelet catalog")
@@ -450,10 +414,11 @@ def read_table(path):
                 arr[i], pos = _read_varint(buf, pos)
             trip.append(arr)
         eta[(t2, S2)] = tuple(trip)
+    if pos != len(buf):
+        raise BuildError(_CORRUPT)
     return {
         "k": k,
-        "has_split": has_split,
-        "alpha": alpha if has_split else None,
+        "alpha": alpha,
         "seed": seed,
         "n": n,
         "colors": colors,
@@ -469,11 +434,6 @@ def counterset_from_table(H, data):
     if H.n != data["n"]:
         raise BuildError("hypergraph has %d vertices, table says %d" % (H.n, data["n"]))
     coloring = Coloring(data["k"], data["colors"], seed=data["seed"] or None)
-    if data["has_split"]:
-        split = AlphaSplit(H, data["alpha"])
-        gaif = None
-    else:
-        split = None
-        gaif = gaifman(H)
+    split = AlphaSplit(H, data["alpha"])
     return CounterSet(data["k"], data["n"], H, coloring, data["catalog"],
-                      data["tables"], data["eta"], data["W"], split, gaif)
+                      data["tables"], data["eta"], data["W"], split)

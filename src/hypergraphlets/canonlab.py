@@ -22,14 +22,28 @@ from .hypercore import (
 from .treelets import canonical_code
 
 DEFAULT_BUDGET = 10 ** 8
+MAX_KEY_ORDER = 8  # canonical_key tries all k'! relabelings
 
 
 def enumeration_budget(default=DEFAULT_BUDGET):
-    """Brute-force cap, overridable via the HM_BUDGET environment variable."""
+    """Brute-force cap: HM_BUDGET, a positive integer, when set; else default."""
     raw = os.environ.get("HM_BUDGET")
-    if raw:
-        return int(raw)
-    return default
+    if not raw:
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        raise HypergraphError("HM_BUDGET must be an integer, got %r" % raw) from None
+    if value <= 0:
+        raise HypergraphError("HM_BUDGET must be positive")
+    return value
+
+
+def check_key_order(k):
+    """Refuse orders canonical_key cannot handle, before any work is done."""
+    if k > MAX_KEY_ORDER:
+        raise HypergraphError(
+            "canonical form limited to order <= %d, got %d" % (MAX_KEY_ORDER, k))
 
 
 class BudgetExceeded(HypergraphError):
@@ -42,8 +56,7 @@ _KEY_CACHE = {}
 def canonical_key(P):
     """Minimal (order, edge-tuple) over all vertex permutations; k' <= 8."""
     kp = P.order
-    if kp > 8:
-        raise HypergraphError("canonical form limited to order <= 8, got %d" % kp)
+    check_key_order(kp)
     raw = (kp, P.edges)
     hit = _KEY_CACHE.get(raw)
     if hit is not None:
@@ -152,6 +165,7 @@ def connected_ksets(H, k, budget=None):
 
 def exact_counts(H, k, budget=None):
     """Exact per-key counts of connected induced k-vertex sub-hypergraphs."""
+    check_key_order(k)
     counts = {}
     for U in connected_ksets(H, k, budget=budget):
         key = canonical_key(induced_sub(H, U))

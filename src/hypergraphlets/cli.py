@@ -36,11 +36,10 @@ from .hypercore import (
     serialize_hypergraph,
 )
 from .sampler import (
-    IEExtractor,
     NoColorfulOccurrences,
-    SamplerError,
     approx_counts,
     build_generators,
+    resolve_build,
     sharded_estimate,
 )
 from .splitter import apply_split, choose_split_refined, curve_with_costs, split_cost
@@ -162,20 +161,15 @@ def _cmd_split(args):
 def _cmd_build(args):
     H = _load(args)
     coloring = random_coloring(H, args.k, "%s|run0" % args.seed)
-    if args.alpha == "naive":
-        cs = build_counters_naive(H, args.k, coloring)
-    elif args.alpha == "auto":
-        split, _ = choose_split_refined(H, gamma=args.gamma)
-        cs = build_counters(H, split, args.k, coloring, cap=args.cap)
-    else:
-        cs = build_counters(H, apply_split(H, args.alpha), args.k, coloring,
-                            cap=args.cap)
+    cs = resolve_build(H, args.k, coloring, alpha_policy=args.alpha,
+                       gamma=args.gamma, cap=args.cap)
     write_table(cs, args.out)
+    naive = args.alpha == "naive"
     _emit_json({
         "k": cs.k,
         "n": cs.n,
-        "mode": "naive" if cs.split is None else "split",
-        "alpha": cs.alpha,
+        "mode": "naive" if naive else "split",
+        "alpha": None if naive else cs.split.alpha,
         "W": str(cs.W),
         "table": args.out,
     })
@@ -191,13 +185,8 @@ def _cmd_sample(args):
     except NoColorfulOccurrences:
         _emit(CSV_HEADER + "\n", args.out)
         return 0
-    ie = None
-    if args.use_ie:
-        if cs.split is None:
-            raise SamplerError("--use-ie requires a split-mode table")
-        ie = IEExtractor(cs.split, cs.k)
     rep = sharded_estimate(gens, args.samples, args.seed, 0, args.threads,
-                           mode=mode, ie_extractor=ie, keep_log=False)
+                           mode=mode, keep_log=False)
     _emit(_rows_csv(rep.rows), args.out)
     return 0
 
@@ -208,7 +197,7 @@ def _cmd_count(args):
     rows, _ = approx_counts(
         H, args.k, args.samples, args.seed, runs=args.runs,
         alpha_policy=args.alpha, gamma=args.gamma, mode=mode,
-        use_ie=args.use_ie, cap=args.cap, threads=args.threads)
+        cap=args.cap, threads=args.threads)
     _emit(_rows_csv(rows), args.out)
     return 0
 
@@ -418,7 +407,6 @@ def _build_parser():
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--seed", default="0")
     p.add_argument("--uniform", action="store_true")
-    p.add_argument("--use-ie", action="store_true")
     p.add_argument("--threads", type=int, default=1)
 
     p = add("count", _cmd_count, "end-to-end approximate counts as CSV")
@@ -429,7 +417,6 @@ def _build_parser():
     p.add_argument("--alpha", type=_parse_alpha, default="auto")
     p.add_argument("--gamma", type=float, default=0.01)
     p.add_argument("--uniform", action="store_true")
-    p.add_argument("--use-ie", action="store_true")
     p.add_argument("--cap", type=int, default=20)
     p.add_argument("--threads", type=int, default=1)
 

@@ -17,9 +17,9 @@ Two constructions are provided as runnable demonstrations:
 
 from itertools import combinations
 import math
-import os
 
 from .buildup import Coloring, build_counters, build_counters_naive, nw_ie, nw_naive
+from .canonlab import enumeration_budget
 from .hypercore import Graph, Hypergraph, HypergraphError, gaifman
 from .splitter import choose_split_refined
 from .treelets import TreeletCatalog
@@ -27,19 +27,6 @@ from .treelets import TreeletCatalog
 
 class ReductionError(HypergraphError):
     pass
-
-
-def _budget(default):
-    raw = os.environ.get("HM_BUDGET")
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ReductionError("HM_BUDGET must be an integer, got %r" % raw) from exc
-    if value <= 0:
-        raise ReductionError("HM_BUDGET must be positive")
-    return value
 
 
 DEFAULT_SUBSET_BUDGET = 10**7
@@ -139,7 +126,7 @@ def decide_ksh_bruteforce(H, k, budget=None):
     """
     if k < 1 or k > H.n:
         return False
-    cap = _budget(DEFAULT_SUBSET_BUDGET if budget is None else budget)
+    cap = enumeration_budget(DEFAULT_SUBSET_BUDGET if budget is None else budget)
     total = math.comb(H.n, k)
     if total > cap:
         raise ReductionError(

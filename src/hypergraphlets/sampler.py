@@ -15,9 +15,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 
-from .buildup import build_counters, build_counters_naive, random_coloring, derived_rng
-from .canonlab import canonical_key
-from .hypercore import Hypergraphlet, HypergraphError, induced_sub
+from .buildup import build_counters, random_coloring, derived_rng
+from .canonlab import canonical_key, check_key_order
+from .hypercore import Hypergraphlet, HypergraphError
 from .splitter import apply_split, choose_split_refined
 
 
@@ -132,7 +132,7 @@ class Generators:
         if gen is None:
             cs = self.cs
             vec = cs.tables[t2][S2]
-            nbrs = cs.lower_neighbors(v)
+            nbrs = cs.split.lower_neighbors[v]
             gen = self._lower[key] = VoseAlias(nbrs, [vec[u] for u in nbrs])
         return gen
 
@@ -150,12 +150,13 @@ class Generators:
             cs = self.cs
             vec = cs.tables[t2][S2]
             totals = self._edge_totals(t2, S2)
-            edges = cs.upper_types_of(v)
+            edges = cs.split.upper_types[v]
+            upper_edges = cs.split.upper.edges
             weights = []
             for j in edges:
                 tot = totals.get(j)
                 if tot is None:
-                    tot = totals[j] = sum(vec[u] for u in cs.upper_edge(j))
+                    tot = totals[j] = sum(vec[u] for u in upper_edges[j])
                 weights.append(tot)
             gen = self._upper_edge[key] = VoseAlias(edges, weights)
         return gen
@@ -166,7 +167,7 @@ class Generators:
         if gen is None:
             cs = self.cs
             vec = cs.tables[t2][S2]
-            verts = cs.upper_edge(j)
+            verts = cs.split.upper.edges[j]
             gen = self._edge_vertex[key] = VoseAlias(verts, [vec[u] for u in verts])
         return gen
 
@@ -176,23 +177,24 @@ class Generators:
         """Draw (T2, S1, S2, u) with u a Gaifman neighbor of v, u drawn
         with probability proportional to C(T2,S2,u) within N(v)."""
         cs = self.cs
+        split = cs.split
         t2 = cs.catalog[tid].t2
         S1, S2 = self._partition_gen(tid, S, v).draw(rng)
         trip = cs.eta_triple(t2, S2)
         w_low, w_high = trip[0][v], trip[1][v]
         total = w_low + w_high
-        lower_nbrs = cs.lower_neighbors(v)
-        v_has_upper = bool(cs.upper_types_of(v))
+        lower_nbrs = split.lower_neighbors[v]
+        v_has_upper = bool(split.upper_types[v])
         while True:
             if rng.random() < w_low / total:
                 u = self._lower_gen(t2, S2, v).draw(rng)
-                in_upper = v_has_upper and cs.upper_overlap(u, v) > 0
+                in_upper = v_has_upper and split.upper_overlap(u, v) > 0
                 in_lower = True
             else:
                 while True:
                     j = self._upper_edge_gen(t2, S2, v).draw(rng)
                     u = self._edge_vertex_gen(t2, S2, j).draw(rng)
-                    overlap = cs.upper_overlap(u, v)
+                    overlap = split.upper_overlap(u, v)
                     if overlap == 1 or rng.random() < 1.0 / overlap:
                         break
                 in_upper = True
@@ -269,109 +271,22 @@ def extract_hypergraphlet(split, U):
     return Hypergraphlet(len(U), masks, vertex_map=U)
 
 
-class IEExtractor:
-    """Extraction via subset counters and inclusion-exclusion.
-
-    N[X] = number of edges containing X, split into a precomputed table over
-    lower-edge subsets of size <= k and a sorted-type intersection for the
-    upper part.  Then the number of edges with e cap U exactly X is the
-    alternating sum over Y inside U minus X, and X is an edge of H|_U iff
-    that count is positive.  Must agree with extract_hypergraphlet.
-    """
-
-    def __init__(self, split, k):
-        self.split = split
-        self.k = k
-        table = {}
-        from itertools import combinations as _comb
-        for e in split.lower.edges:
-            for size in range(1, min(k, len(e)) + 1):
-                for sub in _comb(e, size):
-                    table[sub] = table.get(sub, 0) + 1
-        self._lower_table = table
-
-    def _count_containing(self, verts):
-        cnt = self._lower_table.get(verts, 0)
-        types = self.split.upper_types
-        inter = types[verts[0]]
-        for v in verts[1:]:
-            if not inter:
-                break
-            inter = _sorted_intersection(inter, types[v])
-        return cnt + len(inter)
-
-    def extract(self, U):
-        U = tuple(sorted(U))
-        kp = len(U)
-        full = (1 << kp) - 1
-        N = [0] * (full + 1)
-        for mask in range(1, full + 1):
-            verts = tuple(U[i] for i in range(kp) if mask >> i & 1)
-            N[mask] = self._count_containing(verts)
-        masks = set()
-        for mask in range(1, full + 1):
-            rest = full & ~mask
-            total = 0
-            Y = rest
-            while True:
-                n_xy = N[mask | Y]
-                if n_xy:
-                    total += -n_xy if bin(Y).count("1") % 2 else n_xy
-                if Y == 0:
-                    break
-                Y = (Y - 1) & rest
-            if total > 0:
-                masks.add(mask)
-        return Hypergraphlet(kp, masks, vertex_map=U)
-
-
-def _sorted_intersection(a, b):
-    out = []
-    i = j = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        if a[i] == b[j]:
-            out.append(a[i])
-            i += 1
-            j += 1
-        elif a[i] < b[j]:
-            i += 1
-        else:
-            j += 1
-    return out
-
-
 def local_adjacency(split, U):
     """Gaifman adjacency restricted to U, without the full projection:
     binary search in sorted lower neighbor lists, sorted-type intersection
-    for the upper part."""
+    for the upper part (skipped when a vertex has no upper edge)."""
     U = list(U)
     kp = len(U)
     A = [[0] * kp for _ in range(kp)]
     for i in range(kp):
         v = U[i]
         nbrs = split.lower_neighbors[v]
-        for j in range(i + 1, kp):
-            u = U[j]
-            p = bisect_left(nbrs, u)
-            if (p < len(nbrs) and nbrs[p] == u) or split.upper_adjacent(u, v):
-                A[i][j] = A[j][i] = 1
-    return A
-
-
-def _cs_adjacency(cs, U):
-    U = list(U)
-    kp = len(U)
-    A = [[0] * kp for _ in range(kp)]
-    for i in range(kp):
-        v = U[i]
-        nbrs = cs.lower_neighbors(v)
-        has_up = bool(cs.upper_types_of(v))
+        has_up = bool(split.upper_types[v])
         for j in range(i + 1, kp):
             u = U[j]
             p = bisect_left(nbrs, u)
             if (p < len(nbrs) and nbrs[p] == u) or (
-                    has_up and cs.upper_overlap(u, v) > 0):
+                    has_up and split.upper_overlap(u, v)):
                 A[i][j] = A[j][i] = 1
     return A
 
@@ -435,19 +350,12 @@ class SampleOutcome:
         self.key = key
 
 
-def sample_outcome(gens, rng, ie_extractor=None):
+def sample_outcome(gens, rng):
     """Sample one treelet and complete it with sigma, extraction, and key."""
-    cs = gens.cs
+    split = gens.cs.split
     _tid, U, tree_edges = gens.sample_treelet(rng)
-    A = _cs_adjacency(cs, U)
-    sigma = spanning_tree_count(A)
-    if cs.split is not None:
-        if ie_extractor is not None:
-            P = ie_extractor.extract(U)
-        else:
-            P = extract_hypergraphlet(cs.split, U)
-    else:
-        P = induced_sub(cs.H, U)
+    sigma = spanning_tree_count(local_adjacency(split, U))
+    P = extract_hypergraphlet(split, U)
     return SampleOutcome(U, tree_edges, sigma, P, canonical_key(P))
 
 
@@ -474,7 +382,7 @@ class EstimateReport:
         return sum((r["estimate"] for r in self.rows.values()), Fraction(0))
 
 
-def estimate_counts(gens, K, rng, mode="weighted", ie_extractor=None, keep_log=True):
+def estimate_counts(gens, K, rng, mode="weighted", keep_log=True):
     """Run K sampling rounds and aggregate per-key statistics.
 
     weighted: every sample contributes 1/sigma to its key.  uniform: a
@@ -490,7 +398,7 @@ def estimate_counts(gens, K, rng, mode="weighted", ie_extractor=None, keep_log=T
     accepted = {}
     log = [] if keep_log else None
     for _ in range(K):
-        out = sample_outcome(gens, rng, ie_extractor=ie_extractor)
+        out = sample_outcome(gens, rng)
         if mode == "uniform":
             if out.sigma > 1 and rng.random() >= 1.0 / out.sigma:
                 continue
@@ -562,8 +470,7 @@ def merge_reports(reports, total_samples):
     return EstimateReport(first.k, first.W, total_samples, first.mode, rows, log)
 
 
-def sharded_estimate(gens, K, seed, run, threads, mode="weighted",
-                     ie_extractor=None, keep_log=True):
+def sharded_estimate(gens, K, seed, run, threads, mode="weighted", keep_log=True):
     """estimate_counts with one RNG stream per thread slot.
 
     threads=1 reproduces the plain single-stream estimate bit for bit; higher
@@ -574,8 +481,7 @@ def sharded_estimate(gens, K, seed, run, threads, mode="weighted",
         raise SamplerError("threads must be at least 1")
     if threads == 1:
         rng = derived_rng(seed, "run%d|sampling" % run)
-        return estimate_counts(gens, K, rng, mode=mode,
-                               ie_extractor=ie_extractor, keep_log=keep_log)
+        return estimate_counts(gens, K, rng, mode=mode, keep_log=keep_log)
     reports = []
     base, extra = divmod(K, threads)
     for t in range(threads):
@@ -584,7 +490,6 @@ def sharded_estimate(gens, K, seed, run, threads, mode="weighted",
             continue
         rng = derived_rng(seed, "run%d|sampling|shard%d" % (run, t))
         reports.append(estimate_counts(gens, kt, rng, mode=mode,
-                                       ie_extractor=ie_extractor,
                                        keep_log=keep_log))
     return merge_reports(reports, K)
 
@@ -594,19 +499,20 @@ def sharded_estimate(gens, K, seed, run, threads, mode="weighted",
 
 def resolve_build(H, k, coloring, alpha_policy="auto", gamma=0.01, cap=20):
     """Build counters under an alpha policy: 'auto' (refined cost model),
-    'naive' (Gaifman baseline), or an explicit integer threshold."""
-    if alpha_policy == "naive":
-        return build_counters_naive(H, k, coloring)
+    'naive' (the split at alpha = H.rank, i.e. the Gaifman baseline), or an
+    explicit integer threshold."""
+    check_key_order(k)
     if alpha_policy == "auto":
         split, _cost = choose_split_refined(H, gamma)
+    elif alpha_policy == "naive":
+        split = apply_split(H, H.rank)
     else:
         split = apply_split(H, int(alpha_policy))
     return build_counters(H, split, k, coloring, cap=cap)
 
 
 def approx_counts(H, k, samples, seed, runs=1, alpha_policy="auto", gamma=0.01,
-                  mode="weighted", use_ie=False, cap=20, keep_log=False,
-                  threads=1):
+                  mode="weighted", cap=20, keep_log=False, threads=1):
     """Full estimate: `runs` independent colorings, estimates averaged.
 
     Returns (rows, reports): rows maps key -> dict(samples,
@@ -626,10 +532,8 @@ def approx_counts(H, k, samples, seed, runs=1, alpha_policy="auto", gamma=0.01,
         except NoColorfulOccurrences:
             per_run.append(None)
             continue
-        ie = IEExtractor(cs.split, k) if (use_ie and cs.split is not None) else None
         per_run.append(sharded_estimate(gens, samples, seed, r, threads,
-                                        mode=mode, ie_extractor=ie,
-                                        keep_log=keep_log))
+                                        mode=mode, keep_log=keep_log))
     rows = {}
     for rep in per_run:
         if rep is None:

@@ -8,7 +8,6 @@ upper part; the curve maps each candidate alpha to its beta.
 
 from __future__ import annotations
 
-import heapq
 import math
 
 from .hypercore import Hypergraph, HypergraphError, gaifman
@@ -32,7 +31,8 @@ class AlphaSplit:
     lower/upper are hypergraphs on H's full vertex set.  upper_types[v] is
     the sorted tuple of upper-edge indices containing v; upper adjacency is
     decided by merge-intersecting two such tuples (O(beta) per check), never
-    by materializing the upper Gaifman projection.
+    by materializing the upper Gaifman projection.  At alpha = H.rank the
+    upper part is empty and this is the plain Gaifman baseline.
     """
 
     __slots__ = (
@@ -52,18 +52,20 @@ class AlphaSplit:
         self.lower_neighbors = self.gaif_lower.adj
         self.upper_types = [tuple(t) for t in self.upper.incidence]
 
-    def upper_adjacent(self, u, v):
-        """True iff u and v share an upper edge (sorted-type intersection)."""
+    def upper_overlap(self, u, v):
+        """Number of upper edges u and v share (sorted-type merge)."""
         a, b = self.upper_types[u], self.upper_types[v]
-        i = j = 0
+        i = j = c = 0
         while i < len(a) and j < len(b):
             if a[i] == b[j]:
-                return True
-            if a[i] < b[j]:
+                c += 1
+                i += 1
+                j += 1
+            elif a[i] < b[j]:
                 i += 1
             else:
                 j += 1
-        return False
+        return c
 
     def __repr__(self):
         return "AlphaSplit(alpha=%d, beta=%d, lower_m=%d, upper_m=%d)" % (
@@ -100,37 +102,8 @@ def candidate_alphas(H):
 
 
 def alpha_beta_curve(H):
-    """All (alpha, beta) pairs: beta = max upper degree at that threshold.
-
-    Max-heap sweep: start from full degrees (alpha=0), then decrement the
-    endpoints of each edge bucket as the threshold passes its size; stale
-    heap entries are discarded lazily when popped.
-    """
-    degrees = [len(t) for t in H.incidence]
-    heap = [(-d, v) for v, d in enumerate(degrees) if d > 0]
-    heapq.heapify(heap)
-
-    def current_max():
-        while heap:
-            d, v = heap[0]
-            if degrees[v] == -d:
-                return -d
-            heapq.heappop(heap)
-        return 0
-
-    by_size = {}
-    for e in H.edges:
-        by_size.setdefault(len(e), []).append(e)
-
-    curve = [(0, current_max())]
-    for s in sorted(by_size):
-        for e in by_size[s]:
-            for v in e:
-                degrees[v] -= 1
-                if degrees[v] > 0:
-                    heapq.heappush(heap, (-degrees[v], v))
-        curve.append((s, current_max()))
-    return curve
+    """All (alpha, beta) pairs: beta = max upper degree at that threshold."""
+    return [(a, b) for a, b, _, _ in _cost_table(H)]
 
 
 def apply_split(H, alpha):

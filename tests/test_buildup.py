@@ -253,16 +253,18 @@ def test_counterset_accessors(toy):
     col = rainbow(toy, 3)
     split = apply_split(toy, 3)
     cs = build_counters(toy, split, 3, col)
-    assert cs.lower_neighbors(1) == [0, 4]
-    assert cs.upper_types_of(0) == (0,)
-    assert cs.upper_edge(0) == (0, 1, 2, 4, 6)
-    assert cs.upper_overlap(0, 2) == 1
-    assert cs.upper_overlap(0, 3) == 0
+    assert cs.split is split
+    assert cs.split.lower_neighbors[1] == [0, 4]
+    assert cs.split.upper_types[0] == (0,)
+    assert cs.split.upper.edges[0] == (0, 1, 2, 4, 6)
+    assert cs.split.upper_overlap(0, 2) == 1
+    assert cs.split.upper_overlap(0, 3) == 0
     naive = build_counters_naive(toy, 3, col)
-    assert naive.alpha is None
-    assert naive.lower_neighbors(0) == [1, 2, 4, 6]
-    assert naive.upper_types_of(0) == ()
-    assert naive.upper_overlap(0, 2) == 0
+    assert naive.split.alpha == toy.rank
+    assert naive.split.upper.m == 0
+    assert naive.split.lower_neighbors[0] == [1, 2, 4, 6]
+    assert naive.split.upper_types[0] == ()
+    assert naive.split.upper_overlap(0, 2) == 0
     assert naive.tables_equal(cs) and cs.tables_equal(naive)
 
 
@@ -282,7 +284,6 @@ def test_table_round_trip(tmp_path, toy):
     write_table(cs, str(path))
     data = read_table(str(path))
     assert data["k"] == 3
-    assert data["has_split"] is True
     assert data["alpha"] == 3
     assert data["seed"] == "file-seed"
     assert data["colors"] == col.colors
@@ -293,6 +294,18 @@ def test_table_round_trip(tmp_path, toy):
     kept = {key: trip for key, trip in cs.eta.items() if trip is not None}
     assert back.eta == kept
     assert back.split.alpha == 3
+
+
+def test_naive_table_round_trip(tmp_path, toy):
+    cs = build_counters_naive(toy, 3, random_coloring(toy, 3, "naive-file"))
+    path = tmp_path / "naive.hmt"
+    write_table(cs, str(path))
+    data = read_table(str(path))
+    assert data["alpha"] == toy.rank
+    back = counterset_from_table(toy, data)
+    assert back.tables_equal(cs)
+    assert back.split.alpha == toy.rank and back.split.upper.m == 0
+    assert back.eta == {key: trip for key, trip in cs.eta.items() if trip is not None}
 
 
 def test_table_bytes_deterministic(tmp_path, toy):
@@ -322,14 +335,22 @@ def test_table_bad_files(tmp_path, toy):
     with pytest.raises(BuildError, match="unsupported table version"):
         read_table(str(bv))
 
-    # Naive table, seed "x": alpha and seed-length varints sit at 7..9,
-    # so the catalog digest occupies bytes 10..41.
+    # Naive table, seed "x": the alpha (= rank 5) and seed-length varints
+    # sit at 6..7, the seed at 8 and n at 9, so the catalog digest occupies
+    # bytes 10..41.
     bad_digest = bytearray(raw)
     bad_digest[15] ^= 0xFF
     bd = tmp_path / "d.hmt"
     bd.write_bytes(bytes(bad_digest))
     with pytest.raises(BuildError, match="different treelet catalog"):
         read_table(str(bd))
+
+    # Cut inside the arrays, inside the header, and trailing garbage.
+    for i, damaged in enumerate((raw[:-20], raw[:5], raw[:12], raw + b"\x00")):
+        bt = tmp_path / ("t%d.hmt" % i)
+        bt.write_bytes(bytes(damaged))
+        with pytest.raises(BuildError, match="truncated or corrupt table file"):
+            read_table(str(bt))
 
 
 def test_table_wrong_host(tmp_path, toy):

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -19,11 +20,12 @@ OV_YES = str(DATA / "ov_yes.txt")
 CSV_HEADER = "key,samples,inv_sigma_sum,colorful_estimate,relative_frequency"
 
 
-def run_cli(*args, expect=0):
+def run_cli(*args, expect=0, env=None):
     proc = subprocess.run(
         [sys.executable, "-m", "hypergraphlets.cli", *args],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == expect, (
         "exit %d != %d\nstdout:\n%s\nstderr:\n%s"
@@ -167,14 +169,17 @@ def test_build_tables_thread_invariant(tmp_path):
     assert t1.read_bytes() == t4.read_bytes()
 
 
-def test_sample_equals_count_pipeline(tmp_path):
+@pytest.mark.parametrize("alpha", ["auto", "naive"])
+def test_sample_equals_count_pipeline(tmp_path, alpha):
     table = tmp_path / "toy.hmt"
-    run_cli("build", TOY, "-k", "3", "--seed", "s9", "-o", str(table))
+    run_cli("build", TOY, "-k", "3", "--seed", "s9", "--alpha", alpha,
+            "-o", str(table))
     sampled = run_cli(
         "sample", TOY, "--table", str(table), "--samples", "400", "--seed", "s9"
     ).stdout
     counted = run_cli(
-        "count", TOY, "-k", "3", "--samples", "400", "--seed", "s9"
+        "count", TOY, "-k", "3", "--samples", "400", "--seed", "s9",
+        "--alpha", alpha,
     ).stdout
     assert sampled == counted
     rows = parse_rows(sampled)
@@ -218,14 +223,18 @@ def test_count_uniform_mode():
         assert r["inv"] == r["samples"]
 
 
-def test_count_use_ie_matches_plain_extraction():
-    plain = run_cli(
-        "count", TOY, "-k", "3", "--samples", "300", "--seed", "ie"
+def test_count_naive_is_the_split_at_the_rank():
+    # toy.hg has rank 5: the naive baseline is the split at alpha = 5.
+    naive = run_cli(
+        "count", TOY, "-k", "3", "--samples", "400", "--seed", "s9",
+        "--alpha", "naive",
     ).stdout
-    ie = run_cli(
-        "count", TOY, "-k", "3", "--samples", "300", "--seed", "ie", "--use-ie"
+    at_rank = run_cli(
+        "count", TOY, "-k", "3", "--samples", "400", "--seed", "s9",
+        "--alpha", "5",
     ).stdout
-    assert plain == ie
+    assert naive == at_rank
+    assert len(parse_rows(naive)) > 1
 
 
 def test_exact_frozen():
@@ -424,6 +433,49 @@ def test_missing_file_exit_2():
 
 def test_unknown_command_exit_2():
     run_cli("frobnicate", TOY, expect=2)
+
+
+def one_line_error(proc):
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    return lines[0]
+
+
+@pytest.mark.parametrize("command", ["count", "build", "exact"])
+def test_k_above_key_limit_is_refused(tmp_path, command):
+    proc = run_cli(command, TOY, "-k", "9", "-o", str(tmp_path / "out"), expect=1)
+    assert "order <= 8" in one_line_error(proc)
+    assert not (tmp_path / "out").exists()
+
+
+def test_bad_hm_budget_is_module_error():
+    env = dict(os.environ, HM_BUDGET="abc")
+    proc = run_cli("exact", TOY, "-k", "3", expect=1, env=env)
+    assert one_line_error(proc).startswith("error: HM_BUDGET ")
+
+
+@pytest.mark.parametrize("damage", ["truncated", "version1", "trailing"])
+def test_damaged_table_is_module_error(tmp_path, damage):
+    table = tmp_path / "toy.hmt"
+    run_cli("build", TOY, "-k", "3", "--seed", "s9", "-o", str(table))
+    raw = table.read_bytes()
+    if damage == "truncated":
+        raw = raw[:-20]
+    elif damage == "version1":
+        raw = raw[:4] + bytes([1]) + raw[5:]
+    else:
+        raw += b"\x00"
+    table.write_bytes(raw)
+    proc = run_cli(
+        "sample", TOY, "--table", str(table), "--samples", "10", "--seed", "s",
+        expect=1,
+    )
+    line = one_line_error(proc)
+    if damage == "version1":
+        assert "unsupported table version 1" in line
+    else:
+        assert "truncated or corrupt table file" in line
 
 
 def test_module_error_exit_1(tmp_path):

@@ -8,7 +8,6 @@ from hypergraphlets.buildup import Coloring, build_counters, build_counters_naiv
 from hypergraphlets.canonlab import canonical_key, connected_ksets
 from hypergraphlets.hypercore import Hypergraph, gaifman, induced_sub, parse_hypergraph
 from hypergraphlets.sampler import (
-    IEExtractor,
     NoColorfulOccurrences,
     SamplerError,
     VoseAlias,
@@ -16,7 +15,6 @@ from hypergraphlets.sampler import (
     build_generators,
     estimate_counts,
     extract_hypergraphlet,
-    local_adjacency,
     merge_reports,
     resolve_build,
     sample_outcome,
@@ -173,7 +171,6 @@ def test_sampled_trees_are_spanning_trees():
         for u, v in edges:
             verts.update((u, v))
         assert verts == set(U)
-        A = local_adjacency(gens.cs.split, U) if gens.cs.split else None
         # Every tree edge joins co-occurring vertices.
         G = gaifman(CRAFTED)
         for u, v in edges:
@@ -202,20 +199,16 @@ def test_extraction_agreement():
                 gens = build_generators(cs)
             except NoColorfulOccurrences:
                 continue
-            ie = IEExtractor(split, k)
             for _ in range(10):
                 _tid, U, _edges = gens.sample_treelet(rng)
-                direct = induced_sub(H, U)
-                assert extract_hypergraphlet(split, U) == direct
-                assert ie.extract(U) == direct
+                assert extract_hypergraphlet(split, U) == induced_sub(H, U)
 
 
 def test_sample_outcome_key_consistency():
     gens = crafted_generators(alpha=2)
-    ie = IEExtractor(gens.cs.split, 3)
     rng = random.Random(113)
     for _ in range(50):
-        out = sample_outcome(gens, rng, ie_extractor=ie)
+        out = sample_outcome(gens, rng)
         assert out.key == canonical_key(induced_sub(CRAFTED, out.U))
 
 
@@ -336,7 +329,7 @@ def test_resolve_build_policies():
     toy = parse_hypergraph(TOY_TEXT)
     col = random_coloring(toy, 3, "p")
     naive = resolve_build(toy, 3, col, alpha_policy="naive")
-    assert naive.split is None
+    assert naive.split.alpha == toy.rank and naive.split.upper.m == 0
     auto = resolve_build(toy, 3, col, alpha_policy="auto")
     assert auto.split is not None and auto.split.alpha == 5
     fixed = resolve_build(toy, 3, col, alpha_policy=3)

@@ -78,9 +78,9 @@ def test_apply_split_frozen(toy):
     assert split.lower_neighbors[3] == [5, 6]
     assert split.upper_types[0] == (0,)
     assert split.upper_types[3] == ()
-    assert split.upper_adjacent(0, 2)
-    assert not split.upper_adjacent(0, 3)
-    assert not split.upper_adjacent(3, 5)
+    assert split.upper_overlap(0, 2) == 1
+    assert split.upper_overlap(0, 3) == 0
+    assert split.upper_overlap(3, 5) == 0
     with pytest.raises(HypergraphError):
         apply_split(toy, -1)
 
@@ -149,4 +149,7 @@ def test_upper_adjacency_matches_gaifman():
             v = rng.randrange(H.n)
             if u == v:
                 continue
-            assert split.upper_adjacent(u, v) == (v in G.adj[u])
+            types = split.upper_types
+            overlap = split.upper_overlap(u, v)
+            assert overlap == len(set(types[u]) & set(types[v]))
+            assert bool(overlap) == (v in G.adj[u])
