@@ -295,7 +295,7 @@ def build_counters_naive(H, k, coloring):
 # --- binary table persistence -------------------------------------------
 
 _MAGIC = b"HMTB"
-_VERSION = 2
+_VERSION = 3
 _CORRUPT = "truncated or corrupt table file"
 
 
@@ -332,6 +332,11 @@ def catalog_digest(catalog):
     return hashlib.sha256(catalog.dump().encode()).digest()
 
 
+def host_digest(H):
+    """sha256 of H's vertex count and edge list, edges and ids in order."""
+    return hashlib.sha256(repr((H.n, H.edges)).encode()).digest()
+
+
 def write_table(cs, path):
     """Dense binary dump of a CounterSet; byte-deterministic."""
     out = bytearray()
@@ -344,6 +349,7 @@ def write_table(cs, path):
     out += seed
     out += _varint(cs.n)
     out += catalog_digest(cs.catalog)
+    out += host_digest(cs.H)
     out += bytes(cs.coloring.colors)
     out += _varint(cs.W)
     for tid in range(len(cs.catalog)):
@@ -384,7 +390,8 @@ def read_table(path):
     pos += slen
     n, pos = _read_varint(buf, pos)
     digest = buf[pos:pos + 32]
-    pos += 32
+    host = buf[pos + 32:pos + 64]
+    pos += 64
     colors = list(buf[pos:pos + n])
     pos += n
     if pos > len(buf):
@@ -421,6 +428,7 @@ def read_table(path):
         "alpha": alpha,
         "seed": seed,
         "n": n,
+        "host": host,
         "colors": colors,
         "W": W,
         "tables": tables,
@@ -433,6 +441,8 @@ def counterset_from_table(H, data):
     """Rebuild a usable CounterSet from read_table output plus H."""
     if H.n != data["n"]:
         raise BuildError("hypergraph has %d vertices, table says %d" % (H.n, data["n"]))
+    if host_digest(H) != data["host"]:
+        raise BuildError("table was built on a different hypergraph")
     coloring = Coloring(data["k"], data["colors"], seed=data["seed"] or None)
     split = AlphaSplit(H, data["alpha"])
     return CounterSet(data["k"], data["n"], H, coloring, data["catalog"],

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success (for ksh/ov: YES verdict), 1 module error (for ksh/ov:
 NO verdict, distinguishable by the JSON verdict on stdout), 2 usage error or
-missing input.  All randomized subcommands are deterministic given --seed,
-and counter tables do not depend on --threads at all.
+missing input.  All randomized subcommands are deterministic given --seed.
+build, sample and count accept --threads for compatibility; no output
+depends on it.
 """
 
 import argparse
@@ -46,6 +47,7 @@ from .splitter import apply_split, choose_split_refined, curve_with_costs, split
 from .synth import nice_hypergraph, power_law_hypergraph
 
 CSV_HEADER = "key,samples,inv_sigma_sum,colorful_estimate,relative_frequency"
+THREADS_HELP = "accepted for compatibility; output never depends on it"
 
 
 def _load(args):
@@ -112,6 +114,16 @@ def _parse_alpha(value):
     if alpha < 0:
         raise argparse.ArgumentTypeError("fixed alpha must be nonnegative")
     return alpha
+
+
+def _positive_int(value):
+    try:
+        n = int(value)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError("expected a positive integer, got %r" % value)
+    return n
 
 
 def _cmd_stats(args):
@@ -185,8 +197,8 @@ def _cmd_sample(args):
     except NoColorfulOccurrences:
         _emit(CSV_HEADER + "\n", args.out)
         return 0
-    rep = sharded_estimate(gens, args.samples, args.seed, 0, args.threads,
-                           mode=mode, keep_log=False)
+    rep = sharded_estimate(gens, args.samples, args.seed, 0, mode=mode,
+                           keep_log=False)
     _emit(_rows_csv(rep.rows), args.out)
     return 0
 
@@ -196,8 +208,7 @@ def _cmd_count(args):
     mode = "uniform" if args.uniform else "weighted"
     rows, _ = approx_counts(
         H, args.k, args.samples, args.seed, runs=args.runs,
-        alpha_policy=args.alpha, gamma=args.gamma, mode=mode,
-        cap=args.cap, threads=args.threads)
+        alpha_policy=args.alpha, gamma=args.gamma, mode=mode, cap=args.cap)
     _emit(_rows_csv(rows), args.out)
     return 0
 
@@ -330,7 +341,11 @@ def _cmd_gen_synthetic(args):
 
 
 def _cmd_bench(args):
-    sizes = [int(tok) for tok in args.sizes.split(",") if tok]
+    try:
+        sizes = [int(tok) for tok in args.sizes.split(",") if tok]
+    except ValueError:
+        raise HypergraphError("bench sizes must be integers, got %r"
+                              % args.sizes) from None
     if not sizes:
         raise HypergraphError("bench needs at least one size")
     if args.alpha == "naive":
@@ -399,15 +414,14 @@ def _build_parser():
     p.add_argument("--alpha", type=_parse_alpha, default="auto")
     p.add_argument("--gamma", type=float, default=0.01)
     p.add_argument("--cap", type=int, default=20)
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for interface symmetry; tables never depend on it")
+    p.add_argument("--threads", type=_positive_int, default=1, help=THREADS_HELP)
 
     p = add("sample", _cmd_sample, "sample occurrences from a prebuilt table")
     p.add_argument("--table", required=True, help=".hmt file from build")
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--seed", default="0")
     p.add_argument("--uniform", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1, help=THREADS_HELP)
 
     p = add("count", _cmd_count, "end-to-end approximate counts as CSV")
     p.add_argument("-k", type=int, required=True)
@@ -418,7 +432,7 @@ def _build_parser():
     p.add_argument("--gamma", type=float, default=0.01)
     p.add_argument("--uniform", action="store_true")
     p.add_argument("--cap", type=int, default=20)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1, help=THREADS_HELP)
 
     p = add("exact", _cmd_exact, "exact counts by subset enumeration as CSV")
     p.add_argument("-k", type=int, required=True)

@@ -382,6 +382,14 @@ class EstimateReport:
         return sum((r["estimate"] for r in self.rows.values()), Fraction(0))
 
 
+def _with_frequencies(rows):
+    """Fill each row's relative_frequency: its share of the summed estimate."""
+    denom = sum((r["estimate"] for r in rows.values()), Fraction(0))
+    for row in rows.values():
+        row["relative_frequency"] = float(row["estimate"] / denom)
+    return rows
+
+
 def estimate_counts(gens, K, rng, mode="weighted", keep_log=True):
     """Run K sampling rounds and aggregate per-key statistics.
 
@@ -389,109 +397,43 @@ def estimate_counts(gens, K, rng, mode="weighted", keep_log=True):
     sample survives with probability 1/sigma, each accepted one contributing
     1.  Either way the colorful-count estimate for key i is
     W/(k*K) * (that key's accumulated contribution); the contribution is held
-    exactly (a per-key histogram of sigma values) until report time.
+    exactly (a per-key histogram of sigma values, an accepted uniform sample
+    counting as sigma 1) until report time.
     """
     if K < 1:
         raise SamplerError("sample budget must be at least 1")
+    if mode not in ("weighted", "uniform"):
+        raise SamplerError("unknown mode %r" % (mode,))
+    uniform = mode == "uniform"
     cs = gens.cs
     hists = {}
-    accepted = {}
     log = [] if keep_log else None
     for _ in range(K):
         out = sample_outcome(gens, rng)
-        if mode == "uniform":
-            if out.sigma > 1 and rng.random() >= 1.0 / out.sigma:
+        sigma = out.sigma
+        if uniform:
+            if sigma > 1 and rng.random() >= 1.0 / sigma:
                 continue
-            accepted[out.key] = accepted.get(out.key, 0) + 1
-        elif mode == "weighted":
-            h = hists.get(out.key)
-            if h is None:
-                h = hists[out.key] = {}
-            h[out.sigma] = h.get(out.sigma, 0) + 1
-        else:
-            raise SamplerError("unknown mode %r" % (mode,))
+            sigma = 1
+        h = hists.get(out.key)
+        if h is None:
+            h = hists[out.key] = {}
+        h[sigma] = h.get(sigma, 0) + 1
         if keep_log:
             log.append((out.key, out.sigma))
-    rows = {}
     scale = Fraction(cs.W, cs.k * K)
-    if mode == "uniform":
-        total = sum(accepted.values())
-        for key, cnt in accepted.items():
-            rows[key] = {
-                "samples": cnt,
-                "inv_sigma_sum": Fraction(cnt),
-                "estimate": scale * cnt,
-                "relative_frequency": cnt / total if total else 0.0,
-            }
-    else:
-        sums = {key: sum(Fraction(c, s) for s, c in h.items())
-                for key, h in hists.items()}
-        denom = sum(sums.values(), Fraction(0))
-        for key, h in hists.items():
-            rows[key] = {
-                "samples": sum(h.values()),
-                "inv_sigma_sum": sums[key],
-                "estimate": scale * sums[key],
-                "relative_frequency": float(sums[key] / denom) if denom else 0.0,
-            }
-    return EstimateReport(cs.k, cs.W, K, mode, rows, log)
-
-
-def merge_reports(reports, total_samples):
-    """Combine shard reports from one build (same W, k, mode) into one.
-
-    Estimates are recomputed at the merged budget: W/(k*total) times the
-    summed contribution, so the merge is exact, not an average of averages.
-    """
-    if not reports:
-        raise SamplerError("nothing to merge")
-    first = reports[0]
-    if any(r.W != first.W or r.k != first.k or r.mode != first.mode
-           for r in reports):
-        raise SamplerError("shard reports disagree on build parameters")
     rows = {}
-    for rep in reports:
-        for key, row in rep.rows.items():
-            agg = rows.get(key)
-            if agg is None:
-                agg = rows[key] = {"samples": 0, "inv_sigma_sum": Fraction(0)}
-            agg["samples"] += row["samples"]
-            agg["inv_sigma_sum"] += row["inv_sigma_sum"]
-    scale = Fraction(first.W, first.k * total_samples)
-    denom = sum((r["inv_sigma_sum"] for r in rows.values()), Fraction(0))
-    for agg in rows.values():
-        agg["estimate"] = scale * agg["inv_sigma_sum"]
-        agg["relative_frequency"] = (
-            float(agg["inv_sigma_sum"] / denom) if denom else 0.0)
-    logs = [r.log for r in reports]
-    log = None
-    if all(lg is not None for lg in logs):
-        log = [entry for lg in logs for entry in lg]
-    return EstimateReport(first.k, first.W, total_samples, first.mode, rows, log)
+    for key, h in hists.items():
+        inv = sum(Fraction(c, s) for s, c in h.items())
+        rows[key] = {"samples": sum(h.values()), "inv_sigma_sum": inv,
+                     "estimate": scale * inv}
+    return EstimateReport(cs.k, cs.W, K, mode, _with_frequencies(rows), log)
 
 
-def sharded_estimate(gens, K, seed, run, threads, mode="weighted", keep_log=True):
-    """estimate_counts with one RNG stream per thread slot.
-
-    threads=1 reproduces the plain single-stream estimate bit for bit; higher
-    values deterministically re-partition the budget across per-shard streams
-    (there is no actual concurrency, only stream layout).
-    """
-    if threads < 1:
-        raise SamplerError("threads must be at least 1")
-    if threads == 1:
-        rng = derived_rng(seed, "run%d|sampling" % run)
-        return estimate_counts(gens, K, rng, mode=mode, keep_log=keep_log)
-    reports = []
-    base, extra = divmod(K, threads)
-    for t in range(threads):
-        kt = base + (1 if t < extra else 0)
-        if kt == 0:
-            continue
-        rng = derived_rng(seed, "run%d|sampling|shard%d" % (run, t))
-        reports.append(estimate_counts(gens, kt, rng, mode=mode,
-                                       keep_log=keep_log))
-    return merge_reports(reports, K)
+def sharded_estimate(gens, K, seed, run, mode="weighted", keep_log=True):
+    """One run's single seeded stream; perfbench times this name, K at args[1]."""
+    rng = derived_rng(seed, "run%d|sampling" % run)
+    return estimate_counts(gens, K, rng, mode=mode, keep_log=keep_log)
 
 
 # -- end-to-end pipeline ------------------------------------------------
@@ -512,7 +454,7 @@ def resolve_build(H, k, coloring, alpha_policy="auto", gamma=0.01, cap=20):
 
 
 def approx_counts(H, k, samples, seed, runs=1, alpha_policy="auto", gamma=0.01,
-                  mode="weighted", cap=20, keep_log=False, threads=1):
+                  mode="weighted", cap=20, keep_log=False):
     """Full estimate: `runs` independent colorings, estimates averaged.
 
     Returns (rows, reports): rows maps key -> dict(samples,
@@ -532,8 +474,8 @@ def approx_counts(H, k, samples, seed, runs=1, alpha_policy="auto", gamma=0.01,
         except NoColorfulOccurrences:
             per_run.append(None)
             continue
-        per_run.append(sharded_estimate(gens, samples, seed, r, threads,
-                                        mode=mode, keep_log=keep_log))
+        per_run.append(sharded_estimate(gens, samples, seed, r, mode=mode,
+                                        keep_log=keep_log))
     rows = {}
     for rep in per_run:
         if rep is None:
@@ -551,7 +493,4 @@ def approx_counts(H, k, samples, seed, runs=1, alpha_policy="auto", gamma=0.01,
             agg["estimate"] += row["estimate"]
     for agg in rows.values():
         agg["estimate"] /= runs
-    denom = sum((r["estimate"] for r in rows.values()), Fraction(0))
-    for agg in rows.values():
-        agg["relative_frequency"] = float(agg["estimate"] / denom) if denom else 0.0
-    return rows, per_run
+    return _with_frequencies(rows), per_run

@@ -17,8 +17,11 @@ def _weighted(gamma, lower_cost, upper_cost):
     """gamma*lower + (1-gamma)*upper as a float, infinity on overflow.
 
     The 2^d terms are exact big integers; a cost too large for a float is
-    effectively infinite for selection purposes anyway.
+    effectively infinite for selection purposes anyway.  gamma outside
+    [0, 1] (or NaN) is refused: it would weight a cost negatively.
     """
+    if not 0.0 <= gamma <= 1.0:
+        raise HypergraphError("gamma must lie in [0, 1]")
     try:
         return gamma * float(lower_cost) + (1.0 - gamma) * float(upper_cost)
     except OverflowError:
@@ -176,8 +179,6 @@ def choose_split_simple(H):
 
 def choose_split_refined(H, gamma=0.01):
     """Minimize gamma*sum|e|^2 + (1-gamma)*sum 2^d over all thresholds."""
-    if not 0.0 <= gamma <= 1.0:
-        raise HypergraphError("gamma must lie in [0, 1]")
     best = None
     for alpha, beta, lo, up in _cost_table(H):
         w = _weighted(gamma, lo, up)

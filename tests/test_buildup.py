@@ -337,7 +337,7 @@ def test_table_bad_files(tmp_path, toy):
 
     # Naive table, seed "x": the alpha (= rank 5) and seed-length varints
     # sit at 6..7, the seed at 8 and n at 9, so the catalog digest occupies
-    # bytes 10..41.
+    # bytes 10..41 and the host digest bytes 42..73.
     bad_digest = bytearray(raw)
     bad_digest[15] ^= 0xFF
     bd = tmp_path / "d.hmt"
@@ -360,3 +360,7 @@ def test_table_wrong_host(tmp_path, toy):
     other = Hypergraph(3, [(0, 1, 2)])
     with pytest.raises(BuildError, match="vertices"):
         counterset_from_table(other, read_table(str(path)))
+    # Same vertex count, two more edges: the host digest tells them apart.
+    grown = Hypergraph(toy.n, list(toy.edges) + [(2, 3), (5, 7)])
+    with pytest.raises(BuildError, match="different hypergraph"):
+        counterset_from_table(grown, read_table(str(path)))

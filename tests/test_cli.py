@@ -455,27 +455,70 @@ def test_bad_hm_budget_is_module_error():
     assert one_line_error(proc).startswith("error: HM_BUDGET ")
 
 
-@pytest.mark.parametrize("damage", ["truncated", "version1", "trailing"])
+@pytest.mark.parametrize("damage", ["truncated", "version1", "trailing", "host"])
 def test_damaged_table_is_module_error(tmp_path, damage):
     table = tmp_path / "toy.hmt"
     run_cli("build", TOY, "-k", "3", "--seed", "s9", "-o", str(table))
     raw = table.read_bytes()
+    host = TOY
     if damage == "truncated":
         raw = raw[:-20]
     elif damage == "version1":
         raw = raw[:4] + bytes([1]) + raw[5:]
-    else:
+    elif damage == "trailing":
         raw += b"\x00"
+    else:
+        # Same vertex count as toy.hg, two more edges.
+        host = tmp_path / "grown.hg"
+        host.write_text(Path(TOY).read_text() + "2 3\n5 7\n")
     table.write_bytes(raw)
     proc = run_cli(
-        "sample", TOY, "--table", str(table), "--samples", "10", "--seed", "s",
-        expect=1,
+        "sample", str(host), "--table", str(table), "--samples", "10",
+        "--seed", "s", expect=1,
     )
     line = one_line_error(proc)
     if damage == "version1":
         assert "unsupported table version 1" in line
+    elif damage == "host":
+        assert "table was built on a different hypergraph" in line
     else:
         assert "truncated or corrupt table file" in line
+
+
+def test_bad_bench_sizes_is_module_error():
+    proc = run_cli("bench", "--sizes", "abc", expect=1)
+    assert "bench sizes must be integers" in one_line_error(proc)
+
+
+@pytest.mark.parametrize("gamma", ["5", "-1", "nan"])
+@pytest.mark.parametrize("command", [["curve"], ["split", "--alpha", "3"]],
+                         ids=["curve", "split"])
+def test_gamma_out_of_range_is_module_error(command, gamma):
+    proc = run_cli(command[0], TOY, *command[1:], "--gamma", gamma, expect=1)
+    assert "gamma must lie in [0, 1]" in one_line_error(proc)
+
+
+def test_threads_never_change_count_output(tmp_path):
+    hg = tmp_path / "pl.hg"
+    run_cli("gen-synthetic", "--model", "powerlaw", "-n", "120", "-m", "80",
+            "--seed", "g1", "-o", str(hg))
+    outs = [
+        run_cli("count", str(hg), "-k", "3", "--samples", "300", "--seed", "s1",
+                "--threads", str(t)).stdout
+        for t in (1, 2, 3)
+    ]
+    assert outs[0] == outs[1] == outs[2]
+    assert len(parse_rows(outs[0])) > 1
+
+
+@pytest.mark.parametrize("command", [
+    ["build", "-k", "3"],
+    ["sample", "--table", "unused.hmt"],
+    ["count", "-k", "3"],
+], ids=["build", "sample", "count"])
+def test_threads_zero_is_usage_error(command):
+    proc = run_cli(command[0], TOY, *command[1:], "--threads", "0", expect=2)
+    assert "--threads" in proc.stderr
 
 
 def test_module_error_exit_1(tmp_path):

@@ -15,7 +15,6 @@ from hypergraphlets.sampler import (
     build_generators,
     estimate_counts,
     extract_hypergraphlet,
-    merge_reports,
     resolve_build,
     sample_outcome,
     sharded_estimate,
@@ -274,55 +273,14 @@ def test_estimator_unbiased_on_crafted():
         assert abs(float(sum(vals) / runs) - 1.0) < 0.15
 
 
-def test_merge_reports_consistency():
-    gens = crafted_generators()
-    reports = []
-    sizes = [300, 500, 200]
-    for i, kt in enumerate(sizes):
-        rng = random.Random("shard|%d" % i)
-        reports.append(estimate_counts(gens, kt, rng))
-    merged = merge_reports(reports, sum(sizes))
-    assert merged.samples == 1000
-    for key, row in merged.rows.items():
-        assert row["samples"] == sum(
-            r.rows.get(key, {"samples": 0})["samples"] for r in reports
-        )
-        assert row["estimate"] == Fraction(15, 3 * 1000) * row["inv_sigma_sum"]
-    assert len(merged.log) == 1000
-    with pytest.raises(SamplerError):
-        merge_reports([], 10)
-
-
-def test_merge_reports_rejects_mixed_builds():
-    g1 = crafted_generators()
-    H = Hypergraph(3, [(0, 1), (1, 2), (0, 2)])
-    cs = build_counters_naive(H, 3, Coloring(3, [0, 1, 2]))
-    g2 = build_generators(cs)
-    r1 = estimate_counts(g1, 10, random.Random(1))
-    r2 = estimate_counts(g2, 10, random.Random(2))
-    with pytest.raises(SamplerError, match="disagree"):
-        merge_reports([r1, r2], 20)
-
-
 def test_sharded_estimate_single_thread_matches_plain():
     from hypergraphlets.buildup import derived_rng
 
     gens = crafted_generators()
     direct = estimate_counts(gens, 400, derived_rng("s9", "run0|sampling"))
-    sharded = sharded_estimate(gens, 400, "s9", 0, 1)
+    sharded = sharded_estimate(gens, 400, "s9", 0)
     assert sharded.rows == direct.rows
     assert sharded.log == direct.log
-
-
-def test_sharded_estimate_multithread_partitions_budget():
-    gens = crafted_generators()
-    rep = sharded_estimate(gens, 1001, "s10", 0, 4)
-    assert rep.samples == 1001
-    assert sum(r["samples"] for r in rep.rows.values()) == 1001
-    again = sharded_estimate(gens, 1001, "s10", 0, 4)
-    assert rep.rows == again.rows
-    with pytest.raises(SamplerError):
-        sharded_estimate(gens, 10, "s", 0, 0)
 
 
 def test_resolve_build_policies():

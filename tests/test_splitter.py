@@ -68,6 +68,14 @@ def test_choose_refined_gamma_validation(toy):
         choose_split_refined(toy, gamma=1.5)
 
 
+@pytest.mark.parametrize("gamma", [-0.5, 1.5, 5.0, math.nan])
+def test_weighted_costs_refuse_gamma_out_of_range(toy, gamma):
+    with pytest.raises(HypergraphError, match=r"gamma must lie in \[0, 1\]"):
+        curve_with_costs(toy, gamma=gamma)
+    with pytest.raises(HypergraphError, match=r"gamma must lie in \[0, 1\]"):
+        split_cost(toy, apply_split(toy, 3), gamma)
+
+
 def test_apply_split_frozen(toy):
     split = apply_split(toy, 4)
     assert split.alpha == 4
