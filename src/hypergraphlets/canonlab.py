@@ -99,19 +99,6 @@ def key_from_text(text):
     return (order, masks)
 
 
-def _adj_masks(H):
-    """Gaifman adjacency as per-vertex neighbor bitmasks."""
-    masks = [0] * H.n
-    for e in H.edges:
-        for i in range(len(e)):
-            vi = e[i]
-            for j in range(i + 1, len(e)):
-                vj = e[j]
-                masks[vi] |= 1 << vj
-                masks[vj] |= 1 << vi
-    return masks
-
-
 def connected_ksets(H, k, budget=None):
     """Yield every U with |U|=k and H|_U connected, each exactly once.
 
@@ -123,7 +110,7 @@ def connected_ksets(H, k, budget=None):
         raise HypergraphError("k must be at least 1")
     if budget is None:
         budget = enumeration_budget()
-    adj = _adj_masks(H)
+    adj = [sum(1 << u for u in nbrs) for nbrs in gaifman(H).adj]
     produced = 0
     if k == 1:
         for v in range(H.n):

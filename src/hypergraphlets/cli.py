@@ -418,16 +418,16 @@ def _build_parser():
 
     p = add("sample", _cmd_sample, "sample occurrences from a prebuilt table")
     p.add_argument("--table", required=True, help=".hmt file from build")
-    p.add_argument("--samples", type=int, default=10000)
+    p.add_argument("--samples", type=_positive_int, default=10000)
     p.add_argument("--seed", default="0")
     p.add_argument("--uniform", action="store_true")
     p.add_argument("--threads", type=_positive_int, default=1, help=THREADS_HELP)
 
     p = add("count", _cmd_count, "end-to-end approximate counts as CSV")
     p.add_argument("-k", type=int, required=True)
-    p.add_argument("--samples", type=int, default=10000)
+    p.add_argument("--samples", type=_positive_int, default=10000)
     p.add_argument("--seed", default="0")
-    p.add_argument("--runs", type=int, default=1)
+    p.add_argument("--runs", type=_positive_int, default=1)
     p.add_argument("--alpha", type=_parse_alpha, default="auto")
     p.add_argument("--gamma", type=float, default=0.01)
     p.add_argument("--uniform", action="store_true")
@@ -482,8 +482,8 @@ def _build_parser():
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "gen-synthetic" and args.out is None:
-        parser.error("gen-synthetic requires -o/--out")
+    if args.command in ("build", "gen-synthetic") and args.out is None:
+        parser.error("%s requires -o/--out" % args.command)
     try:
         return args.func(args)
     except FileNotFoundError as exc:
@@ -492,6 +492,9 @@ def main(argv=None):
     except IsADirectoryError as exc:
         print("error: not a file: %s" % (exc.filename or exc), file=sys.stderr)
         return 2
+    except UnicodeDecodeError as exc:
+        print("error: input is not UTF-8 text (%s)" % exc.reason, file=sys.stderr)
+        return 1
     except HypergraphError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

@@ -300,59 +300,44 @@ def _check_subset(H, U):
     return U
 
 
+def _truncations(H, U):
+    """{edge index: local mask of e & U} for sorted U, read off U's incidence
+    lists: costs sum of deg(u) over U, whatever the edge sizes."""
+    masks = {}
+    for i, v in enumerate(U):
+        bit = 1 << i
+        for j in H.incidence[v]:
+            masks[j] = masks.get(j, 0) | bit
+    return masks
+
+
 def induced_sub(H, U):
     """H|_U: every edge meeting U, truncated to U; duplicates collapse."""
     U = _check_subset(H, U)
-    pos = {v: i for i, v in enumerate(U)}
-    # Only edges incident to U can contribute; walk incidence, not all of E.
-    cand = set()
-    for v in U:
-        cand.update(H.incidence[v])
-    masks = set()
-    for j in cand:
-        mask = 0
-        for v in H.edges[j]:
-            i = pos.get(v)
-            if i is not None:
-                mask |= 1 << i
-        if mask:
-            masks.add(mask)
-    return Hypergraphlet(len(U), masks, vertex_map=U)
+    return Hypergraphlet(len(U), _truncations(H, U).values(), vertex_map=U)
 
 
 def section_sub(H, U):
     """H<U>: only edges entirely inside U, localized to U."""
     U = _check_subset(H, U)
-    pos = {v: i for i, v in enumerate(U)}
-    Uset = set(U)
-    cand = set()
-    for v in U:
-        cand.update(H.incidence[v])
-    masks = set()
-    for j in cand:
-        e = H.edges[j]
-        if all(v in Uset for v in e):
-            mask = 0
-            for v in e:
-                mask |= 1 << pos[v]
-            masks.add(mask)
+    masks = [mask for j, mask in _truncations(H, U).items()
+             if mask.bit_count() == len(H.edges[j])]
     return Hypergraphlet(len(U), masks, vertex_map=U)
 
 
 def is_connected_induced(H, U):
     """True iff H|_U is connected; equals connectivity of Gaif(H) on U."""
     U = _check_subset(H, U)
-    Uset = set(U)
-    seen = {U[0]}
-    stack = [U[0]]
-    while stack:
-        v = stack.pop()
-        for j in H.incidence[v]:
-            for u in H.edges[j]:
-                if u in Uset and u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-    return len(seen) == len(U)
+    masks = list(_truncations(H, U).values())
+    reach = 1
+    grown = True
+    while grown:
+        grown = False
+        for mask in masks:
+            if mask & reach and mask & ~reach:
+                reach |= mask
+                grown = True
+    return reach == (1 << len(U)) - 1
 
 
 def graph_is_connected(G, U=None):

@@ -17,8 +17,10 @@ from fractions import Fraction
 
 from .buildup import build_counters, random_coloring, derived_rng
 from .canonlab import canonical_key, check_key_order
-from .hypercore import Hypergraphlet, HypergraphError
-from .splitter import apply_split, choose_split_refined
+from .hypercore import HypergraphError
+# The extractor keeps the sampler-level name perfbench/launch.py traces.
+from .hypercore import induced_sub as extract_hypergraphlet
+from .splitter import apply_split, check_gamma, choose_split_refined
 
 
 class SamplerError(HypergraphError):
@@ -248,47 +250,19 @@ def build_generators(cs):
     return Generators(cs)
 
 
-# -- extraction and local topology ------------------------------------
+# -- local topology ----------------------------------------------------
 
 
-def extract_hypergraphlet(split, U):
-    """H|_U from the split's two parts: intersect incident edges with U."""
-    U = tuple(sorted(U))
-    pos = {v: i for i, v in enumerate(U)}
-    masks = set()
-    for part in (split.lower, split.upper):
-        cand = set()
-        for v in U:
-            cand.update(part.incidence[v])
-        for j in cand:
-            mask = 0
-            for v in part.edges[j]:
-                i = pos.get(v)
-                if i is not None:
-                    mask |= 1 << i
-            if mask:
-                masks.add(mask)
-    return Hypergraphlet(len(U), masks, vertex_map=U)
-
-
-def local_adjacency(split, U):
-    """Gaifman adjacency restricted to U, without the full projection:
-    binary search in sorted lower neighbor lists, sorted-type intersection
-    for the upper part (skipped when a vertex has no upper edge)."""
-    U = list(U)
-    kp = len(U)
-    A = [[0] * kp for _ in range(kp)]
-    for i in range(kp):
-        v = U[i]
-        nbrs = split.lower_neighbors[v]
-        has_up = bool(split.upper_types[v])
-        for j in range(i + 1, kp):
-            u = U[j]
-            p = bisect_left(nbrs, u)
-            if (p < len(nbrs) and nbrs[p] == u) or (
-                    has_up and split.upper_overlap(u, v)):
-                A[i][j] = A[j][i] = 1
-    return A
+def _gaifman_matrix(P):
+    """Adjacency of Gaif(P): i ~ j iff some edge mask of P holds both bits."""
+    kp = P.order
+    reach = [0] * kp
+    for mask in P.edges:
+        for i in range(kp):
+            if mask >> i & 1:
+                reach[i] |= mask
+    return [[int(i != j and reach[i] >> j & 1) for j in range(kp)]
+            for i in range(kp)]
 
 
 def spanning_tree_count(A):
@@ -351,11 +325,11 @@ class SampleOutcome:
 
 
 def sample_outcome(gens, rng):
-    """Sample one treelet and complete it with sigma, extraction, and key."""
-    split = gens.cs.split
+    """Sample one treelet and complete it with extraction, sigma, and key:
+    sigma counts spanning trees of Gaif(H|_U) = Gaif(H)[U]."""
     _tid, U, tree_edges = gens.sample_treelet(rng)
-    sigma = spanning_tree_count(local_adjacency(split, U))
-    P = extract_hypergraphlet(split, U)
+    P = extract_hypergraphlet(gens.cs.H, U)
+    sigma = spanning_tree_count(_gaifman_matrix(P))
     return SampleOutcome(U, tree_edges, sigma, P, canonical_key(P))
 
 
@@ -442,8 +416,9 @@ def sharded_estimate(gens, K, seed, run, mode="weighted", keep_log=True):
 def resolve_build(H, k, coloring, alpha_policy="auto", gamma=0.01, cap=20):
     """Build counters under an alpha policy: 'auto' (refined cost model),
     'naive' (the split at alpha = H.rank, i.e. the Gaifman baseline), or an
-    explicit integer threshold."""
+    explicit integer threshold.  gamma is checked under every policy."""
     check_key_order(k)
+    check_gamma(gamma)
     if alpha_policy == "auto":
         split, _cost = choose_split_refined(H, gamma)
     elif alpha_policy == "naive":
@@ -464,6 +439,8 @@ def approx_counts(H, k, samples, seed, runs=1, alpha_policy="auto", gamma=0.01,
     """
     if runs < 1:
         raise SamplerError("runs must be at least 1")
+    if samples < 1:
+        raise SamplerError("sample budget must be at least 1")
     per_run = []
     for r in range(runs):
         coloring = random_coloring(H, k, "%s|run%d" % (seed, r))

@@ -13,15 +13,19 @@ import math
 from .hypercore import Hypergraph, HypergraphError, gaifman
 
 
+def check_gamma(gamma):
+    """Refuse gamma outside [0, 1] (or NaN): it would weight a cost negatively."""
+    if not 0.0 <= gamma <= 1.0:
+        raise HypergraphError("gamma must lie in [0, 1]")
+
+
 def _weighted(gamma, lower_cost, upper_cost):
     """gamma*lower + (1-gamma)*upper as a float, infinity on overflow.
 
     The 2^d terms are exact big integers; a cost too large for a float is
-    effectively infinite for selection purposes anyway.  gamma outside
-    [0, 1] (or NaN) is refused: it would weight a cost negatively.
+    effectively infinite for selection purposes anyway.
     """
-    if not 0.0 <= gamma <= 1.0:
-        raise HypergraphError("gamma must lie in [0, 1]")
+    check_gamma(gamma)
     try:
         return gamma * float(lower_cost) + (1.0 - gamma) * float(upper_cost)
     except OverflowError:

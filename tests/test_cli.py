@@ -411,6 +411,12 @@ def test_gen_synthetic_requires_out():
     run_cli("gen-synthetic", "--model", "powerlaw", "-n", "10", "-m", "5", expect=2)
 
 
+def test_build_requires_out():
+    # Refused before the input is read: a missing file does not matter.
+    proc = run_cli("build", "/nonexistent/nope.hg", "-k", "3", expect=2)
+    assert "build requires -o/--out" in proc.stderr
+
+
 def test_bench_csv(tmp_path):
     out = run_cli(
         "bench", "--sizes", "60,120", "-k", "3", "--repeats", "1",
@@ -491,8 +497,12 @@ def test_bad_bench_sizes_is_module_error():
 
 
 @pytest.mark.parametrize("gamma", ["5", "-1", "nan"])
-@pytest.mark.parametrize("command", [["curve"], ["split", "--alpha", "3"]],
-                         ids=["curve", "split"])
+@pytest.mark.parametrize("command", [
+    ["curve"],
+    ["split", "--alpha", "3"],
+    ["count", "-k", "3", "--samples", "5", "--alpha", "naive"],
+    ["count", "-k", "3", "--samples", "5", "--alpha", "3"],
+], ids=["curve", "split", "count-naive", "count-alpha3"])
 def test_gamma_out_of_range_is_module_error(command, gamma):
     proc = run_cli(command[0], TOY, *command[1:], "--gamma", gamma, expect=1)
     assert "gamma must lie in [0, 1]" in one_line_error(proc)
@@ -526,3 +536,26 @@ def test_module_error_exit_1(tmp_path):
     bad.write_text("0 1\n0 0 1\n")
     proc = run_cli("stats", str(bad), expect=1)
     assert "line 2" in proc.stderr
+
+
+@pytest.mark.parametrize("seed", ["t2", "s1"], ids=["live", "dead"])
+@pytest.mark.parametrize("command", [
+    ["count", "-k", "3", "--samples", "0"],
+    ["count", "-k", "3", "--runs", "0"],
+    ["sample", "--table", "unused.hmt", "--samples", "0"],
+], ids=["count-samples", "count-runs", "sample-samples"])
+def test_empty_sample_budget_is_usage_error(command, seed):
+    proc = run_cli(command[0], TOY, *command[1:], "--seed", seed, expect=2)
+    assert "expected a positive integer" in proc.stderr
+
+
+@pytest.mark.parametrize("command", [
+    ["stats"],
+    ["count", "-k", "3", "--samples", "5"],
+    ["ov"],
+])
+def test_non_utf8_input_is_module_error(tmp_path, command):
+    bad = tmp_path / "utf16.hg"
+    bad.write_bytes("0 1\n1 2\n".encode("utf-16"))
+    proc = run_cli(command[0], str(bad), *command[1:], expect=1)
+    assert "not UTF-8 text" in one_line_error(proc)

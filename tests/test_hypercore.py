@@ -196,6 +196,10 @@ def test_induced_matches_oracle_semantics():
         U = sorted(rng.sample(range(H.n), k))
         P = induced_sub(H, U)
         assert set(P.edges) == truncated_edge_masks(H, U)
+        pos = {v: i for i, v in enumerate(U)}
+        inside = {sum(1 << pos[v] for v in e) for e in H.edges
+                  if all(v in pos for v in e)}
+        assert set(section_sub(H, U).edges) == inside
 
 
 def test_gaifman_commutes_with_induced():

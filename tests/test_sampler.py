@@ -22,7 +22,12 @@ from hypergraphlets.sampler import (
 )
 from hypergraphlets.splitter import apply_split, candidate_alphas
 
-from oracles import count_spanning_trees_brute, random_hypergraph
+from oracles import (
+    count_spanning_trees_brute,
+    gaifman_pairs,
+    random_hypergraph,
+    truncated_edge_masks,
+)
 
 TOY_TEXT = "# vertices 8\n0 1\n1 4\n3 5 6\n0 1 2 4 6\n"
 
@@ -199,8 +204,15 @@ def test_extraction_agreement():
             except NoColorfulOccurrences:
                 continue
             for _ in range(10):
-                _tid, U, _edges = gens.sample_treelet(rng)
-                assert extract_hypergraphlet(split, U) == induced_sub(H, U)
+                out = sample_outcome(gens, rng)
+                U = out.U
+                P = extract_hypergraphlet(H, U)
+                assert set(P.edges) == truncated_edge_masks(H, U)
+                assert out.hypergraphlet == P
+                pos = {v: i for i, v in enumerate(U)}
+                pairs = [(pos[a], pos[b]) for a, b in gaifman_pairs(H)
+                         if a in pos and b in pos]
+                assert out.sigma == count_spanning_trees_brute(len(U), pairs)
 
 
 def test_sample_outcome_key_consistency():
@@ -331,3 +343,11 @@ def test_approx_counts_counts_empty_runs_in_average():
         assert row["estimate"] == per_key[key] / 8
     with pytest.raises(SamplerError):
         approx_counts(H, 3, 50, "x", runs=0)
+
+
+def test_approx_counts_refuses_empty_budget_before_building():
+    # Seed s1 colors the toy instance without a colorful occurrence, so the
+    # budget must be checked before any run, not by the sampling loop.
+    toy = parse_hypergraph(TOY_TEXT)
+    with pytest.raises(SamplerError, match="sample budget"):
+        approx_counts(toy, 3, 0, "s1")
