@@ -1,22 +1,27 @@
-"""Random colorings and the bottom-up computation of treelet counters.
+"""Random colorings, the bottom-up computation of treelet counters, .hmt files.
 
 C(T,S,v) counts rooted trees in the Gaifman graph that are isomorphic to the
 rooted treelet T, use exactly the color set S (one vertex per color), and are
 rooted at v.  The recurrence glues T1 (rooted at v) to T2 (rooted at a
 neighbor u), so each round needs eta(v) = sum of C(T2,S2,u) over neighbors u
-of v.  That neighbor-weight step is solved two ways, combined across an
-alpha-split: directly on the Gaifman projection of the lower part, and by
-inclusion-exclusion over per-vertex types for the upper part, with an
-overlap correction for pairs adjacent in both.  The naive baseline is the
-split at alpha = H.rank, whose upper part is empty.  Counts are exact
-arbitrary-precision integers.
+of v.  A round runs across an alpha-split: directly on the Gaifman projection
+of the lower part, and by inclusion-exclusion over per-vertex types for the
+upper part, with an overlap correction for pairs adjacent in both.  An NWPlan
+holds what no round changes; it is built once per split, by the build and by
+the table loader, which recomputes eta rather than reading it.  The naive
+baseline is the split at alpha = H.rank, whose upper part is empty.  Counts
+are exact arbitrary-precision integers.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+import sys
+from array import array
 from itertools import combinations
+
+from .canonlab import MAX_KEY_ORDER
 
 # gaifman is unused here but stays importable: perfbench traces buildup.gaifman.
 from .hypercore import HypergraphError, gaifman  # noqa: F401
@@ -65,90 +70,81 @@ def nw_naive(G, w):
     return out
 
 
-_SUBSET_CACHE = {}
+class NWPlan:
+    """What every neighbor-weight round over one alpha-split reuses.
 
-
-def _signed_subsets(d):
-    """(positions, sign) for every nonempty subset of range(d); cached for
-    small d so the per-vertex loops do no re-enumeration."""
-    if d in _SUBSET_CACHE:
-        return _SUBSET_CACHE[d]
-    out = []
-    for mask in range(1, 1 << d):
-        pos = tuple(p for p in range(d) if mask >> p & 1)
-        out.append((pos, 1 if len(pos) % 2 else -1))
-    if d <= 12:
-        _SUBSET_CACHE[d] = out
-    return out
-
-
-def _nw_ie_types(types, w, cap):
-    """Inclusion-exclusion NW over per-vertex sorted types.
-
-    Two passes over a dictionary t: first t[X] accumulates w(v) for every
-    nonempty X subseteq E(v), so t[X] = total weight of the intersection of
-    the edges in X; then eta(v) = alternating sum over X subseteq E(v) minus
-    w(v) itself, or 0 when E(v) is empty.
+    Built once per split.  Each nonempty subset X of a vertex's upper type
+    is interned as an integer id: members[id] lists the vertices whose type
+    contains X, and odd[v] / even[v] hold the ids of v's subsets of odd and
+    even size, which inclusion-exclusion adds and subtracts.  shared[v]
+    lists v's lower neighbors that also share an upper edge with v, the
+    pairs that both parts count.  The 2^degree cap is checked here, before
+    any round runs.
     """
-    n = len(types)
-    worst = max((len(t) for t in types), default=0)
-    if worst > cap:
-        raise BuildError(
-            "degree %d exceeds the 2^degree cap %d; re-split with a smaller alpha"
-            % (worst, cap))
-    t = {}
-    for v, ty in enumerate(types):
-        x = w[v]
-        if not x or not ty:
-            continue
-        for pos, _sign in _signed_subsets(len(ty)):
-            key = tuple(ty[p] for p in pos)
-            t[key] = t.get(key, 0) + x
-    eta = [0] * n
-    if not t:
-        return eta
-    get = t.get
-    for v, ty in enumerate(types):
-        if not ty:
-            continue
-        s = 0
-        for pos, sign in _signed_subsets(len(ty)):
-            val = get(tuple(ty[p] for p in pos))
-            if val:
-                s += sign * val
-        eta[v] = s - w[v]
-    return eta
+
+    __slots__ = ("lower", "members", "odd", "even", "shared")
+
+    def __init__(self, split, cap=20):
+        if split.beta > cap:
+            raise BuildError(
+                "degree %d exceeds the 2^degree cap %d; re-split with a smaller alpha"
+                % (split.beta, cap))
+        index = {}
+        self.members, self.odd, self.even = [], [], []
+        for v, ty in enumerate(split.upper_types):
+            sides = ([], [])
+            for r in range(1, len(ty) + 1):
+                for X in combinations(ty, r):
+                    i = index.setdefault(X, len(index))
+                    if i == len(self.members):
+                        self.members.append([])
+                    self.members[i].append(v)
+                    sides[r % 2].append(i)
+            self.even.append(sides[0])
+            self.odd.append(sides[1])
+        self.lower = split.gaif_lower
+        types = split.upper_types
+        self.shared = [
+            [u for u in adj if split.upper_overlap(u, v)] if types[v] else []
+            for v, adj in enumerate(split.lower_neighbors)
+        ]
 
 
 def nw_ie(H, w, cap=20):
-    """eta over the full hypergraph by inclusion-exclusion; needs Delta <= cap."""
-    return _nw_ie_types([tuple(t) for t in H.incidence], w, cap)
+    """eta over the full hypergraph by inclusion-exclusion (the split at
+    alpha 0, whose lower part is empty); needs Delta <= cap."""
+    return combined_neighbor_weight(NWPlan(apply_split(H, 0), cap), w)[2]
 
 
-def combined_neighbor_weight(split, w, cap=20):
-    """(eta, eta_low, eta_high) across an alpha-split.
+def combined_neighbor_weight(plan, w):
+    """(eta_low, eta_high, eta) for vertex weights w across plan's split.
 
-    eta(v) = eta_low(v) + eta_high(v) minus w(u) for every lower neighbor u
-    that is also an upper neighbor (shares an upper edge; sorted-type
-    intersection, O(beta) per check), so each true Gaifman neighbor counts
-    once.
+    eta_low(v) sums w over v's lower Gaifman neighbors.  eta_high(v) sums,
+    over the nonempty subsets X of v's upper type, -(-1)^|X| times the
+    weight of the vertices whose type contains X, minus w(v) itself, or is
+    0 when v is in no upper edge.  eta(v) = eta_low(v) + eta_high(v) minus
+    w(u) for every lower neighbor u that shares an upper edge with v, so
+    each true Gaifman neighbor counts once.
     """
-    low = nw_naive(split.gaif_lower, w)
-    high = _nw_ie_types(split.upper_types, w, cap)
-    comb = list(low)
-    types = split.upper_types
-    lower_adj = split.lower_neighbors
-    for u, x in enumerate(w):
-        if not x or not types[u]:
-            continue
-        for v in lower_adj[u]:
-            if types[v] and split.upper_overlap(u, v):
-                comb[v] -= x
-    for v in range(split.n):
-        h = high[v]
-        if h:
-            comb[v] += h
-    return comb, low, high
+    low = nw_naive(plan.lower, w)
+    get = w.__getitem__
+    t = [sum(map(get, m)) for m in plan.members]
+    tget = t.__getitem__
+    high = [sum(map(tget, odd)) - sum(map(tget, even)) - x if odd else 0
+            for odd, even, x in zip(plan.odd, plan.even, w)]
+    comb = [a + b - sum(map(get, s)) if s else a + b
+            for a, b, s in zip(low, high, plan.shared)]
+    return low, high, comb
+
+
+def _eta_round(plan, eta, tables, t2, S2):
+    """The (eta_low, eta_high, eta_comb) triple of round (t2, S2), computed
+    once into eta; None when C(T2,S2,.) is identically zero."""
+    key = (t2, S2)
+    if key not in eta:
+        w = tables[t2][S2]
+        eta[key] = combined_neighbor_weight(plan, w) if any(w) else None
+    return eta[key]
 
 
 def masks_of_size(k, h):
@@ -160,16 +156,18 @@ class CounterSet:
     """All counter tables for one (hypergraph, coloring, split) build.
 
     tables[tid][S] is the length-n list C(T_tid, S, .); eta[(t2, S2)] is the
-    retained (eta_low, eta_high, eta_comb) triple for that neighbor-weight
-    round, or None when C(T2,S2,.) was identically zero (round skipped).
-    split is the AlphaSplit the tables were built over; the naive build's is
-    the split at alpha = H.rank, whose upper part is empty.
+    (eta_low, eta_high, eta_comb) triple of that neighbor-weight round, or
+    None when C(T2,S2,.) was identically zero (round skipped).  A table file
+    stores no eta: loading recomputes it from the tables.  split is the
+    AlphaSplit the tables were built over; the naive build's is the split at
+    alpha = H.rank, whose upper part is empty.  cap is the 2^degree cap the
+    build ran under.
     """
 
     __slots__ = ("k", "n", "H", "coloring", "catalog", "tables", "eta", "W",
-                 "split")
+                 "split", "cap")
 
-    def __init__(self, k, n, H, coloring, catalog, tables, eta, W, split):
+    def __init__(self, k, n, H, coloring, catalog, tables, eta, W, split, cap):
         self.k = k
         self.n = n
         self.H = H
@@ -179,9 +177,7 @@ class CounterSet:
         self.eta = eta
         self.W = W
         self.split = split
-
-    def eta_triple(self, t2, S2):
-        return self.eta.get((t2, S2))
+        self.cap = cap
 
     def root_weights(self):
         """Per order-k treelet: the C(T,[k],.) vector."""
@@ -190,23 +186,13 @@ class CounterSet:
                 for t in self.catalog.of_order(self.k)]
 
     def tables_equal(self, other):
-        if self.k != other.k or self.n != other.n:
-            return False
-        if self.W != other.W:
-            return False
-        for tid in range(len(self.catalog)):
-            a, b = self.tables[tid], other.tables[tid]
-            if set(a) != set(b):
-                return False
-            for S in a:
-                if a[S] != b[S]:
-                    return False
-        return True
+        return ((self.k, self.n, self.W) == (other.k, other.n, other.W)
+                and self.tables == other.tables)
 
 
 def build_counters(H, split, k, coloring, cap=20):
     """Bottom-up DP over the treelet catalog; each neighbor-weight round
-    runs combined_neighbor_weight across the split."""
+    runs combined_neighbor_weight over one NWPlan of the split."""
     catalog = TreeletCatalog(k)
     if coloring.k != k:
         raise BuildError("coloring has %d colors, build wants %d" % (coloring.k, k))
@@ -217,34 +203,25 @@ def build_counters(H, split, k, coloring, cap=20):
     zeros = [0] * n
 
     tables = [None] * len(catalog)
-    base = {}
-    for c in range(k):
-        base[1 << c] = [1 if colors[v] == c else 0 for v in range(n)]
-    tables[0] = base
+    tables[0] = {1 << c: [1 if colors[v] == c else 0 for v in range(n)]
+                 for c in range(k)}
 
-    eta_memo = {}
+    # k = 1 has no neighbor-weight round, so neither a plan nor a cap check.
+    plan = NWPlan(split, cap) if k > 1 else None
+    eta = {}
     for h in range(2, k + 1):
         for t in catalog.of_order(h):
             h2 = catalog[t.t2].order
             h1 = h - h2
             acc = {}
             for S2 in masks_of_size(k, h2):
-                key = (t.t2, S2)
-                if key in eta_memo:
-                    trip = eta_memo[key]
-                else:
-                    w2 = tables[t.t2][S2]
-                    trip = (combined_neighbor_weight(split, w2, cap)
-                            if any(w2) else None)
-                    eta_memo[key] = trip
+                trip = _eta_round(plan, eta, tables, t.t2, S2)
                 if trip is None:
                     continue
-                comb = trip[0]
+                comb = trip[2]
                 rest = [c for c in range(k) if not S2 >> c & 1]
                 for cset in combinations(rest, h1):
-                    S1 = 0
-                    for c in cset:
-                        S1 |= 1 << c
+                    S1 = sum(1 << c for c in cset)
                     w1 = tables[t.t1][S1]
                     if w1 is zeros:
                         continue
@@ -278,12 +255,8 @@ def build_counters(H, split, k, coloring, cap=20):
             tables[t.tid] = tbl
 
     full = (1 << k) - 1
-    W = 0
-    for t in catalog.of_order(k):
-        W += sum(tables[t.tid][full])
-    eta = {key: (trip[1], trip[2], trip[0]) if trip is not None else None
-           for key, trip in eta_memo.items()}
-    return CounterSet(k, n, H, coloring, catalog, tables, eta, W, split)
+    W = sum(sum(tables[t.tid][full]) for t in catalog.of_order(k))
+    return CounterSet(k, n, H, coloring, catalog, tables, eta, W, split, cap)
 
 
 def build_counters_naive(H, k, coloring):
@@ -295,8 +268,11 @@ def build_counters_naive(H, k, coloring):
 # --- binary table persistence -------------------------------------------
 
 _MAGIC = b"HMTB"
-_VERSION = 3
+_VERSION = 4
 _CORRUPT = "truncated or corrupt table file"
+# array typecode per item width in bytes; wider counts use int.to_bytes.
+_TYPECODES = {array(tc).itemsize: tc for tc in "BHILQ"}
+_WIDTHS = sorted(_TYPECODES)
 
 
 def _varint(x):
@@ -328,6 +304,37 @@ def _read_varint(buf, pos):
         shift += 7
 
 
+def _pack(values):
+    """A width varint, then every value little-endian in that many bytes:
+    the narrowest array width that holds the maximum, or as many bytes as
+    the maximum needs once it reaches 2^64."""
+    top = max(values, default=0)
+    width = next((w for w in _WIDTHS if top < 1 << 8 * w),
+                 (top.bit_length() + 7) // 8)
+    if width in _TYPECODES:
+        arr = array(_TYPECODES[width], values)
+        if sys.byteorder == "big":
+            arr.byteswap()
+        return _varint(width) + arr.tobytes()
+    return _varint(width) + b"".join(x.to_bytes(width, "little") for x in values)
+
+
+def _unpack(buf, pos, n):
+    """Inverse of _pack for n values at pos: (values, next position)."""
+    width, pos = _read_varint(buf, pos)
+    end = pos + width * n
+    if not width or end > len(buf):
+        raise BuildError(_CORRUPT)
+    if width in _TYPECODES:
+        arr = array(_TYPECODES[width])
+        arr.frombytes(buf[pos:end])
+        if sys.byteorder == "big":
+            arr.byteswap()
+        return arr.tolist(), end
+    return [int.from_bytes(buf[i:i + width], "little")
+            for i in range(pos, end, width)], end
+
+
 def catalog_digest(catalog):
     return hashlib.sha256(catalog.dump().encode()).digest()
 
@@ -338,12 +345,14 @@ def host_digest(H):
 
 
 def write_table(cs, path):
-    """Dense binary dump of a CounterSet; byte-deterministic."""
+    """Binary dump of a CounterSet's DP tables; byte-deterministic.  eta
+    is not stored: counterset_from_table recomputes it."""
     out = bytearray()
     out += _MAGIC
     out.append(_VERSION)
     out.append(cs.k)
     out += _varint(cs.split.alpha)
+    out += _varint(cs.cap)
     seed = ("" if cs.coloring.seed is None else str(cs.coloring.seed)).encode()
     out += _varint(len(seed))
     out += seed
@@ -355,17 +364,7 @@ def write_table(cs, path):
     for tid in range(len(cs.catalog)):
         order = cs.catalog[tid].order
         for S in masks_of_size(cs.k, order):
-            for val in cs.tables[tid][S]:
-                out += _varint(val)
-    entries = sorted(key for key, trip in cs.eta.items() if trip is not None)
-    out += _varint(len(entries))
-    for t2, S2 in entries:
-        low, high, comb = cs.eta[(t2, S2)]
-        out += _varint(t2)
-        out += _varint(S2)
-        for arr in (low, high, comb):
-            for val in arr:
-                out += _varint(val)
+            out += _pack(cs.tables[tid][S])
     with open(path, "wb") as fh:
         fh.write(bytes(out))
 
@@ -381,7 +380,11 @@ def read_table(path):
     if buf[4] != _VERSION:
         raise BuildError("unsupported table version %d" % buf[4])
     k = buf[5]
+    if not 1 <= k <= MAX_KEY_ORDER:
+        raise BuildError("%s: treelet order %d outside 1..%d"
+                         % (_CORRUPT, k, MAX_KEY_ORDER))
     alpha, pos = _read_varint(buf, 6)
+    cap, pos = _read_varint(buf, pos)
     slen, pos = _read_varint(buf, pos)
     try:
         seed = buf[pos:pos + slen].decode()
@@ -404,46 +407,30 @@ def read_table(path):
     for tid in range(len(catalog)):
         tbl = {}
         for S in masks_of_size(k, catalog[tid].order):
-            arr = [0] * n
-            for i in range(n):
-                arr[i], pos = _read_varint(buf, pos)
-            tbl[S] = arr
+            tbl[S], pos = _unpack(buf, pos, n)
         tables[tid] = tbl
-    eta = {}
-    cnt, pos = _read_varint(buf, pos)
-    for _ in range(cnt):
-        t2, pos = _read_varint(buf, pos)
-        S2, pos = _read_varint(buf, pos)
-        trip = []
-        for _a in range(3):
-            arr = [0] * n
-            for i in range(n):
-                arr[i], pos = _read_varint(buf, pos)
-            trip.append(arr)
-        eta[(t2, S2)] = tuple(trip)
     if pos != len(buf):
         raise BuildError(_CORRUPT)
-    return {
-        "k": k,
-        "alpha": alpha,
-        "seed": seed,
-        "n": n,
-        "host": host,
-        "colors": colors,
-        "W": W,
-        "tables": tables,
-        "eta": eta,
-        "catalog": catalog,
-    }
+    return dict(k=k, alpha=alpha, cap=cap, seed=seed, n=n, host=host,
+                colors=colors, W=W, tables=tables, catalog=catalog)
 
 
 def counterset_from_table(H, data):
-    """Rebuild a usable CounterSet from read_table output plus H."""
+    """Rebuild a usable CounterSet from read_table output plus H.  eta is
+    recomputed round by round as the build computed it, under the cap the
+    build recorded."""
     if H.n != data["n"]:
         raise BuildError("hypergraph has %d vertices, table says %d" % (H.n, data["n"]))
     if host_digest(H) != data["host"]:
         raise BuildError("table was built on a different hypergraph")
-    coloring = Coloring(data["k"], data["colors"], seed=data["seed"] or None)
+    k, catalog, tables = data["k"], data["catalog"], data["tables"]
+    coloring = Coloring(k, data["colors"], seed=data["seed"] or None)
     split = AlphaSplit(H, data["alpha"])
-    return CounterSet(data["k"], data["n"], H, coloring, data["catalog"],
-                      data["tables"], data["eta"], data["W"], split)
+    plan = NWPlan(split, data["cap"]) if k > 1 else None
+    eta = {}
+    for t in catalog.treelets:
+        if t.order > 1:
+            for S2 in masks_of_size(k, catalog[t.t2].order):
+                _eta_round(plan, eta, tables, t.t2, S2)
+    return CounterSet(k, data["n"], H, coloring, catalog, tables, eta,
+                      data["W"], split, data["cap"])

@@ -48,6 +48,7 @@ from .synth import nice_hypergraph, power_law_hypergraph
 
 CSV_HEADER = "key,samples,inv_sigma_sum,colorful_estimate,relative_frequency"
 THREADS_HELP = "accepted for compatibility; output never depends on it"
+CAP_HELP = "refuse splits whose upper part has a vertex of degree above this"
 
 
 def _load(args):
@@ -116,14 +117,21 @@ def _parse_alpha(value):
     return alpha
 
 
-def _positive_int(value):
-    try:
-        n = int(value)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError("expected a positive integer, got %r" % value)
-    return n
+def _int_at_least(least, what):
+    def parse(value):
+        try:
+            n = int(value)
+        except ValueError:
+            n = least - 1
+        if n < least:
+            raise argparse.ArgumentTypeError(
+                "expected a %s integer, got %r" % (what, value))
+        return n
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
+_nonnegative_int = _int_at_least(0, "nonnegative")
 
 
 def _cmd_stats(args):
@@ -413,7 +421,7 @@ def _build_parser():
     p.add_argument("--seed", default="0")
     p.add_argument("--alpha", type=_parse_alpha, default="auto")
     p.add_argument("--gamma", type=float, default=0.01)
-    p.add_argument("--cap", type=int, default=20)
+    p.add_argument("--cap", type=_nonnegative_int, default=20, help=CAP_HELP)
     p.add_argument("--threads", type=_positive_int, default=1, help=THREADS_HELP)
 
     p = add("sample", _cmd_sample, "sample occurrences from a prebuilt table")
@@ -431,7 +439,7 @@ def _build_parser():
     p.add_argument("--alpha", type=_parse_alpha, default="auto")
     p.add_argument("--gamma", type=float, default=0.01)
     p.add_argument("--uniform", action="store_true")
-    p.add_argument("--cap", type=int, default=20)
+    p.add_argument("--cap", type=_nonnegative_int, default=20, help=CAP_HELP)
     p.add_argument("--threads", type=_positive_int, default=1, help=THREADS_HELP)
 
     p = add("exact", _cmd_exact, "exact counts by subset enumeration as CSV")
@@ -470,7 +478,7 @@ def _build_parser():
     p.add_argument("--sizes", default="125,250,500,1000,2000,4000")
     p.add_argument("-k", type=int, default=3)
     p.add_argument("--seed", default="0")
-    p.add_argument("--repeats", type=int, default=3)
+    p.add_argument("--repeats", type=_positive_int, default=3)
     p.add_argument("--large-edges", type=int, default=4)
     p.add_argument("--alpha", type=_parse_alpha, default=5,
                    help="split threshold for the timed split path; the family "

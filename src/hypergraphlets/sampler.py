@@ -111,7 +111,7 @@ class Generators:
             items = []
             weights = []
             for S2 in _submasks_of_size(S, h2):
-                trip = cs.eta_triple(t.t2, S2)
+                trip = cs.eta.get((t.t2, S2))
                 if trip is None:
                     continue
                 comb = trip[2][v]
@@ -182,7 +182,7 @@ class Generators:
         split = cs.split
         t2 = cs.catalog[tid].t2
         S1, S2 = self._partition_gen(tid, S, v).draw(rng)
-        trip = cs.eta_triple(t2, S2)
+        trip = cs.eta.get((t2, S2))
         w_low, w_high = trip[0][v], trip[1][v]
         total = w_low + w_high
         lower_nbrs = split.lower_neighbors[v]

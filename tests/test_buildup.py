@@ -5,6 +5,7 @@ import pytest
 from hypergraphlets.buildup import (
     BuildError,
     Coloring,
+    NWPlan,
     build_counters,
     build_counters_naive,
     combined_neighbor_weight,
@@ -19,7 +20,7 @@ from hypergraphlets.buildup import (
 )
 from hypergraphlets.canonlab import brute_rooted_colorful_treelets, connected_ksets
 from hypergraphlets.hypercore import Hypergraph, gaifman, parse_hypergraph
-from hypergraphlets.splitter import apply_split, candidate_alphas
+from hypergraphlets.splitter import alpha_beta_curve, apply_split, candidate_alphas
 from hypergraphlets.treelets import TreeletCatalog
 
 from oracles import bounded_degree_hypergraph, count_spanning_trees_brute, random_hypergraph
@@ -105,7 +106,7 @@ def test_nw_ie_degree_cap():
 
 def test_combined_neighbor_weight_toy(toy):
     split = apply_split(toy, 4)
-    comb, low, high = combined_neighbor_weight(split, [1] * 8)
+    low, high, comb = combined_neighbor_weight(NWPlan(split), [1] * 8)
     assert comb == nw_naive(gaifman(toy), [1] * 8)
     assert comb[0] == 4 and comb[7] == 0
     assert low[0] == 1 and high[0] == 4  # overlap with vertex 1 subtracted
@@ -118,7 +119,7 @@ def test_combined_neighbor_weight_random():
         alpha = rng.choice(candidate_alphas(H))
         split = apply_split(H, alpha)
         w = [rng.randrange(-2, 6) for _ in range(H.n)]
-        comb, low, high = combined_neighbor_weight(split, w)
+        low, high, comb = combined_neighbor_weight(NWPlan(split), w)
         assert comb == nw_naive(gaifman(H), w)
         assert low == nw_naive(split.gaif_lower, w)
         assert high == nw_ie(split.upper, w)
@@ -288,11 +289,12 @@ def test_table_round_trip(tmp_path, toy):
     assert data["seed"] == "file-seed"
     assert data["colors"] == col.colors
     assert data["W"] == cs.W
+    assert data["cap"] == 20
     back = counterset_from_table(toy, data)
     assert back.tables_equal(cs)
-    # Only held rounds are persisted; skipped (None) ones are implicit.
-    kept = {key: trip for key, trip in cs.eta.items() if trip is not None}
-    assert back.eta == kept
+    # The file holds no eta: loading recomputes every round, skipped
+    # (None) ones included.
+    assert back.eta == cs.eta
     assert back.split.alpha == 3
 
 
@@ -305,7 +307,45 @@ def test_naive_table_round_trip(tmp_path, toy):
     back = counterset_from_table(toy, data)
     assert back.tables_equal(cs)
     assert back.split.alpha == toy.rank and back.split.upper.m == 0
-    assert back.eta == {key: trip for key, trip in cs.eta.items() if trip is not None}
+    assert back.eta == cs.eta
+
+
+def test_table_round_trip_recomputes_eta_on_the_curve(tmp_path):
+    # The file holds the tables and the cap, not eta; loading recomputes
+    # every round, so it must equal the build's rounds at every alpha.
+    rng = random.Random(71)
+    path = tmp_path / "c.hmt"
+    for i in range(12):
+        H = bounded_degree_hypergraph(rng, rng.randint(4, 14), rng.randint(2, 10), 6, 5)
+        k = rng.randint(2, 4)
+        col = random_coloring(H, k, "corpus-%d" % i)
+        for alpha, beta in alpha_beta_curve(H):
+            cap = beta + rng.randrange(3)
+            cs = build_counters(H, apply_split(H, alpha), k, col, cap=cap)
+            write_table(cs, str(path))
+            data = read_table(str(path))
+            assert "eta" not in data and data["cap"] == cap
+            back = counterset_from_table(H, data)
+            assert back.tables_equal(cs)
+            assert back.eta == cs.eta
+            assert back.split.alpha == alpha and back.cap == cap
+
+
+def test_table_values_past_64_bits(tmp_path, toy):
+    cs = build_counters_naive(toy, 3, random_coloring(toy, 3, "wide"))
+    small, wide = tmp_path / "s.hmt", tmp_path / "w.hmt"
+    write_table(cs, str(small))
+    tid = cs.catalog.tid_of("((()))")
+    big = [2 ** 64 - 1, 2 ** 64, 2 ** 100 + 7, 0, 1, 3, 5, 2 ** 63]
+    assert max(cs.tables[tid][7]) < 256
+    cs.tables[tid][7] = big
+    write_table(cs, str(wide))
+    # That one array goes from 1 to 13 bytes per value (2^100 needs 101
+    # bits); every other array keeps its width.
+    assert wide.stat().st_size - small.stat().st_size == 12 * toy.n
+    data = read_table(str(wide))
+    assert data["tables"][tid][7] == big
+    assert data["tables"] == cs.tables
 
 
 def test_table_bytes_deterministic(tmp_path, toy):
@@ -335,9 +375,9 @@ def test_table_bad_files(tmp_path, toy):
     with pytest.raises(BuildError, match="unsupported table version"):
         read_table(str(bv))
 
-    # Naive table, seed "x": the alpha (= rank 5) and seed-length varints
-    # sit at 6..7, the seed at 8 and n at 9, so the catalog digest occupies
-    # bytes 10..41 and the host digest bytes 42..73.
+    # Naive table, seed "x": the alpha (= rank 5), cap (20) and seed-length
+    # varints sit at 6..8, the seed at 9 and n at 10, so the catalog digest
+    # occupies bytes 11..42 and the host digest bytes 43..74.
     bad_digest = bytearray(raw)
     bad_digest[15] ^= 0xFF
     bd = tmp_path / "d.hmt"

@@ -461,7 +461,8 @@ def test_bad_hm_budget_is_module_error():
     assert one_line_error(proc).startswith("error: HM_BUDGET ")
 
 
-@pytest.mark.parametrize("damage", ["truncated", "version1", "trailing", "host"])
+@pytest.mark.parametrize("damage", ["truncated", "version1", "trailing", "host",
+                                    "k9", "k16"])
 def test_damaged_table_is_module_error(tmp_path, damage):
     table = tmp_path / "toy.hmt"
     run_cli("build", TOY, "-k", "3", "--seed", "s9", "-o", str(table))
@@ -473,6 +474,8 @@ def test_damaged_table_is_module_error(tmp_path, damage):
         raw = raw[:4] + bytes([1]) + raw[5:]
     elif damage == "trailing":
         raw += b"\x00"
+    elif damage in ("k9", "k16"):
+        raw = raw[:5] + bytes([int(damage[1:])]) + raw[6:]
     else:
         # Same vertex count as toy.hg, two more edges.
         host = tmp_path / "grown.hg"
@@ -485,10 +488,56 @@ def test_damaged_table_is_module_error(tmp_path, damage):
     line = one_line_error(proc)
     if damage == "version1":
         assert "unsupported table version 1" in line
+    elif damage in ("k9", "k16"):
+        assert "treelet order %s outside 1..8" % damage[1:] in line
     elif damage == "host":
         assert "table was built on a different hypergraph" in line
     else:
         assert "truncated or corrupt table file" in line
+
+
+def test_damaged_alpha_is_refused_by_the_recorded_cap(tmp_path):
+    # Vertex 0 lies in 40 pairs; the one triple is the whole upper part at
+    # alpha 2, so --cap 1 builds.  With the alpha byte damaged to 0 the
+    # loader would need 2^40 subsets of vertex 0's type: the cap the build
+    # recorded refuses that before any round.
+    hg = tmp_path / "star.hg"
+    hg.write_text("".join("0 %d\n" % i for i in range(1, 41)) + "41 42 43\n")
+    table = tmp_path / "star.hmt"
+    run_cli("build", str(hg), "-k", "3", "--alpha", "2", "--cap", "1",
+            "--seed", "s1", "-o", str(table))
+    raw = table.read_bytes()
+    assert raw[6] == 2
+    table.write_bytes(raw[:6] + b"\x00" + raw[7:])
+    proc = run_cli("sample", str(hg), "--table", str(table), "--samples", "10",
+                   expect=1)
+    assert "degree 40 exceeds the 2^degree cap 1" in one_line_error(proc)
+
+
+def usage_error_line(proc):
+    assert proc.stdout == ""
+    lines = [ln for ln in proc.stderr.splitlines() if "error:" in ln]
+    assert len(lines) == 1, proc.stderr
+    return lines[0]
+
+
+@pytest.mark.parametrize("command", [["build"], ["count", "--samples", "5"]],
+                         ids=["build", "count"])
+def test_negative_cap_is_usage_error(tmp_path, command):
+    out = tmp_path / "out"
+    args = [command[0], TOY, "-k", "3", *command[1:], "-o", str(out)]
+    proc = run_cli(*args, "--cap", "-1", expect=2)
+    assert "--cap" in usage_error_line(proc)
+    assert not out.exists()
+    # Cap 0 stays valid: the naive split has no upper part.
+    run_cli(*args, "--alpha", "naive", "--cap", "0")
+    assert out.exists()
+
+
+@pytest.mark.parametrize("repeats", ["0", "-1"])
+def test_bench_repeats_must_be_positive(repeats):
+    proc = run_cli("bench", "--sizes", "16", "--repeats", repeats, expect=2)
+    assert "--repeats" in usage_error_line(proc)
 
 
 def test_bad_bench_sizes_is_module_error():
