@@ -451,7 +451,7 @@ def _build_parser():
     p.add_argument("-k", type=int, required=True)
 
     p = add("ksh", _cmd_ksh, "decide connected k-vertex section existence")
-    p.add_argument("-k", type=int, required=True)
+    p.add_argument("-k", type=_positive_int, required=True)
     p.add_argument("--reduce", action="store_true",
                    help="input is a graph; reduce from clique first")
 

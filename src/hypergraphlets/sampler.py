@@ -6,16 +6,19 @@ neighbors proportionally to C(T2,S2,u) yields a uniform colorful treelet,
 so the sampled vertex set U lands with probability proportional to the
 number sigma of spanning trees of the Gaifman graph on U.  Dividing each
 observation by its sigma (or rejecting with probability 1 - 1/sigma)
-removes that bias.  All discrete draws use alias tables, built lazily and
-cached; cache warm-up consumes no randomness, so results are reproducible.
+removes that bias.  Every draw and rejection test is exact integer
+arithmetic: one uniform integer below an integer total, located in integer
+prefix sums.  The draw tables are built lazily and cached; cache warm-up
+consumes no randomness, so results are reproducible.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import accumulate
 
-from .buildup import build_counters, random_coloring, derived_rng
+from .buildup import build_counters, derived_rng, masks_of_size, random_coloring
 from .canonlab import canonical_key, check_key_order
 from .hypercore import HypergraphError
 # The extractor keeps the sampler-level name perfbench/launch.py traces.
@@ -31,48 +34,27 @@ class NoColorfulOccurrences(SamplerError):
     """The coloring produced no colorful treelet at all (W = 0)."""
 
 
+# The class keeps the name and methods perfbench/launch.py traces.
 class VoseAlias:
-    """Constant-time draws from a fixed weighted support (Vose alias method)."""
+    """Exact draws from a fixed weighted support: one uniform integer below
+    the total weight, located by binary search in the integer prefix sums."""
 
-    __slots__ = ("items", "prob", "alias", "size")
+    __slots__ = ("items", "cum", "total")
 
     def __init__(self, items, weights):
         pairs = [(it, w) for it, w in zip(items, weights) if w > 0]
         if not pairs:
-            raise SamplerError("alias table needs positive total weight")
-        total = 0
-        for _, w in pairs:
-            total += w
-        n = len(pairs)
-        scaled = [(w * n) / total for _, w in pairs]  # exact big-int ratio
-        prob = [1.0] * n
-        alias = [0] * n
-        small = [i for i, p in enumerate(scaled) if p < 1.0]
-        large = [i for i, p in enumerate(scaled) if p >= 1.0]
-        while small and large:
-            s = small.pop()
-            l = large.pop()
-            prob[s] = scaled[s]
-            alias[s] = l
-            scaled[l] -= 1.0 - scaled[s]
-            if scaled[l] < 1.0:
-                small.append(l)
-            else:
-                large.append(l)
+            raise SamplerError("draw table needs positive total weight")
         self.items = [it for it, _ in pairs]
-        self.prob = prob
-        self.alias = alias
-        self.size = n
+        self.cum = list(accumulate(w for _, w in pairs))
+        self.total = self.cum[-1]
 
     def draw(self, rng):
-        i = rng.randrange(self.size)
-        if rng.random() < self.prob[i]:
-            return self.items[i]
-        return self.items[self.alias[i]]
+        return self.items[bisect_right(self.cum, rng.randrange(self.total))]
 
 
 class Generators:
-    """Alias-table machinery over one CounterSet.
+    """Exact draw tables over one CounterSet.
 
     The root table is eager; the per-(T2,S2,v) neighbor tables, per-(T2,S2,e)
     vertex tables, per-(T2,S2,v) upper-edge tables, and per-(T,S,v) partition
@@ -110,9 +92,9 @@ class Generators:
             h2 = cs.catalog[t.t2].order
             items = []
             weights = []
-            for S2 in _submasks_of_size(S, h2):
+            for S2 in masks_of_size(cs.k, h2):
                 trip = cs.eta.get((t.t2, S2))
-                if trip is None:
+                if S2 & ~S or trip is None:
                     continue
                 comb = trip[2][v]
                 if not comb:
@@ -188,7 +170,7 @@ class Generators:
         lower_nbrs = split.lower_neighbors[v]
         v_has_upper = bool(split.upper_types[v])
         while True:
-            if rng.random() < w_low / total:
+            if rng.randrange(total) < w_low:
                 u = self._lower_gen(t2, S2, v).draw(rng)
                 in_upper = v_has_upper and split.upper_overlap(u, v) > 0
                 in_lower = True
@@ -197,13 +179,12 @@ class Generators:
                     j = self._upper_edge_gen(t2, S2, v).draw(rng)
                     u = self._edge_vertex_gen(t2, S2, j).draw(rng)
                     overlap = split.upper_overlap(u, v)
-                    if overlap == 1 or rng.random() < 1.0 / overlap:
+                    if not rng.randrange(overlap):
                         break
                 in_upper = True
                 i = bisect_left(lower_nbrs, u)
                 in_lower = i < len(lower_nbrs) and lower_nbrs[i] == u
-            denom = in_lower + in_upper
-            if denom == 1 or rng.random() < 1.0 / denom:
+            if not rng.randrange(in_lower + in_upper):
                 return t2, S1, S2, u
 
     def _sample_rec(self, tid, S, v, rng, vertices, edges):
@@ -221,29 +202,6 @@ class Generators:
         vertices, edges = [], []
         self._sample_rec(tid, (1 << self.cs.k) - 1, v, rng, vertices, edges)
         return tid, tuple(sorted(vertices)), edges
-
-
-def _submasks_of_size(S, h):
-    """Submasks of S with h bits, deterministic order."""
-    bits = []
-    rest = S
-    while rest:
-        low = rest & -rest
-        bits.append(low)
-        rest ^= low
-    out = []
-
-    def rec(i, left, acc):
-        if not left:
-            out.append(acc)
-            return
-        if len(bits) - i < left:
-            return
-        rec(i + 1, left - 1, acc | bits[i])
-        rec(i + 1, left, acc)
-
-    rec(0, h, 0)
-    return out
 
 
 def build_generators(cs):
@@ -386,7 +344,7 @@ def estimate_counts(gens, K, rng, mode="weighted", keep_log=True):
         out = sample_outcome(gens, rng)
         sigma = out.sigma
         if uniform:
-            if sigma > 1 and rng.random() >= 1.0 / sigma:
+            if rng.randrange(sigma):
                 continue
             sigma = 1
         h = hists.get(out.key)

@@ -12,6 +12,7 @@ Two models:
   would exceed beta.  Used by the scaling demo; not a model of real data.
 """
 
+import math
 from bisect import bisect_right
 
 from .buildup import derived_rng
@@ -24,9 +25,16 @@ def _size_sampler(lo, hi, exponent):
     sizes = list(range(lo, hi + 1))
     cum = []
     total = 0.0
-    for s in sizes:
-        total += s ** (-exponent)
-        cum.append(total)
+    try:
+        for s in sizes:
+            total += s ** (-exponent)
+            cum.append(total)
+    except OverflowError:
+        total = math.inf
+    if not 0 < total < math.inf:
+        raise HypergraphError(
+            "power-law size weights with exponent %s on sizes %d..%d have "
+            "no finite positive total" % (exponent, lo, hi))
 
     def draw(rng):
         return sizes[bisect_right(cum, rng.random() * total)]
@@ -37,6 +45,8 @@ def _size_sampler(lo, hi, exponent):
 def power_law_hypergraph(n, m, seed, exponent=3.0, min_size=2, max_size=None):
     """m distinct edges on n vertices with power-law sizes; duplicates are
     resampled so the edge multiset is a set."""
+    if m < 0:
+        raise HypergraphError("edge count m must be >= 0, got %d" % m)
     if max_size is None:
         max_size = n
     if not 1 <= min_size <= max_size <= n:
@@ -64,6 +74,10 @@ def nice_hypergraph(n, m, alpha, beta, big_size, rho, seed):
         raise HypergraphError("need alpha < big_size <= n")
     if beta < 1:
         raise HypergraphError("beta must be >= 1")
+    if m < 0:
+        raise HypergraphError("edge count m must be >= 0, got %d" % m)
+    if not 0 <= rho <= 1:
+        raise HypergraphError("rho must lie in [0, 1], got %s" % rho)
     n_small = round(rho * m)
     n_large = m - n_small
     if n_large * big_size > beta * n:

@@ -339,6 +339,18 @@ def test_ksh_no_exit_code(tmp_path):
     assert out["witness"] is None
 
 
+@pytest.mark.parametrize("k", ["0", "-1"])
+@pytest.mark.parametrize("reduce", [[], ["--reduce"]], ids=["generic", "reduce"])
+def test_ksh_nonpositive_k_is_usage_error(k, reduce):
+    proc = run_cli("ksh", K4 if reduce else TOY, "-k", k, *reduce, expect=2)
+    assert "-k" in usage_error_line(proc)
+
+
+def test_ksh_k_above_n_is_a_no():
+    out = json.loads(run_cli("ksh", TOY, "-k", "9", expect=1).stdout)
+    assert out["answer"] is False
+
+
 def test_ksh_generic_on_hypergraph():
     out = json.loads(run_cli("ksh", TOY, "-k", "3").stdout)
     assert out["answer"] is True
@@ -405,6 +417,21 @@ def test_gen_synthetic_nice(tmp_path):
     out = json.loads(run_cli("split", str(target), "--alpha", "5").stdout)
     assert out["beta"] <= 2
     assert out["upper_edges"] == 6
+
+
+@pytest.mark.parametrize("args", [
+    ["--exponent", "nan"], ["--exponent", "inf"], ["--exponent", "2000"],
+    ["--exponent", "-2000"], ["-m", "-1"],
+    ["--model", "nice", "--rho", "nan"], ["--model", "nice", "--rho", "3"],
+    ["--model", "nice", "-m", "-1"],
+], ids=["exp-nan", "exp-inf", "exp-2000", "exp-overflow", "powerlaw-m",
+        "rho-nan", "rho-3", "nice-m"])
+def test_gen_synthetic_bad_parameters_are_module_errors(tmp_path, args):
+    target = tmp_path / "g.hg"
+    proc = run_cli("gen-synthetic", "-n", "100", "-m", "10", "--big-size", "20",
+                   *args, "-o", str(target), expect=1)
+    one_line_error(proc)
+    assert not target.exists()
 
 
 def test_gen_synthetic_requires_out():

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -74,6 +75,42 @@ def test_vose_alias_big_integer_weights():
     n = 20000
     ones = sum(alias.draw(rng) for _ in range(n))
     assert four_sigma_ok(ones, n, 0.75)
+
+
+class ScriptedRng:
+    """Stands in for random.Random: randrange returns the scripted values
+    in order and records each bound it was called with."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+        self.bounds = []
+
+    def randrange(self, n):
+        value = next(self.values)
+        assert 0 <= value < n
+        self.bounds.append(n)
+        return value
+
+
+def test_vose_alias_draw_is_exact():
+    # Every integer below the total, once: item i comes back exactly w_i times.
+    alias = VoseAlias("abcdef", [3, 0, 1, 5, 0, 2])
+    rng = ScriptedRng(range(11))
+    tally = {}
+    for _ in range(11):
+        item = alias.draw(rng)
+        tally[item] = tally.get(item, 0) + 1
+    assert tally == {"a": 3, "c": 1, "d": 5, "f": 2}
+    assert rng.bounds == [11] * 11
+    # Weights past 64 bits: the last value below each prefix-sum boundary
+    # and the boundary itself land on the two neighboring items.
+    weights = [2 ** 64 - 1, 2 ** 64, 2 ** 100 + 7]
+    alias = VoseAlias(["x", "y", "z"], weights)
+    first, second, total = list(accumulate(weights))
+    values = [0, first - 1, first, second - 1, second, total - 1]
+    rng = ScriptedRng(values)
+    assert [alias.draw(rng) for _ in values] == ["x", "x", "y", "y", "z", "z"]
+    assert rng.bounds == [total] * len(values)
 
 
 # --- spanning-tree counts -------------------------------------------------
@@ -161,6 +198,49 @@ def test_sample_law_through_split_generators():
             out = sample_outcome(gens, rng)
             tally[out.U] = tally.get(out.U, 0) + 1
         for U, p in CRAFTED_LAW.items():
+            assert four_sigma_ok(tally[U], n, float(p))
+
+
+# Edges {0,1,2} and {0,1,3} both hold the pair {0,1}, and at alpha 2 the
+# edge {0,1} puts that pair in the lower part as well, so sample_neigh's
+# overlap rejection and its lower-and-upper rejection both fire on it.
+SHARED = Hypergraph(5, [(0, 1), (0, 1, 2), (0, 1, 3), (2, 3, 4)])
+SHARED_COLORING = Coloring(3, (0, 1, 2, 2, 1))
+
+
+def colorful_sigma_law(H, coloring):
+    """sigma(U) over the sum of sigma, on the colorful connected k-sets U."""
+    k = coloring.k
+    sigma = {}
+    for U in connected_ksets(H, k):
+        if len({coloring.colors[v] for v in U}) < k:
+            continue
+        index = {v: i for i, v in enumerate(U)}
+        pairs = [(index[u], index[v]) for u, v in gaifman_pairs(H)
+                 if u in index and v in index]
+        sigma[tuple(sorted(U))] = count_spanning_trees_brute(k, pairs)
+    total = sum(sigma.values())
+    return {U: Fraction(s, total) for U, s in sigma.items()}
+
+
+def test_sample_law_through_split_rejection_branches():
+    split = apply_split(SHARED, 2)
+    assert split.upper_overlap(0, 1) == 2
+    assert 1 in split.lower_neighbors[0]
+    law = colorful_sigma_law(SHARED, SHARED_COLORING)
+    assert law == {(0, 1, 2): Fraction(3, 8), (0, 1, 3): Fraction(3, 8),
+                   (0, 2, 4): Fraction(1, 8), (0, 3, 4): Fraction(1, 8)}
+    for alpha in candidate_alphas(SHARED):
+        cs = build_counters(SHARED, apply_split(SHARED, alpha), 3, SHARED_COLORING)
+        gens = build_generators(cs)
+        rng = random.Random(137 + alpha)
+        n = 20000
+        tally = {}
+        for _ in range(n):
+            U = gens.sample_treelet(rng)[1]
+            tally[U] = tally.get(U, 0) + 1
+        assert set(tally) == set(law)
+        for U, p in law.items():
             assert four_sigma_ok(tally[U], n, float(p))
 
 

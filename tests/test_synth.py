@@ -44,6 +44,8 @@ def test_power_law_validation_and_saturation():
     # Only C(4,2)=6 distinct pairs exist; asking for 10 must fail cleanly.
     with pytest.raises(HypergraphError, match="edge space too small"):
         power_law_hypergraph(4, 10, "x", min_size=2, max_size=2)
+    # Zero edges is a valid request.
+    assert power_law_hypergraph(20, 0, "x").m == 0
 
 
 def test_nice_deterministic_and_partition():
