@@ -19,6 +19,7 @@ import hashlib
 import random
 import sys
 from array import array
+from functools import cache
 from itertools import combinations
 
 from .canonlab import MAX_KEY_ORDER
@@ -147,9 +148,10 @@ def _eta_round(plan, eta, tables, t2, S2):
     return eta[key]
 
 
+@cache
 def masks_of_size(k, h):
-    """All k-bit masks with h bits set, ascending."""
-    return sorted(sum(1 << p for p in c) for c in combinations(range(k), h))
+    """All k-bit masks with h bits set, ascending; one shared tuple per (k, h)."""
+    return tuple(sorted(sum(1 << p for p in c) for c in combinations(range(k), h)))
 
 
 class CounterSet:

@@ -479,7 +479,7 @@ def _build_parser():
     p.add_argument("-k", type=int, default=3)
     p.add_argument("--seed", default="0")
     p.add_argument("--repeats", type=_positive_int, default=3)
-    p.add_argument("--large-edges", type=int, default=4)
+    p.add_argument("--large-edges", type=_nonnegative_int, default=4)
     p.add_argument("--alpha", type=_parse_alpha, default=5,
                    help="split threshold for the timed split path; the family "
                         "is built (5,3)-nice, 'auto' asks the cost model")

@@ -13,6 +13,9 @@ Two constructions are provided as runnable demonstrations:
   to a colored hypergraph where a single rooted k-star count per vertex
   reveals |N(v)| exactly, tying neighborhood counting to the colorful build-up
   tables themselves.
+
+Both k-sub-hypergraph deciders ask ``hypercore.masks_connected``, the
+package's one connectivity test, on vertex bitmasks.
 """
 
 from itertools import combinations
@@ -20,7 +23,7 @@ import math
 
 from .buildup import Coloring, build_counters, build_counters_naive, nw_ie, nw_naive
 from .canonlab import enumeration_budget
-from .hypercore import Graph, Hypergraph, HypergraphError, gaifman
+from .hypercore import Graph, Hypergraph, HypergraphError, gaifman, masks_connected
 from .splitter import choose_split_refined
 from .treelets import TreeletCatalog
 
@@ -93,48 +96,26 @@ def reduce_clique_to_ksh(G, k):
     return CliqueReductionOutput(H, k, k_prime, block, block_map, edge_map, g_edges)
 
 
-def _section_is_connected(U, edge_sets):
-    """Connectivity of the section H<U>: only edges fully inside U count,
-    and every vertex of U must be reached."""
-    uset = set(U)
-    if len(uset) == 1:
-        return True
-    inside = [e for e in edge_sets if e <= uset]
-    if not inside:
-        return False
-    seen = set(inside[0])
-    pending = inside[1:]
-    changed = True
-    while changed and pending:
-        changed = False
-        rest = []
-        for e in pending:
-            if e & seen:
-                seen |= e
-                changed = True
-            else:
-                rest.append(e)
-        pending = rest
-    return seen == uset
-
-
 def decide_ksh_bruteforce(H, k, budget=None):
     """Generic decider: does H contain U, |U| = k, with H<U> connected?
 
-    Enumerates all C(n, k) subsets; refuses when that exceeds the budget
-    (default 10^7, HM_BUDGET overrides).
+    Enumerates all C(n, k) subsets as vertex bitmasks; refuses when that
+    exceeds the budget (an explicit budget, else HM_BUDGET, else 10^7).
     """
+    if budget is None:
+        budget = enumeration_budget(DEFAULT_SUBSET_BUDGET)
     if k < 1 or k > H.n:
         return False
-    cap = enumeration_budget(DEFAULT_SUBSET_BUDGET if budget is None else budget)
     total = math.comb(H.n, k)
-    if total > cap:
+    if total > budget:
         raise ReductionError(
-            "C(%d, %d) = %d subsets exceeds budget %d" % (H.n, k, total, cap)
+            "C(%d, %d) = %d subsets exceeds budget %d" % (H.n, k, total, budget)
         )
-    edge_sets = [set(e) for e in H.edges]
-    for U in combinations(range(H.n), k):
-        if _section_is_connected(U, edge_sets):
+    masks = [sum(1 << v for v in e) for e in H.edges]
+    bit = [1 << v for v in range(H.n)]
+    for U in combinations(bit, k):
+        full = sum(U)
+        if masks_connected([e for e in masks if e & full == e], full):
             return True
     return False
 
@@ -170,8 +151,9 @@ def decide_ksh_reduction(red):
             ]
             if len(inner) < s:
                 continue
+            full = sum(1 << v for v in T)
             for Sp in combinations(inner, s):
-                if _graph_connected_on(T, Sp):
+                if masks_connected([1 << u | 1 << v for u, v in Sp], full):
                     U = sorted(
                         [w for v in T for w in red.block_map[v]]
                         + [red.edge_map[pair][0] for pair in Sp]
@@ -187,29 +169,6 @@ def decide_ksh_reduction(red):
                     assert witness["accounting"] == k_prime
                     return True, witness
     return False, None
-
-
-def _graph_connected_on(T, edges):
-    """Is the graph with vertex set T and the given edges connected?
-    Vertices untouched by any edge count as isolated."""
-    if len(T) == 1:
-        return not edges or all(u in T and v in T for u, v in edges)
-    if not edges:
-        return False
-    adj = {v: [] for v in T}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    start = T[0]
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == len(T)
 
 
 def has_k_clique(G, k):

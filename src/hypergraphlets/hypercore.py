@@ -3,7 +3,9 @@
 A hypergraph is a vertex set {0..n-1} plus a sequence of hyperedges, each a
 sorted tuple of distinct vertex ids.  Two notions of "sub-hypergraph on U" are
 provided: the induced one (edges truncated to U, duplicates collapsed, kept if
-nonempty) and the section one (only edges fully inside U).
+nonempty) and the section one (only edges fully inside U).  Whether a vertex
+set is connected, under either notion, is asked of ``masks_connected``, the
+package's one connectivity test.
 """
 
 from __future__ import annotations
@@ -325,11 +327,11 @@ def section_sub(H, U):
     return Hypergraphlet(len(U), masks, vertex_map=U)
 
 
-def is_connected_induced(H, U):
-    """True iff H|_U is connected; equals connectivity of Gaif(H) on U."""
-    U = _check_subset(H, U)
-    masks = list(_truncations(H, U).values())
-    reach = 1
+def masks_connected(masks, full):
+    """True iff the edge bitmasks, each within full, connect every bit of
+    full: the closure grown from full's lowest bit through each mask that
+    meets it reaches all of full.  The package's one connectivity test."""
+    reach = full & -full
     grown = True
     while grown:
         grown = False
@@ -337,23 +339,10 @@ def is_connected_induced(H, U):
             if mask & reach and mask & ~reach:
                 reach |= mask
                 grown = True
-    return reach == (1 << len(U)) - 1
+    return reach == full
 
 
-def graph_is_connected(G, U=None):
-    """Connectivity of G, or of its induced subgraph on U if given."""
-    if U is None:
-        U = range(G.n)
-    U = list(U)
-    if not U:
-        return True
-    Uset = set(U)
-    seen = {U[0]}
-    stack = [U[0]]
-    while stack:
-        v = stack.pop()
-        for u in G.adj[v]:
-            if u in Uset and u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == len(Uset)
+def is_connected_induced(H, U):
+    """True iff H|_U is connected; equals connectivity of Gaif(H) on U."""
+    U = _check_subset(H, U)
+    return masks_connected(_truncations(H, U).values(), (1 << len(U)) - 1)

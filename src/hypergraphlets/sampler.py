@@ -230,16 +230,6 @@ def spanning_tree_count(A):
         raise SamplerError("empty adjacency")
     if n == 1:
         return 1
-    seen = 1
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for u in range(n):
-            if A[v][u] and not seen >> u & 1:
-                seen |= 1 << u
-                stack.append(u)
-    if seen != (1 << n) - 1:
-        raise SamplerError("adjacency matrix is disconnected")
     m = n - 1
     M = [[0] * m for _ in range(m)]
     for i in range(m):
@@ -258,7 +248,8 @@ def spanning_tree_count(A):
                     sign = -sign
                     break
             else:
-                return 0
+                # Matrix-tree theorem: the minor is singular iff A is disconnected.
+                raise SamplerError("adjacency matrix is disconnected")
         pivot = M[col][col]
         for r in range(col + 1, m):
             row = M[r]

@@ -163,13 +163,13 @@ def test_k1_build(toy):
 def test_table_mask_domains(toy):
     cs = build_counters_naive(toy, 3, rainbow(toy, 3))
     for t in cs.catalog.treelets:
-        assert sorted(cs.tables[t.tid]) == masks_of_size(3, t.order)
+        assert tuple(sorted(cs.tables[t.tid])) == masks_of_size(3, t.order)
 
 
 def test_masks_of_size():
-    assert masks_of_size(4, 1) == [1, 2, 4, 8]
-    assert masks_of_size(4, 4) == [15]
-    assert masks_of_size(3, 2) == [3, 5, 6]
+    assert masks_of_size(4, 1) == (1, 2, 4, 8)
+    assert masks_of_size(4, 4) == (15,)
+    assert masks_of_size(3, 2) == (3, 5, 6)
     assert sum(len(masks_of_size(5, h)) for h in range(6)) == 32
 
 

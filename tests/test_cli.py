@@ -488,6 +488,14 @@ def test_bad_hm_budget_is_module_error():
     assert one_line_error(proc).startswith("error: HM_BUDGET ")
 
 
+@pytest.mark.parametrize("k", ["3", "9"])
+def test_ksh_bad_hm_budget_is_module_error(k):
+    # Read before the k > n shortcut, so -k 9 on 8 vertices fails like exact.
+    env = dict(os.environ, HM_BUDGET="abc")
+    proc = run_cli("ksh", TOY, "-k", k, expect=1, env=env)
+    assert one_line_error(proc).startswith("error: HM_BUDGET ")
+
+
 @pytest.mark.parametrize("damage", ["truncated", "version1", "trailing", "host",
                                     "k9", "k16"])
 def test_damaged_table_is_module_error(tmp_path, damage):
@@ -565,6 +573,15 @@ def test_negative_cap_is_usage_error(tmp_path, command):
 def test_bench_repeats_must_be_positive(repeats):
     proc = run_cli("bench", "--sizes", "16", "--repeats", repeats, expect=2)
     assert "--repeats" in usage_error_line(proc)
+
+
+def test_bench_negative_large_edges_is_usage_error():
+    for large in ("-8", "-1"):
+        proc = run_cli("bench", "--sizes", "16", "--large-edges", large, expect=2)
+        assert "--large-edges" in usage_error_line(proc)
+    # Zero large edges stays valid.
+    out = run_cli("bench", "--sizes", "16", "--repeats", "1", "--large-edges", "0")
+    assert len(out.stdout.splitlines()) == 2
 
 
 def test_bad_bench_sizes_is_module_error():

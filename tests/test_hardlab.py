@@ -3,6 +3,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypergraphlets.hardlab import (
     ReductionError,
@@ -21,7 +23,7 @@ from hypergraphlets.hardlab import (
 )
 from hypergraphlets.hypercore import Graph, Hypergraph, gaifman, parse_hypergraph
 
-from oracles import random_hypergraph
+from oracles import connected_on, random_hypergraph
 
 
 def complete_graph(n):
@@ -134,6 +136,33 @@ def test_bruteforce_budget_env(monkeypatch):
     monkeypatch.setenv("HM_BUDGET", "10")
     with pytest.raises(ReductionError, match="exceeds budget 10"):
         decide_ksh_bruteforce(red.H, red.k_prime)
+
+
+def test_bruteforce_explicit_budget_wins_over_env(monkeypatch):
+    red = reduce_clique_to_ksh(complete_graph(5), 3)
+    monkeypatch.setenv("HM_BUDGET", str(10**9))
+    with pytest.raises(ReductionError, match="exceeds budget 10$"):
+        decide_ksh_bruteforce(red.H, red.k_prime, budget=10)
+    monkeypatch.setenv("HM_BUDGET", "1")
+    k4 = Hypergraph(4, complete_graph(4).edge_list())
+    assert decide_ksh_bruteforce(k4, 3, budget=4)
+
+
+def ksh_from_definition(H, k):
+    """Some k-set U whose section (the edges lying inside U) connects U."""
+    for U in combinations(range(H.n), k):
+        inside = [e for e in H.edges if set(e) <= set(U)]
+        if connected_on(Hypergraph(H.n, inside), U):
+            return True
+    return False
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_property_bruteforce_matches_definition(rng):
+    H = random_hypergraph(rng, n_max=10, m_max=10, size_max=4)
+    for k in range(1, H.n + 1):
+        assert decide_ksh_bruteforce(H, k) == ksh_from_definition(H, k)
 
 
 def test_has_k_clique_basics():

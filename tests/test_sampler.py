@@ -24,6 +24,7 @@ from hypergraphlets.sampler import (
 from hypergraphlets.splitter import apply_split, candidate_alphas
 
 from oracles import (
+    connected_on,
     count_spanning_trees_brute,
     gaifman_pairs,
     random_hypergraph,
@@ -127,6 +128,19 @@ def test_spanning_tree_count_frozen():
     assert spanning_tree_count([[0]]) == 1
     with pytest.raises(SamplerError, match="disconnected"):
         spanning_tree_count([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
+    # Every disconnected graph on 2..5 vertices: the Laplacian minor is
+    # singular, so elimination finds no pivot in some column.
+    for n in range(2, 6):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for bits in range(1 << len(pairs)):
+            chosen = [pairs[b] for b in range(len(pairs)) if bits >> b & 1]
+            if connected_on(Hypergraph(n, chosen), range(n)):
+                continue
+            A = [[0] * n for _ in range(n)]
+            for i, j in chosen:
+                A[i][j] = A[j][i] = 1
+            with pytest.raises(SamplerError, match="disconnected"):
+                spanning_tree_count(A)
 
 
 def test_spanning_tree_count_random_agreement():
