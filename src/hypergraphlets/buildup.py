@@ -5,8 +5,9 @@ rooted treelet T, use exactly the color set S (one vertex per color), and are
 rooted at v.  The recurrence glues T1 (rooted at v) to T2 (rooted at a
 neighbor u), so each round needs eta(v) = sum of C(T2,S2,u) over neighbors u
 of v.  A round runs across an alpha-split: directly on the Gaifman projection
-of the lower part, and by inclusion-exclusion over per-vertex types for the
-upper part, with an overlap correction for pairs adjacent in both.  An NWPlan
+of the lower part, then, for each vertex in an upper edge, adds the upper
+neighbors by inclusion-exclusion over its type and takes back the pairs
+adjacent in both parts.  A round keeps only that one eta vector.  An NWPlan
 holds what no round changes; it is built once per split, by the build and by
 the table loader, which recomputes eta rather than reading it.  The naive
 baseline is the split at alpha = H.rank, whose upper part is empty.  Counts
@@ -75,24 +76,27 @@ class NWPlan:
     """What every neighbor-weight round over one alpha-split reuses.
 
     Built once per split.  Each nonempty subset X of a vertex's upper type
-    is interned as an integer id: members[id] lists the vertices whose type
-    contains X, and odd[v] / even[v] hold the ids of v's subsets of odd and
-    even size, which inclusion-exclusion adds and subtracts.  shared[v]
-    lists v's lower neighbors that also share an upper edge with v, the
-    pairs that both parts count.  The 2^degree cap is checked here, before
-    any round runs.
+    is interned as an integer id, and members[id] lists the vertices whose
+    type contains X.  upper holds one (v, odd, even, shared) row per vertex
+    v in an upper edge: the ids of v's subsets of odd and of even size,
+    which inclusion-exclusion adds and subtracts, and v's lower neighbors
+    that also share an upper edge with v, the pairs that both parts count.
+    The 2^degree cap is checked here, before any round runs.
     """
 
-    __slots__ = ("lower", "members", "odd", "even", "shared")
+    __slots__ = ("lower", "members", "upper")
 
     def __init__(self, split, cap=20):
         if split.beta > cap:
             raise BuildError(
-                "degree %d exceeds the 2^degree cap %d; re-split with a smaller alpha"
+                "degree %d exceeds the 2^degree cap %d; re-split with a larger alpha"
                 % (split.beta, cap))
         index = {}
-        self.members, self.odd, self.even = [], [], []
+        self.lower = split.gaif_lower
+        self.members, self.upper = [], []
         for v, ty in enumerate(split.upper_types):
+            if not ty:
+                continue
             sides = ([], [])
             for r in range(1, len(ty) + 1):
                 for X in combinations(ty, r):
@@ -101,46 +105,38 @@ class NWPlan:
                         self.members.append([])
                     self.members[i].append(v)
                     sides[r % 2].append(i)
-            self.even.append(sides[0])
-            self.odd.append(sides[1])
-        self.lower = split.gaif_lower
-        types = split.upper_types
-        self.shared = [
-            [u for u in adj if split.upper_overlap(u, v)] if types[v] else []
-            for v, adj in enumerate(split.lower_neighbors)
-        ]
+            shared = [u for u in split.lower_neighbors[v] if split.upper_overlap(u, v)]
+            self.upper.append((v, sides[1], sides[0], shared))
 
 
 def nw_ie(H, w, cap=20):
     """eta over the full hypergraph by inclusion-exclusion (the split at
     alpha 0, whose lower part is empty); needs Delta <= cap."""
-    return combined_neighbor_weight(NWPlan(apply_split(H, 0), cap), w)[2]
+    return combined_neighbor_weight(NWPlan(apply_split(H, 0), cap), w)
 
 
 def combined_neighbor_weight(plan, w):
-    """(eta_low, eta_high, eta) for vertex weights w across plan's split.
+    """eta(v) = sum of w(u) over the Gaifman neighbors u of v, across
+    plan's split.
 
-    eta_low(v) sums w over v's lower Gaifman neighbors.  eta_high(v) sums,
-    over the nonempty subsets X of v's upper type, -(-1)^|X| times the
-    weight of the vertices whose type contains X, minus w(v) itself, or is
-    0 when v is in no upper edge.  eta(v) = eta_low(v) + eta_high(v) minus
-    w(u) for every lower neighbor u that shares an upper edge with v, so
-    each true Gaifman neighbor counts once.
+    eta starts as the lower Gaifman pass.  Each vertex v in an upper edge
+    then gains, over the nonempty subsets X of its upper type, -(-1)^|X|
+    times the weight of the vertices whose type contains X.  That counts
+    each upper neighbor once and v itself once, so w(v) is taken back, and
+    so is w(u) for every lower neighbor u that shares an upper edge with v.
     """
-    low = nw_naive(plan.lower, w)
+    eta = nw_naive(plan.lower, w)
     get = w.__getitem__
-    t = [sum(map(get, m)) for m in plan.members]
-    tget = t.__getitem__
-    high = [sum(map(tget, odd)) - sum(map(tget, even)) - x if odd else 0
-            for odd, even, x in zip(plan.odd, plan.even, w)]
-    comb = [a + b - sum(map(get, s)) if s else a + b
-            for a, b, s in zip(low, high, plan.shared)]
-    return low, high, comb
+    tget = [sum(map(get, m)) for m in plan.members].__getitem__
+    for v, odd, even, shared in plan.upper:
+        eta[v] += (sum(map(tget, odd)) - sum(map(tget, even)) - w[v]
+                   - sum(map(get, shared)))
+    return eta
 
 
 def _eta_round(plan, eta, tables, t2, S2):
-    """The (eta_low, eta_high, eta_comb) triple of round (t2, S2), computed
-    once into eta; None when C(T2,S2,.) is identically zero."""
+    """The eta vector of round (t2, S2), computed once into eta; None when
+    C(T2,S2,.) is identically zero."""
     key = (t2, S2)
     if key not in eta:
         w = tables[t2][S2]
@@ -158,8 +154,8 @@ class CounterSet:
     """All counter tables for one (hypergraph, coloring, split) build.
 
     tables[tid][S] is the length-n list C(T_tid, S, .); eta[(t2, S2)] is the
-    (eta_low, eta_high, eta_comb) triple of that neighbor-weight round, or
-    None when C(T2,S2,.) was identically zero (round skipped).  A table file
+    length-n eta vector of that neighbor-weight round, or None when
+    C(T2,S2,.) was identically zero (round skipped).  A table file
     stores no eta: loading recomputes it from the tables.  split is the
     AlphaSplit the tables were built over; the naive build's is the split at
     alpha = H.rank, whose upper part is empty.  cap is the 2^degree cap the
@@ -217,10 +213,9 @@ def build_counters(H, split, k, coloring, cap=20):
             h1 = h - h2
             acc = {}
             for S2 in masks_of_size(k, h2):
-                trip = _eta_round(plan, eta, tables, t.t2, S2)
-                if trip is None:
+                eta2 = _eta_round(plan, eta, tables, t.t2, S2)
+                if eta2 is None:
                     continue
-                comb = trip[2]
                 rest = [c for c in range(k) if not S2 >> c & 1]
                 for cset in combinations(rest, h1):
                     S1 = sum(1 << c for c in cset)
@@ -232,7 +227,7 @@ def build_counters(H, split, k, coloring, cap=20):
                         a = acc[S1 | S2] = [0] * n
                     for i, x in enumerate(w1):
                         if x:
-                            y = comb[i]
+                            y = eta2[i]
                             if y:
                                 a[i] += x * y
             tbl = {}

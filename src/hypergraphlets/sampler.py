@@ -6,10 +6,13 @@ neighbors proportionally to C(T2,S2,u) yields a uniform colorful treelet,
 so the sampled vertex set U lands with probability proportional to the
 number sigma of spanning trees of the Gaifman graph on U.  Dividing each
 observation by its sigma (or rejecting with probability 1 - 1/sigma)
-removes that bias.  Every draw and rejection test is exact integer
-arithmetic: one uniform integer below an integer total, located in integer
-prefix sums.  The draw tables are built lazily and cached; cache warm-up
-consumes no randomness, so results are reproducible.
+removes that bias.  A neighbor draw proposes u through one slot joining v
+and u, a lower Gaifman edge or an upper edge they share, and keeps it with
+probability one over u's number of slots.  Every draw and rejection test is
+exact integer arithmetic: one uniform integer below an integer total,
+located in integer prefix sums.  The draw tables are built lazily, only for
+the branch a draw takes, and cached; cache warm-up consumes no randomness,
+so results are reproducible.
 """
 
 from __future__ import annotations
@@ -56,10 +59,11 @@ class VoseAlias:
 class Generators:
     """Exact draw tables over one CounterSet.
 
-    The root table is eager; the per-(T2,S2,v) neighbor tables, per-(T2,S2,e)
-    vertex tables, per-(T2,S2,v) upper-edge tables, and per-(T,S,v) partition
-    tables are built on first use and cached (their construction is
-    deterministic and consumes no randomness).
+    The root table is eager; the per-(T2,S2,v) lower-neighbor tables,
+    per-(T2,S2,e) vertex tables, per-(T2,S2,v) upper-edge tables, per-(T2,S2)
+    upper-edge totals and per-(T,S,v) partition tables are built on first
+    use and cached (their construction is deterministic and consumes no
+    randomness).
     """
 
     def __init__(self, cs):
@@ -93,17 +97,14 @@ class Generators:
             items = []
             weights = []
             for S2 in masks_of_size(cs.k, h2):
-                trip = cs.eta.get((t.t2, S2))
-                if S2 & ~S or trip is None:
-                    continue
-                comb = trip[2][v]
-                if not comb:
+                eta = cs.eta.get((t.t2, S2))
+                if S2 & ~S or eta is None or not eta[v]:
                     continue
                 S1 = S & ~S2
                 w1 = cs.tables[t.t1][S1][v]
                 if w1:
                     items.append((S1, S2))
-                    weights.append(w1 * comb)
+                    weights.append(w1 * eta[v])
             if not items:
                 raise SamplerError(
                     "sample_neigh called with C(T,S,v) = 0 (no partition weight)")
@@ -121,28 +122,24 @@ class Generators:
         return gen
 
     def _edge_totals(self, t2, S2):
+        """Per upper edge j: the sum of C(T2,S2,.) over edge j.  All edges
+        at once: one pass over the upper part, which costs less than the
+        build's own round (T2,S2) did."""
         key = (t2, S2)
         totals = self._edge_total.get(key)
         if totals is None:
-            totals = self._edge_total[key] = {}
+            vec = self.cs.tables[t2][S2]
+            totals = self._edge_total[key] = [
+                sum(map(vec.__getitem__, e)) for e in self.cs.split.upper.edges]
         return totals
 
     def _upper_edge_gen(self, t2, S2, v):
         key = (t2, S2, v)
         gen = self._upper_edge.get(key)
         if gen is None:
-            cs = self.cs
-            vec = cs.tables[t2][S2]
+            edges = self.cs.split.upper_types[v]
             totals = self._edge_totals(t2, S2)
-            edges = cs.split.upper_types[v]
-            upper_edges = cs.split.upper.edges
-            weights = []
-            for j in edges:
-                tot = totals.get(j)
-                if tot is None:
-                    tot = totals[j] = sum(vec[u] for u in upper_edges[j])
-                weights.append(tot)
-            gen = self._upper_edge[key] = VoseAlias(edges, weights)
+            gen = self._upper_edge[key] = VoseAlias(edges, [totals[j] for j in edges])
         return gen
 
     def _edge_vertex_gen(self, t2, S2, j):
@@ -159,32 +156,32 @@ class Generators:
 
     def sample_neigh(self, tid, S, v, rng):
         """Draw (T2, S1, S2, u) with u a Gaifman neighbor of v, u drawn
-        with probability proportional to C(T2,S2,u) within N(v)."""
+        with probability proportional to C(T2,S2,u) within N(v).
+
+        Each slot joining v to u proposes u with weight C(T2,S2,u): the
+        pair's lower Gaifman edge, if any, and every upper edge holding
+        both.  One test keeps u with probability one over its number of
+        slots, so every neighbor ends up with weight C(T2,S2,u) exactly
+        (rejection sampling).
+        """
         cs = self.cs
         split = cs.split
         t2 = cs.catalog[tid].t2
         S1, S2 = self._partition_gen(tid, S, v).draw(rng)
-        trip = cs.eta.get((t2, S2))
-        w_low, w_high = trip[0][v], trip[1][v]
-        total = w_low + w_high
+        vec = cs.tables[t2][S2]
         lower_nbrs = split.lower_neighbors[v]
-        v_has_upper = bool(split.upper_types[v])
+        w_low = sum(map(vec.__getitem__, lower_nbrs))
+        w_up = sum(map(self._edge_totals(t2, S2).__getitem__, split.upper_types[v]))
         while True:
-            if rng.randrange(total) < w_low:
+            if rng.randrange(w_low + w_up) < w_low:
                 u = self._lower_gen(t2, S2, v).draw(rng)
-                in_upper = v_has_upper and split.upper_overlap(u, v) > 0
                 in_lower = True
             else:
-                while True:
-                    j = self._upper_edge_gen(t2, S2, v).draw(rng)
-                    u = self._edge_vertex_gen(t2, S2, j).draw(rng)
-                    overlap = split.upper_overlap(u, v)
-                    if not rng.randrange(overlap):
-                        break
-                in_upper = True
+                j = self._upper_edge_gen(t2, S2, v).draw(rng)
+                u = self._edge_vertex_gen(t2, S2, j).draw(rng)
                 i = bisect_left(lower_nbrs, u)
                 in_lower = i < len(lower_nbrs) and lower_nbrs[i] == u
-            if not rng.randrange(in_lower + in_upper):
+            if not rng.randrange(in_lower + split.upper_overlap(u, v)):
                 return t2, S1, S2, u
 
     def _sample_rec(self, tid, S, v, rng, vertices, edges):

@@ -37,8 +37,8 @@ class AlphaSplit:
 
     lower/upper are hypergraphs on H's full vertex set.  upper_types[v] is
     the sorted tuple of upper-edge indices containing v; upper adjacency is
-    decided by merge-intersecting two such tuples (O(beta) per check), never
-    by materializing the upper Gaifman projection.  At alpha = H.rank the
+    decided by intersecting two such tuples (O(beta) per check), never by
+    materializing the upper Gaifman projection.  At alpha = H.rank the
     upper part is empty and this is the plain Gaifman baseline.
     """
 
@@ -60,19 +60,8 @@ class AlphaSplit:
         self.upper_types = [tuple(t) for t in self.upper.incidence]
 
     def upper_overlap(self, u, v):
-        """Number of upper edges u and v share (sorted-type merge)."""
-        a, b = self.upper_types[u], self.upper_types[v]
-        i = j = c = 0
-        while i < len(a) and j < len(b):
-            if a[i] == b[j]:
-                c += 1
-                i += 1
-                j += 1
-            elif a[i] < b[j]:
-                i += 1
-            else:
-                j += 1
-        return c
+        """Number of upper edges u and v share."""
+        return len(set(self.upper_types[u]).intersection(self.upper_types[v]))
 
     def __repr__(self):
         return "AlphaSplit(alpha=%d, beta=%d, lower_m=%d, upper_m=%d)" % (
@@ -83,20 +72,18 @@ class SplitCost:
     """Cost-model value of one split.
 
     lower_cost = sum of |e|^2 over lower edges; upper_cost = sum over all
-    vertices of 2^(upper degree); weighted = gamma*lower + (1-gamma)*upper.
-    objective is whatever quantity the selector minimized (the weighted cost
-    for the refined selector, alpha^2*m + 2^beta*n for the simple one).
-    Powers of two are exact big integers, so no saturation cap is needed.
+    vertices of 2^(upper degree); weighted = gamma*lower + (1-gamma)*upper,
+    the quantity choose_split_refined minimizes.  Powers of two are exact
+    big integers, so no saturation cap is needed.
     """
 
-    __slots__ = ("lower_cost", "upper_cost", "gamma", "weighted", "objective")
+    __slots__ = ("lower_cost", "upper_cost", "gamma", "weighted")
 
-    def __init__(self, lower_cost, upper_cost, gamma, objective=None):
+    def __init__(self, lower_cost, upper_cost, gamma):
         self.lower_cost = lower_cost
         self.upper_cost = upper_cost
         self.gamma = gamma
         self.weighted = _weighted(gamma, lower_cost, upper_cost)
-        self.objective = self.weighted if objective is None else objective
 
     def __repr__(self):
         return "SplitCost(lower=%d, upper=%d, weighted=%.6g)" % (
@@ -119,10 +106,10 @@ def apply_split(H, alpha):
     return AlphaSplit(H, alpha)
 
 
-def split_cost(H, split, gamma, objective=None):
+def split_cost(H, split, gamma):
     lower_cost = sum(len(e) ** 2 for e in split.lower.edges)
     upper_cost = sum(1 << len(t) for t in split.upper.incidence)
-    return SplitCost(lower_cost, upper_cost, gamma, objective=objective)
+    return SplitCost(lower_cost, upper_cost, gamma)
 
 
 def _cost_table(H):
@@ -169,18 +156,6 @@ def curve_with_costs(H, gamma=0.01):
     return out
 
 
-def choose_split_simple(H):
-    """Minimize alpha^2*|E| + 2^beta*|V| over the curve; ties to smaller alpha."""
-    best = None
-    for alpha, beta in alpha_beta_curve(H):
-        obj = alpha * alpha * H.m + (1 << beta) * H.n
-        if best is None or obj < best[0]:
-            best = (obj, alpha)
-    obj, alpha = best
-    split = apply_split(H, alpha)
-    return split, split_cost(H, split, 0.5, objective=obj)
-
-
 def choose_split_refined(H, gamma=0.01):
     """Minimize gamma*sum|e|^2 + (1-gamma)*sum 2^d over all thresholds."""
     best = None
@@ -188,6 +163,5 @@ def choose_split_refined(H, gamma=0.01):
         w = _weighted(gamma, lo, up)
         if best is None or w < best[0]:
             best = (w, alpha)
-    w, alpha = best
-    split = apply_split(H, alpha)
-    return split, split_cost(H, split, gamma, objective=w)
+    split = apply_split(H, best[1])
+    return split, split_cost(H, split, gamma)

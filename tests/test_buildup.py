@@ -106,10 +106,10 @@ def test_nw_ie_degree_cap():
 
 def test_combined_neighbor_weight_toy(toy):
     split = apply_split(toy, 4)
-    low, high, comb = combined_neighbor_weight(NWPlan(split), [1] * 8)
-    assert comb == nw_naive(gaifman(toy), [1] * 8)
-    assert comb[0] == 4 and comb[7] == 0
-    assert low[0] == 1 and high[0] == 4  # overlap with vertex 1 subtracted
+    eta = combined_neighbor_weight(NWPlan(split), [1] * 8)
+    assert eta == nw_naive(gaifman(toy), [1] * 8)
+    # Vertex 1 is a lower and an upper neighbor of 0; it counts once.
+    assert eta[0] == 4 and eta[7] == 0
 
 
 def test_combined_neighbor_weight_random():
@@ -119,10 +119,7 @@ def test_combined_neighbor_weight_random():
         alpha = rng.choice(candidate_alphas(H))
         split = apply_split(H, alpha)
         w = [rng.randrange(-2, 6) for _ in range(H.n)]
-        low, high, comb = combined_neighbor_weight(NWPlan(split), w)
-        assert comb == nw_naive(gaifman(H), w)
-        assert low == nw_naive(split.gaif_lower, w)
-        assert high == nw_ie(split.upper, w)
+        assert combined_neighbor_weight(NWPlan(split), w) == nw_naive(gaifman(H), w)
 
 
 # --- counter builds -------------------------------------------------------
@@ -241,13 +238,12 @@ def test_eta_rounds_are_retained(toy):
     col = rainbow(toy, 3)
     split = apply_split(toy, 3)
     cs = build_counters(toy, split, 3, col)
-    held = [key for key, trip in cs.eta.items() if trip is not None]
+    held = [key for key, eta in cs.eta.items() if eta is not None]
     assert held
-    for key in held:
-        low, high, comb = cs.eta[key]
-        assert len(low) == len(high) == len(comb) == toy.n
+    for t2, S2 in held:
+        assert cs.eta[t2, S2] == nw_naive(gaifman(toy), cs.tables[t2][S2])
     # Skipped rounds are recorded as None, never silently dropped.
-    assert all(trip is None for key, trip in cs.eta.items() if key not in held)
+    assert all(eta is None for key, eta in cs.eta.items() if key not in held)
 
 
 def test_counterset_accessors(toy):

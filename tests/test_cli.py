@@ -547,6 +547,11 @@ def test_damaged_alpha_is_refused_by_the_recorded_cap(tmp_path):
     proc = run_cli("sample", str(hg), "--table", str(table), "--samples", "10",
                    expect=1)
     assert "degree 40 exceeds the 2^degree cap 1" in one_line_error(proc)
+    # A larger alpha is what lowers beta: on toy.hg, alpha 0 has beta 3.
+    proc = run_cli("build", TOY, "-k", "3", "--alpha", "0", "--cap", "2",
+                   "-o", str(tmp_path / "toy.hmt"), expect=1)
+    assert one_line_error(proc).endswith(
+        "degree 3 exceeds the 2^degree cap 2; re-split with a larger alpha")
 
 
 def usage_error_line(proc):

@@ -216,8 +216,8 @@ def test_sample_law_through_split_generators():
 
 
 # Edges {0,1,2} and {0,1,3} both hold the pair {0,1}, and at alpha 2 the
-# edge {0,1} puts that pair in the lower part as well, so sample_neigh's
-# overlap rejection and its lower-and-upper rejection both fire on it.
+# edge {0,1} puts that pair in the lower part as well, so the pair has three
+# slots and sample_neigh's rejection fires on it.
 SHARED = Hypergraph(5, [(0, 1), (0, 1, 2), (0, 1, 3), (2, 3, 4)])
 SHARED_COLORING = Coloring(3, (0, 1, 2, 2, 1))
 
@@ -256,6 +256,20 @@ def test_sample_law_through_split_rejection_branches():
         assert set(tally) == set(law)
         for U, p in law.items():
             assert four_sigma_ok(tally[U], n, float(p))
+
+
+def test_sample_neigh_accepts_once_per_proposal():
+    # At alpha 2, vertex 1 is vertex 0's one lower neighbor and shares both
+    # of 0's upper edges, so it has three slots: the proposal total is
+    # w_low 1 plus the two upper-edge totals, and one randrange(3) keeps it.
+    cs = build_counters(SHARED, apply_split(SHARED, 2), 3, SHARED_COLORING)
+    gens = build_generators(cs)
+    edge = cs.catalog.of_order(2)[0]
+    # partition, lower proposal, lower draw, rejected; upper proposal,
+    # upper edge {0,1,3}, vertex 1 in it, accepted.
+    rng = ScriptedRng([0, 0, 0, 1, 2, 1, 0, 0])
+    assert gens.sample_neigh(edge.tid, 0b011, 0, rng) == (edge.t2, 0b001, 0b010, 1)
+    assert rng.bounds == [1, 3, 1, 3, 3, 2, 1, 3]
 
 
 def test_sampled_trees_are_spanning_trees():

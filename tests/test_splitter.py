@@ -9,7 +9,6 @@ from hypergraphlets.splitter import (
     apply_split,
     candidate_alphas,
     choose_split_refined,
-    choose_split_simple,
     curve_with_costs,
     split_cost,
 )
@@ -42,14 +41,6 @@ def test_curve_with_costs_frozen(toy):
     ]
     for a, b, lo, up, w in rows:
         assert w == pytest.approx(0.01 * lo + 0.99 * up)
-
-
-def test_choose_simple_frozen(toy):
-    # alpha^2*m + 2^beta*n over the curve: 64, 48, 52, 108; minimum at 2.
-    split, cost = choose_split_simple(toy)
-    assert split.alpha == 2
-    assert split.beta == 2
-    assert cost.objective == 48
 
 
 def test_choose_refined_frozen(toy):
