@@ -7,11 +7,11 @@ neighbor u), so each round needs eta(v) = sum of C(T2,S2,u) over neighbors u
 of v.  A round runs across an alpha-split: directly on the Gaifman projection
 of the lower part, then, for each vertex in an upper edge, adds the upper
 neighbors by inclusion-exclusion over its type and takes back the pairs
-adjacent in both parts.  A round keeps only that one eta vector.  An NWPlan
-holds what no round changes; it is built once per split, by the build and by
-the table loader, which recomputes eta rather than reading it.  The naive
-baseline is the split at alpha = H.rank, whose upper part is empty.  Counts
-are exact arbitrary-precision integers.
+adjacent in both parts.  An NWPlan holds what no round changes, built once
+per build.  eta lives only while the build runs: the tables and the split
+are all the sampler and the table loader need.  The naive baseline is the
+split at alpha = H.rank, whose upper part is empty.  Counts are exact
+arbitrary-precision integers.
 """
 
 from __future__ import annotations
@@ -72,6 +72,13 @@ def nw_naive(G, w):
     return out
 
 
+def check_cap(split, cap):
+    """Refuse a split whose upper degree beta needs more than 2^cap subsets."""
+    if split.beta > cap:
+        raise BuildError("degree %d exceeds the 2^degree cap %d; re-split with "
+                         "a larger alpha" % (split.beta, cap))
+
+
 class NWPlan:
     """What every neighbor-weight round over one alpha-split reuses.
 
@@ -87,10 +94,7 @@ class NWPlan:
     __slots__ = ("lower", "members", "upper")
 
     def __init__(self, split, cap=20):
-        if split.beta > cap:
-            raise BuildError(
-                "degree %d exceeds the 2^degree cap %d; re-split with a larger alpha"
-                % (split.beta, cap))
+        check_cap(split, cap)
         index = {}
         self.lower = split.gaif_lower
         self.members, self.upper = [], []
@@ -134,16 +138,6 @@ def combined_neighbor_weight(plan, w):
     return eta
 
 
-def _eta_round(plan, eta, tables, t2, S2):
-    """The eta vector of round (t2, S2), computed once into eta; None when
-    C(T2,S2,.) is identically zero."""
-    key = (t2, S2)
-    if key not in eta:
-        w = tables[t2][S2]
-        eta[key] = combined_neighbor_weight(plan, w) if any(w) else None
-    return eta[key]
-
-
 @cache
 def masks_of_size(k, h):
     """All k-bit masks with h bits set, ascending; one shared tuple per (k, h)."""
@@ -153,26 +147,21 @@ def masks_of_size(k, h):
 class CounterSet:
     """All counter tables for one (hypergraph, coloring, split) build.
 
-    tables[tid][S] is the length-n list C(T_tid, S, .); eta[(t2, S2)] is the
-    length-n eta vector of that neighbor-weight round, or None when
-    C(T2,S2,.) was identically zero (round skipped).  A table file
-    stores no eta: loading recomputes it from the tables.  split is the
+    tables[tid][S] is the length-n list C(T_tid, S, .).  split is the
     AlphaSplit the tables were built over; the naive build's is the split at
     alpha = H.rank, whose upper part is empty.  cap is the 2^degree cap the
     build ran under.
     """
 
-    __slots__ = ("k", "n", "H", "coloring", "catalog", "tables", "eta", "W",
-                 "split", "cap")
+    __slots__ = ("k", "n", "H", "coloring", "catalog", "tables", "W", "split", "cap")
 
-    def __init__(self, k, n, H, coloring, catalog, tables, eta, W, split, cap):
+    def __init__(self, k, n, H, coloring, catalog, tables, W, split, cap):
         self.k = k
         self.n = n
         self.H = H
         self.coloring = coloring
         self.catalog = catalog
         self.tables = tables
-        self.eta = eta
         self.W = W
         self.split = split
         self.cap = cap
@@ -190,7 +179,8 @@ class CounterSet:
 
 def build_counters(H, split, k, coloring, cap=20):
     """Bottom-up DP over the treelet catalog; each neighbor-weight round
-    runs combined_neighbor_weight over one NWPlan of the split."""
+    (T2,S2) runs combined_neighbor_weight over one NWPlan of the split, once,
+    and is skipped (None) when C(T2,S2,.) is identically zero."""
     catalog = TreeletCatalog(k)
     if coloring.k != k:
         raise BuildError("coloring has %d colors, build wants %d" % (coloring.k, k))
@@ -213,7 +203,10 @@ def build_counters(H, split, k, coloring, cap=20):
             h1 = h - h2
             acc = {}
             for S2 in masks_of_size(k, h2):
-                eta2 = _eta_round(plan, eta, tables, t.t2, S2)
+                if (t.t2, S2) not in eta:
+                    w = tables[t.t2][S2]
+                    eta[t.t2, S2] = combined_neighbor_weight(plan, w) if any(w) else None
+                eta2 = eta[t.t2, S2]
                 if eta2 is None:
                     continue
                 rest = [c for c in range(k) if not S2 >> c & 1]
@@ -253,7 +246,7 @@ def build_counters(H, split, k, coloring, cap=20):
 
     full = (1 << k) - 1
     W = sum(sum(tables[t.tid][full]) for t in catalog.of_order(k))
-    return CounterSet(k, n, H, coloring, catalog, tables, eta, W, split, cap)
+    return CounterSet(k, n, H, coloring, catalog, tables, W, split, cap)
 
 
 def build_counters_naive(H, k, coloring):
@@ -342,8 +335,7 @@ def host_digest(H):
 
 
 def write_table(cs, path):
-    """Binary dump of a CounterSet's DP tables; byte-deterministic.  eta
-    is not stored: counterset_from_table recomputes it."""
+    """Binary dump of a CounterSet's DP tables; byte-deterministic."""
     out = bytearray()
     out += _MAGIC
     out.append(_VERSION)
@@ -413,21 +405,16 @@ def read_table(path):
 
 
 def counterset_from_table(H, data):
-    """Rebuild a usable CounterSet from read_table output plus H.  eta is
-    recomputed round by round as the build computed it, under the cap the
-    build recorded."""
+    """Rebuild a usable CounterSet from read_table output plus H.  No round
+    runs; the split is still refused under the cap the build recorded."""
     if H.n != data["n"]:
         raise BuildError("hypergraph has %d vertices, table says %d" % (H.n, data["n"]))
     if host_digest(H) != data["host"]:
         raise BuildError("table was built on a different hypergraph")
-    k, catalog, tables = data["k"], data["catalog"], data["tables"]
+    k, catalog = data["k"], data["catalog"]
     coloring = Coloring(k, data["colors"], seed=data["seed"] or None)
     split = AlphaSplit(H, data["alpha"])
-    plan = NWPlan(split, data["cap"]) if k > 1 else None
-    eta = {}
-    for t in catalog.treelets:
-        if t.order > 1:
-            for S2 in masks_of_size(k, catalog[t.t2].order):
-                _eta_round(plan, eta, tables, t.t2, S2)
-    return CounterSet(k, data["n"], H, coloring, catalog, tables, eta,
+    if k > 1:
+        check_cap(split, data["cap"])
+    return CounterSet(k, data["n"], H, coloring, catalog, data["tables"],
                       data["W"], split, data["cap"])

@@ -417,7 +417,7 @@ def _build_parser():
     p.add_argument("--gamma", type=float, default=0.01)
 
     p = add("build", _cmd_build, "build counter tables, write a .hmt file")
-    p.add_argument("-k", type=int, required=True)
+    p.add_argument("-k", type=_positive_int, required=True)
     p.add_argument("--seed", default="0")
     p.add_argument("--alpha", type=_parse_alpha, default="auto")
     p.add_argument("--gamma", type=float, default=0.01)
@@ -432,7 +432,7 @@ def _build_parser():
     p.add_argument("--threads", type=_positive_int, default=1, help=THREADS_HELP)
 
     p = add("count", _cmd_count, "end-to-end approximate counts as CSV")
-    p.add_argument("-k", type=int, required=True)
+    p.add_argument("-k", type=_positive_int, required=True)
     p.add_argument("--samples", type=_positive_int, default=10000)
     p.add_argument("--seed", default="0")
     p.add_argument("--runs", type=_positive_int, default=1)
@@ -443,12 +443,12 @@ def _build_parser():
     p.add_argument("--threads", type=_positive_int, default=1, help=THREADS_HELP)
 
     p = add("exact", _cmd_exact, "exact counts by subset enumeration as CSV")
-    p.add_argument("-k", type=int, required=True)
+    p.add_argument("-k", type=_positive_int, required=True)
 
     p = add("reduce-clique", _cmd_reduce_clique,
             "clique instance to k-sub-hypergraph instance",
             out_help="output prefix: writes PREFIX.hg and PREFIX.json")
-    p.add_argument("-k", type=int, required=True)
+    p.add_argument("-k", type=_positive_int, required=True)
 
     p = add("ksh", _cmd_ksh, "decide connected k-vertex section existence")
     p.add_argument("-k", type=_positive_int, required=True)
@@ -476,7 +476,7 @@ def _build_parser():
     p = add("bench", _cmd_bench, "time naive vs split builds, CSV output",
             needs_input=False)
     p.add_argument("--sizes", default="125,250,500,1000,2000,4000")
-    p.add_argument("-k", type=int, default=3)
+    p.add_argument("-k", type=_positive_int, default=3)
     p.add_argument("--seed", default="0")
     p.add_argument("--repeats", type=_positive_int, default=3)
     p.add_argument("--large-edges", type=_nonnegative_int, default=4)

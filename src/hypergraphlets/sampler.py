@@ -6,13 +6,14 @@ neighbors proportionally to C(T2,S2,u) yields a uniform colorful treelet,
 so the sampled vertex set U lands with probability proportional to the
 number sigma of spanning trees of the Gaifman graph on U.  Dividing each
 observation by its sigma (or rejecting with probability 1 - 1/sigma)
-removes that bias.  A neighbor draw proposes u through one slot joining v
-and u, a lower Gaifman edge or an upper edge they share, and keeps it with
-probability one over u's number of slots.  Every draw and rejection test is
-exact integer arithmetic: one uniform integer below an integer total,
-located in integer prefix sums.  The draw tables are built lazily, only for
-the branch a draw takes, and cached; cache warm-up consumes no randomness,
-so results are reproducible.
+removes that bias.  The sampler reads only the count tables and the split,
+never eta: a neighbor draw proposes a partition (S1, S2) and then u through
+one slot joining v and u, a lower Gaifman edge or an upper edge they share,
+and keeps the pair with probability one over u's number of slots.  Every
+draw and rejection test is exact integer arithmetic: one uniform integer
+below an integer total, located in integer prefix sums.  The draw tables
+are built lazily, only for the branch a draw takes, and cached; cache
+warm-up consumes no randomness, so results are reproducible.
 """
 
 from __future__ import annotations
@@ -61,9 +62,9 @@ class Generators:
 
     The root table is eager; the per-(T2,S2,v) lower-neighbor tables,
     per-(T2,S2,e) vertex tables, per-(T2,S2,v) upper-edge tables, per-(T2,S2)
-    upper-edge totals and per-(T,S,v) partition tables are built on first
-    use and cached (their construction is deterministic and consumes no
-    randomness).
+    upper-edge totals and per-(T,S,v) partition tables, which hold v's slot
+    totals, are built on first use and cached (their construction is
+    deterministic and consumes no randomness).
     """
 
     def __init__(self, cs):
@@ -88,23 +89,30 @@ class Generators:
     # -- lazy table builders ------------------------------------------
 
     def _partition_gen(self, tid, S, v):
+        """Items (S1, S2, w_low, w_all) weighted C(T1,S1,v) * w_all, where
+        w_low and w_all are v's lower and total slot weights under
+        C(T2,S2,.)."""
         key = (tid, S, v)
         gen = self._partition.get(key)
         if gen is None:
             cs = self.cs
             t = cs.catalog[tid]
-            h2 = cs.catalog[t.t2].order
+            lower_nbrs = cs.split.lower_neighbors[v]
             items = []
             weights = []
-            for S2 in masks_of_size(cs.k, h2):
-                eta = cs.eta.get((t.t2, S2))
-                if S2 & ~S or eta is None or not eta[v]:
+            for S2 in masks_of_size(cs.k, cs.catalog[t.t2].order):
+                if S2 & ~S:
                     continue
                 S1 = S & ~S2
                 w1 = cs.tables[t.t1][S1][v]
-                if w1:
-                    items.append((S1, S2))
-                    weights.append(w1 * eta[v])
+                if not w1:
+                    continue
+                w_low = sum(map(cs.tables[t.t2][S2].__getitem__, lower_nbrs))
+                w_all = w_low + sum(map(self._edge_totals(t.t2, S2).__getitem__,
+                                        cs.split.upper_types[v]))
+                if w_all:
+                    items.append((S1, S2, w_low, w_all))
+                    weights.append(w1 * w_all)
             if not items:
                 raise SamplerError(
                     "sample_neigh called with C(T,S,v) = 0 (no partition weight)")
@@ -155,25 +163,24 @@ class Generators:
     # -- the samplers --------------------------------------------------
 
     def sample_neigh(self, tid, S, v, rng):
-        """Draw (T2, S1, S2, u) with u a Gaifman neighbor of v, u drawn
-        with probability proportional to C(T2,S2,u) within N(v).
+        """Draw (T2, S1, S2, u) with u a Gaifman neighbor of v, with
+        probability proportional to C(T1,S1,v) * C(T2,S2,u).
 
-        Each slot joining v to u proposes u with weight C(T2,S2,u): the
-        pair's lower Gaifman edge, if any, and every upper edge holding
-        both.  One test keeps u with probability one over its number of
-        slots, so every neighbor ends up with weight C(T2,S2,u) exactly
+        One try draws a partition (S1, S2) with weight C(T1,S1,v) times the
+        slot total of v, then one slot joining v to some u, with weight
+        C(T2,S2,u): the pair's lower Gaifman edge, if any, or an upper edge
+        holding both.  One test keeps the try with probability one over u's
+        number of slots; a rejected try redraws the partition too, so each
+        (S1, S2, u) ends up with weight C(T1,S1,v) * C(T2,S2,u) exactly
         (rejection sampling).
         """
-        cs = self.cs
-        split = cs.split
-        t2 = cs.catalog[tid].t2
-        S1, S2 = self._partition_gen(tid, S, v).draw(rng)
-        vec = cs.tables[t2][S2]
+        split = self.cs.split
+        t2 = self.cs.catalog[tid].t2
         lower_nbrs = split.lower_neighbors[v]
-        w_low = sum(map(vec.__getitem__, lower_nbrs))
-        w_up = sum(map(self._edge_totals(t2, S2).__getitem__, split.upper_types[v]))
+        partition = self._partition_gen(tid, S, v)
         while True:
-            if rng.randrange(w_low + w_up) < w_low:
+            S1, S2, w_low, w_all = partition.draw(rng)
+            if rng.randrange(w_all) < w_low:
                 u = self._lower_gen(t2, S2, v).draw(rng)
                 in_lower = True
             else:

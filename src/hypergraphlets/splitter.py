@@ -95,11 +95,6 @@ def candidate_alphas(H):
     return [0] + sorted({len(e) for e in H.edges})
 
 
-def alpha_beta_curve(H):
-    """All (alpha, beta) pairs: beta = max upper degree at that threshold."""
-    return [(a, b) for a, b, _, _ in _cost_table(H)]
-
-
 def apply_split(H, alpha):
     if alpha < 0:
         raise HypergraphError("alpha must be nonnegative")

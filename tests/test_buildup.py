@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from hypergraphlets import buildup
 from hypergraphlets.buildup import (
     BuildError,
     Coloring,
@@ -20,7 +21,8 @@ from hypergraphlets.buildup import (
 )
 from hypergraphlets.canonlab import brute_rooted_colorful_treelets, connected_ksets
 from hypergraphlets.hypercore import Hypergraph, gaifman, parse_hypergraph
-from hypergraphlets.splitter import alpha_beta_curve, apply_split, candidate_alphas
+from hypergraphlets.sampler import build_generators, sharded_estimate
+from hypergraphlets.splitter import apply_split, candidate_alphas, curve_with_costs
 from hypergraphlets.treelets import TreeletCatalog
 
 from oracles import bounded_degree_hypergraph, count_spanning_trees_brute, random_hypergraph
@@ -234,18 +236,6 @@ def test_noncolorful_coloring_gives_zero_weight():
     assert cs.W == 0
 
 
-def test_eta_rounds_are_retained(toy):
-    col = rainbow(toy, 3)
-    split = apply_split(toy, 3)
-    cs = build_counters(toy, split, 3, col)
-    held = [key for key, eta in cs.eta.items() if eta is not None]
-    assert held
-    for t2, S2 in held:
-        assert cs.eta[t2, S2] == nw_naive(gaifman(toy), cs.tables[t2][S2])
-    # Skipped rounds are recorded as None, never silently dropped.
-    assert all(eta is None for key, eta in cs.eta.items() if key not in held)
-
-
 def test_counterset_accessors(toy):
     col = rainbow(toy, 3)
     split = apply_split(toy, 3)
@@ -288,9 +278,6 @@ def test_table_round_trip(tmp_path, toy):
     assert data["cap"] == 20
     back = counterset_from_table(toy, data)
     assert back.tables_equal(cs)
-    # The file holds no eta: loading recomputes every round, skipped
-    # (None) ones included.
-    assert back.eta == cs.eta
     assert back.split.alpha == 3
 
 
@@ -303,19 +290,17 @@ def test_naive_table_round_trip(tmp_path, toy):
     back = counterset_from_table(toy, data)
     assert back.tables_equal(cs)
     assert back.split.alpha == toy.rank and back.split.upper.m == 0
-    assert back.eta == cs.eta
 
 
 def test_table_round_trip_recomputes_eta_on_the_curve(tmp_path):
-    # The file holds the tables and the cap, not eta; loading recomputes
-    # every round, so it must equal the build's rounds at every alpha.
+    # The file holds the tables and the cap, not eta, at every alpha.
     rng = random.Random(71)
     path = tmp_path / "c.hmt"
     for i in range(12):
         H = bounded_degree_hypergraph(rng, rng.randint(4, 14), rng.randint(2, 10), 6, 5)
         k = rng.randint(2, 4)
         col = random_coloring(H, k, "corpus-%d" % i)
-        for alpha, beta in alpha_beta_curve(H):
+        for alpha, beta, *_ in curve_with_costs(H):
             cap = beta + rng.randrange(3)
             cs = build_counters(H, apply_split(H, alpha), k, col, cap=cap)
             write_table(cs, str(path))
@@ -323,8 +308,27 @@ def test_table_round_trip_recomputes_eta_on_the_curve(tmp_path):
             assert "eta" not in data and data["cap"] == cap
             back = counterset_from_table(H, data)
             assert back.tables_equal(cs)
-            assert back.eta == cs.eta
             assert back.split.alpha == alpha and back.cap == cap
+
+
+def test_loading_a_table_runs_no_neighbor_weight_round(tmp_path, toy, monkeypatch):
+    # Sampling reads only the tables and the split, so a loaded table
+    # samples exactly as its in-memory build without computing any eta.
+    built = []
+    for alpha in (0, 2):
+        cs = build_counters(toy, apply_split(toy, alpha), 3, rainbow(toy, 3))
+        path = tmp_path / ("a%d.hmt" % alpha)
+        write_table(cs, str(path))
+        built.append((path, sharded_estimate(build_generators(cs), 400, "s", 0).rows))
+
+    def no_round(*_args):
+        raise AssertionError("loading ran a neighbor-weight round")
+
+    monkeypatch.setattr(buildup, "combined_neighbor_weight", no_round)
+    monkeypatch.setattr(buildup, "NWPlan", no_round)
+    for path, rows in built:
+        back = counterset_from_table(toy, read_table(str(path)))
+        assert rows and sharded_estimate(build_generators(back), 400, "s", 0).rows == rows
 
 
 def test_table_values_past_64_bits(tmp_path, toy):

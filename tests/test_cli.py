@@ -574,6 +574,21 @@ def test_negative_cap_is_usage_error(tmp_path, command):
     assert out.exists()
 
 
+@pytest.mark.parametrize("k", ["0", "-1"])
+@pytest.mark.parametrize("command", [
+    ["build", TOY],
+    ["count", TOY, "--samples", "5"],
+    ["exact", TOY],
+    ["reduce-clique", K4],
+    ["bench", "--sizes", "16"],
+], ids=["build", "count", "exact", "reduce-clique", "bench"])
+def test_nonpositive_k_is_usage_error(tmp_path, command, k):
+    # Refused by the parser, before any input is read or generated.
+    proc = run_cli(*command, "-k", k, "-o", str(tmp_path / "out"), expect=2)
+    assert "-k" in usage_error_line(proc)
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("repeats", ["0", "-1"])
 def test_bench_repeats_must_be_positive(repeats):
     proc = run_cli("bench", "--sizes", "16", "--repeats", repeats, expect=2)

@@ -260,16 +260,36 @@ def test_sample_law_through_split_rejection_branches():
 
 def test_sample_neigh_accepts_once_per_proposal():
     # At alpha 2, vertex 1 is vertex 0's one lower neighbor and shares both
-    # of 0's upper edges, so it has three slots: the proposal total is
+    # of 0's upper edges, so it has three slots: the slot total w_all is
     # w_low 1 plus the two upper-edge totals, and one randrange(3) keeps it.
     cs = build_counters(SHARED, apply_split(SHARED, 2), 3, SHARED_COLORING)
     gens = build_generators(cs)
     edge = cs.catalog.of_order(2)[0]
-    # partition, lower proposal, lower draw, rejected; upper proposal,
-    # upper edge {0,1,3}, vertex 1 in it, accepted.
-    rng = ScriptedRng([0, 0, 0, 1, 2, 1, 0, 0])
+    # partition, lower proposal, lower draw, rejected; partition again,
+    # upper proposal, upper edge {0,1,3}, vertex 1 in it, accepted.
+    rng = ScriptedRng([0, 0, 0, 1, 0, 2, 1, 0, 0])
     assert gens.sample_neigh(edge.tid, 0b011, 0, rng) == (edge.t2, 0b001, 0b010, 1)
-    assert rng.bounds == [1, 3, 1, 3, 3, 2, 1, 3]
+    assert rng.bounds == [3, 3, 1, 3, 3, 3, 2, 1, 3]
+
+
+def test_sample_neigh_redraws_the_partition_on_rejection():
+    # Treelet (()()) at v = 0 over all three colors: C(T1,S1,0) is 2 for
+    # S2 = {1} (u = 1 only) and 1 for S2 = {2} (u = 2 or 3), so (S2, u)
+    # must land with probability 1/2, 1/4, 1/4.  u = 1 has three slots and
+    # the partition weights are 2*3 and 1*2, so keeping the partition across
+    # a rejection would give S2 = {1} probability 3/4.
+    cs = build_counters(SHARED, apply_split(SHARED, 2), 3, SHARED_COLORING)
+    gens = build_generators(cs)
+    tid = cs.catalog.tid_of("(()())")
+    law = {(0b010, 1): 0.5, (0b100, 2): 0.25, (0b100, 3): 0.25}
+    rng = random.Random(139)
+    n = 20000
+    tally = dict.fromkeys(law, 0)
+    for _ in range(n):
+        _t2, _S1, S2, u = gens.sample_neigh(tid, 0b111, 0, rng)
+        tally[S2, u] += 1
+    for key, p in law.items():
+        assert four_sigma_ok(tally[key], n, p)
 
 
 def test_sampled_trees_are_spanning_trees():

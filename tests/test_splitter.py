@@ -5,7 +5,6 @@ import pytest
 
 from hypergraphlets.hypercore import Hypergraph, HypergraphError, gaifman, parse_hypergraph
 from hypergraphlets.splitter import (
-    alpha_beta_curve,
     apply_split,
     candidate_alphas,
     choose_split_refined,
@@ -28,7 +27,7 @@ def test_candidate_alphas(toy):
 
 
 def test_curve_frozen(toy):
-    assert alpha_beta_curve(toy) == [(0, 3), (2, 2), (3, 1), (5, 0)]
+    assert [row[:2] for row in curve_with_costs(toy)] == [(0, 3), (2, 2), (3, 1), (5, 0)]
 
 
 def test_curve_with_costs_frozen(toy):
@@ -120,7 +119,7 @@ def test_curve_endpoint_is_all_lower():
     rng = random.Random(31)
     for _ in range(20):
         H = random_hypergraph(rng)
-        alpha, beta = alpha_beta_curve(H)[-1]
+        alpha, beta = curve_with_costs(H)[-1][:2]
         assert alpha == H.rank
         assert beta == 0
 
