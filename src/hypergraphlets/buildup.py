@@ -258,8 +258,10 @@ def build_counters_naive(H, k, coloring):
 # --- binary table persistence -------------------------------------------
 
 _MAGIC = b"HMTB"
-_VERSION = 4
+_VERSION = 5
 _CORRUPT = "truncated or corrupt table file"
+# Every file ends with the sha256 of all the bytes before it.
+_TRAILER = 32
 # array typecode per item width in bytes; wider counts use int.to_bytes.
 _TYPECODES = {array(tc).itemsize: tc for tc in "BHILQ"}
 _WIDTHS = sorted(_TYPECODES)
@@ -354,12 +356,16 @@ def write_table(cs, path):
         order = cs.catalog[tid].order
         for S in masks_of_size(cs.k, order):
             out += _pack(cs.tables[tid][S])
+    out += hashlib.sha256(out).digest()
     with open(path, "wb") as fh:
-        fh.write(bytes(out))
+        fh.write(out)
 
 
 def read_table(path):
-    """Parse a table file back into its raw parts (header dict + arrays)."""
+    """Parse a table file back into its raw parts (header dict + arrays).
+
+    After magic, version and k, the sha256 trailer is checked before any
+    other byte is read."""
     with open(path, "rb") as fh:
         buf = fh.read()
     if buf[:4] != _MAGIC:
@@ -372,33 +378,36 @@ def read_table(path):
     if not 1 <= k <= MAX_KEY_ORDER:
         raise BuildError("%s: treelet order %d outside 1..%d"
                          % (_CORRUPT, k, MAX_KEY_ORDER))
-    alpha, pos = _read_varint(buf, 6)
-    cap, pos = _read_varint(buf, pos)
-    slen, pos = _read_varint(buf, pos)
+    body = memoryview(buf)[:-_TRAILER]
+    if len(buf) < 6 + _TRAILER or hashlib.sha256(body).digest() != buf[-_TRAILER:]:
+        raise BuildError(_CORRUPT)
+    alpha, pos = _read_varint(body, 6)
+    cap, pos = _read_varint(body, pos)
+    slen, pos = _read_varint(body, pos)
     try:
-        seed = buf[pos:pos + slen].decode()
+        seed = str(body[pos:pos + slen], "utf-8")
     except UnicodeDecodeError:
         raise BuildError(_CORRUPT) from None
     pos += slen
-    n, pos = _read_varint(buf, pos)
-    digest = buf[pos:pos + 32]
-    host = buf[pos + 32:pos + 64]
+    n, pos = _read_varint(body, pos)
+    digest = body[pos:pos + 32]
+    host = bytes(body[pos + 32:pos + 64])
     pos += 64
-    colors = list(buf[pos:pos + n])
+    colors = list(body[pos:pos + n])
     pos += n
-    if pos > len(buf):
+    if pos > len(body):
         raise BuildError(_CORRUPT)
     catalog = TreeletCatalog(k)
     if digest != catalog_digest(catalog):
         raise BuildError("table was written with a different treelet catalog")
-    W, pos = _read_varint(buf, pos)
+    W, pos = _read_varint(body, pos)
     tables = [None] * len(catalog)
     for tid in range(len(catalog)):
         tbl = {}
         for S in masks_of_size(k, catalog[tid].order):
-            tbl[S], pos = _unpack(buf, pos, n)
+            tbl[S], pos = _unpack(body, pos, n)
         tables[tid] = tbl
-    if pos != len(buf):
+    if pos != len(body):
         raise BuildError(_CORRUPT)
     return dict(k=k, alpha=alpha, cap=cap, seed=seed, n=n, host=host,
                 colors=colors, W=W, tables=tables, catalog=catalog)

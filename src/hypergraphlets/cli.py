@@ -205,8 +205,7 @@ def _cmd_sample(args):
     except NoColorfulOccurrences:
         _emit(CSV_HEADER + "\n", args.out)
         return 0
-    rep = sharded_estimate(gens, args.samples, args.seed, 0, mode=mode,
-                           keep_log=False)
+    rep = sharded_estimate(gens, args.samples, args.seed, 0, mode=mode)
     _emit(_rows_csv(rep.rows), args.out)
     return 0
 

@@ -21,7 +21,8 @@ package's one connectivity test, on vertex bitmasks.
 from itertools import combinations
 import math
 
-from .buildup import Coloring, build_counters, build_counters_naive, nw_ie, nw_naive
+from .buildup import (Coloring, NWPlan, build_counters, build_counters_naive,
+                      combined_neighbor_weight)
 from .canonlab import enumeration_budget
 from .hypercore import Graph, Hypergraph, HypergraphError, gaifman, masks_connected
 from .splitter import choose_split_refined
@@ -207,17 +208,12 @@ def solve_ov_via_nc(vectors, cap=20):
     compute eta(v) = |N(v)| for all v with unit weights, and answer YES iff
     some eta(v) < n - 1.
 
-    Returns (answer, H, eta).  Uses inclusion-exclusion when the maximum
-    degree permits it, else falls back to scatter over the Gaifman graph.
+    Returns (answer, H, eta).  eta is one neighbor-weight round over the
+    split the cost model chooses, as in the build.
     """
     H = ov_hypergraph(vectors)
-    ones = [1] * H.n
-    ie_cost = sum(1 << len(inc) for inc in H.incidence)
-    naive_cost = sum(len(e) ** 2 for e in H.edges)
-    if H.max_degree <= cap and ie_cost <= 8 * naive_cost:
-        eta = nw_ie(H, ones, cap=cap)
-    else:
-        eta = nw_naive(gaifman(H), ones)
+    split, _ = choose_split_refined(H)
+    eta = combined_neighbor_weight(NWPlan(split, cap), [1] * H.n)
     answer = any(x < H.n - 1 for x in eta)
     return answer, H, eta
 

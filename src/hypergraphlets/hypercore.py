@@ -153,13 +153,6 @@ class Hypergraphlet:
         self.edges = edges
         self.vertex_map = vertex_map
 
-    def to_hypergraph(self):
-        edges = []
-        for mask in self.edges:
-            e = [i for i in range(self.order) if mask >> i & 1]
-            edges.append(e)
-        return Hypergraph(self.order, edges)
-
     def __eq__(self, other):
         return (
             isinstance(other, Hypergraphlet)
@@ -264,22 +257,6 @@ def serialize_hypergraph(H):
     for e in H.edges:
         lines.append(" ".join(H.label_of(v) for v in e))
     return "\n".join(lines) + "\n"
-
-
-def serialize_hypergraphlet(P):
-    """Text form: order on the first line, then hex edge bitmasks ascending."""
-    lines = [str(P.order)]
-    lines.extend("%x" % mask for mask in P.edges)
-    return "\n".join(lines) + "\n"
-
-
-def parse_hypergraphlet(text):
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise HypergraphError("empty hypergraphlet text")
-    order = int(lines[0])
-    edges = [int(tok, 16) for tok in lines[1:]]
-    return Hypergraphlet(order, edges)
 
 
 def gaifman(H):

@@ -291,22 +291,17 @@ class EstimateReport:
 
     rows maps key -> dict(samples, inv_sigma_sum (Fraction), estimate
     (Fraction, colorful count scale), relative_frequency (float)).  W, k,
-    samples record the build total and budget; log holds (key, sigma) per
-    accepted sample.
+    samples record the build total and budget.
     """
 
-    __slots__ = ("k", "W", "samples", "mode", "rows", "log")
+    __slots__ = ("k", "W", "samples", "mode", "rows")
 
-    def __init__(self, k, W, samples, mode, rows, log):
+    def __init__(self, k, W, samples, mode, rows):
         self.k = k
         self.W = W
         self.samples = samples
         self.mode = mode
         self.rows = rows
-        self.log = log
-
-    def total_estimate(self):
-        return sum((r["estimate"] for r in self.rows.values()), Fraction(0))
 
 
 def _with_frequencies(rows):
@@ -317,7 +312,7 @@ def _with_frequencies(rows):
     return rows
 
 
-def estimate_counts(gens, K, rng, mode="weighted", keep_log=True):
+def estimate_counts(gens, K, rng, mode="weighted"):
     """Run K sampling rounds and aggregate per-key statistics.
 
     weighted: every sample contributes 1/sigma to its key.  uniform: a
@@ -334,7 +329,6 @@ def estimate_counts(gens, K, rng, mode="weighted", keep_log=True):
     uniform = mode == "uniform"
     cs = gens.cs
     hists = {}
-    log = [] if keep_log else None
     for _ in range(K):
         out = sample_outcome(gens, rng)
         sigma = out.sigma
@@ -346,21 +340,19 @@ def estimate_counts(gens, K, rng, mode="weighted", keep_log=True):
         if h is None:
             h = hists[out.key] = {}
         h[sigma] = h.get(sigma, 0) + 1
-        if keep_log:
-            log.append((out.key, out.sigma))
     scale = Fraction(cs.W, cs.k * K)
     rows = {}
     for key, h in hists.items():
         inv = sum(Fraction(c, s) for s, c in h.items())
         rows[key] = {"samples": sum(h.values()), "inv_sigma_sum": inv,
                      "estimate": scale * inv}
-    return EstimateReport(cs.k, cs.W, K, mode, _with_frequencies(rows), log)
+    return EstimateReport(cs.k, cs.W, K, mode, _with_frequencies(rows))
 
 
-def sharded_estimate(gens, K, seed, run, mode="weighted", keep_log=True):
+def sharded_estimate(gens, K, seed, run, mode="weighted"):
     """One run's single seeded stream; perfbench times this name, K at args[1]."""
     rng = derived_rng(seed, "run%d|sampling" % run)
-    return estimate_counts(gens, K, rng, mode=mode, keep_log=keep_log)
+    return estimate_counts(gens, K, rng, mode=mode)
 
 
 # -- end-to-end pipeline ------------------------------------------------
@@ -382,7 +374,7 @@ def resolve_build(H, k, coloring, alpha_policy="auto", gamma=0.01, cap=20):
 
 
 def approx_counts(H, k, samples, seed, runs=1, alpha_policy="auto", gamma=0.01,
-                  mode="weighted", cap=20, keep_log=False):
+                  mode="weighted", cap=20):
     """Full estimate: `runs` independent colorings, estimates averaged.
 
     Returns (rows, reports): rows maps key -> dict(samples,
@@ -404,8 +396,7 @@ def approx_counts(H, k, samples, seed, runs=1, alpha_policy="auto", gamma=0.01,
         except NoColorfulOccurrences:
             per_run.append(None)
             continue
-        per_run.append(sharded_estimate(gens, samples, seed, r, mode=mode,
-                                        keep_log=keep_log))
+        per_run.append(sharded_estimate(gens, samples, seed, r, mode=mode))
     rows = {}
     for rep in per_run:
         if rep is None:

@@ -34,25 +34,11 @@ def code_from_children(children):
     return "(" + "".join(sorted(children)) + ")"
 
 
-def code_order(code):
-    """Number of vertices encoded: one per '(' pair."""
-    return code.count("(")
-
-
 def canonical_code(children_of, root):
     """Code for a rooted tree given a child-list map (adjacency from root)."""
     def rec(v):
         return code_from_children([rec(u) for u in children_of[v]])
     return rec(root)
-
-
-def code_of_parent_array(parents):
-    """Code for a rooted tree given parents[i] for i >= 1, root = 0."""
-    n = len(parents) + 1
-    children = [[] for _ in range(n)]
-    for i, p in enumerate(parents, start=1):
-        children[p].append(i)
-    return canonical_code(children, 0)
 
 
 def _children_codes(code):
@@ -117,11 +103,6 @@ class TreeletCatalog:
     def tid_of(self, code):
         return self.by_code[code]
 
-    def merge(self, t1_id, t2_id):
-        """Attach T2 under T1's root; returns the tid of the result."""
-        t1, t2 = self.treelets[t1_id], self.treelets[t2_id]
-        return self.by_code[code_from_children(list(t1.children) + [t2.code])]
-
     def dump(self):
         """One canonical code per line; versioning text for table files."""
         return "\n".join(t.code for t in self.treelets) + "\n"
@@ -143,14 +124,3 @@ def _extend_by_leaf(code):
 
     return rec(code)
 
-
-def enumerate_treelets(k):
-    """The catalog's treelets, orders 1..k, deterministic order."""
-    return TreeletCatalog(k).treelets
-
-
-def canonical_decomposition(catalog, tid):
-    t = catalog[tid]
-    if t.order < 2:
-        raise HypergraphError("order-1 treelet has no decomposition")
-    return catalog[t.t1], catalog[t.t2], t.d

@@ -219,7 +219,7 @@ def test_criterion_04_sampling_law():
     # distinct canonical keys, so per-key acceptance counts are per-set.
     rep = estimate_counts(
         gens, n_samples, derived_rng("acc4", "uniform"),
-        mode="uniform", keep_log=False,
+        mode="uniform",
     )
     assert len(rep.rows) == 3
     total_kept = sum(row["samples"] for row in rep.rows.values())
@@ -254,7 +254,7 @@ def test_criterion_05_estimator_unbiasedness():
             per_key = {key: [] for key in exact}
             for r in range(RUNS):
                 rng = derived_rng("c5|%d|%d" % (i, k), "unb|run%d" % r)
-                rep = estimate_counts(gens, K, rng, keep_log=False)
+                rep = estimate_counts(gens, K, rng)
                 for key in per_key:
                     row = rep.rows.get(key)
                     per_key[key].append(

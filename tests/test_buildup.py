@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -378,8 +379,11 @@ def test_table_bad_files(tmp_path, toy):
     # Naive table, seed "x": the alpha (= rank 5), cap (20) and seed-length
     # varints sit at 6..8, the seed at 9 and n at 10, so the catalog digest
     # occupies bytes 11..42 and the host digest bytes 43..74.
+    # The trailer is recomputed: a file written under another catalog would
+    # carry a valid one, and the digest check is what must refuse it.
     bad_digest = bytearray(raw)
     bad_digest[15] ^= 0xFF
+    bad_digest[-32:] = hashlib.sha256(bad_digest[:-32]).digest()
     bd = tmp_path / "d.hmt"
     bd.write_bytes(bytes(bad_digest))
     with pytest.raises(BuildError, match="different treelet catalog"):
@@ -391,6 +395,26 @@ def test_table_bad_files(tmp_path, toy):
         bt.write_bytes(bytes(damaged))
         with pytest.raises(BuildError, match="truncated or corrupt table file"):
             read_table(str(bt))
+
+
+def test_every_damaged_byte_is_refused(tmp_path, toy):
+    # The table of `build toy.hg -k 3 --seed s3 --alpha 2`.  Flipping the low
+    # bit of any one byte, header, arrays or trailer, must not load.
+    cs = build_counters(toy, apply_split(toy, 2), 3, random_coloring(toy, 3, "s3|run0"))
+    path = tmp_path / "t.hmt"
+    write_table(cs, str(path))
+    raw = path.read_bytes()
+    loaded = []
+    for i in range(len(raw)):
+        damaged = bytearray(raw)
+        damaged[i] ^= 1
+        path.write_bytes(bytes(damaged))
+        try:
+            counterset_from_table(toy, read_table(str(path)))
+        except BuildError:
+            continue
+        loaded.append(i)
+    assert loaded == []
 
 
 def test_table_wrong_host(tmp_path, toy):

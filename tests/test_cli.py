@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -543,7 +544,10 @@ def test_damaged_alpha_is_refused_by_the_recorded_cap(tmp_path):
             "--seed", "s1", "-o", str(table))
     raw = table.read_bytes()
     assert raw[6] == 2
-    table.write_bytes(raw[:6] + b"\x00" + raw[7:])
+    # The trailer is recomputed: a file written under another alpha would
+    # carry a valid one, and the recorded cap is what must refuse it.
+    damaged = raw[:6] + b"\x00" + raw[7:-32]
+    table.write_bytes(damaged + hashlib.sha256(damaged).digest())
     proc = run_cli("sample", str(hg), "--table", str(table), "--samples", "10",
                    expect=1)
     assert "degree 40 exceeds the 2^degree cap 1" in one_line_error(proc)

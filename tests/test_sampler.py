@@ -366,7 +366,6 @@ def test_estimator_exact_on_unique_occurrence():
     assert row["inv_sigma_sum"] == Fraction(500, 3)
     assert row["estimate"] == Fraction(1)
     assert row["relative_frequency"] == 1.0
-    assert report.total_estimate() == 1
 
 
 def test_estimator_uniform_mode():
@@ -401,7 +400,7 @@ def test_estimator_unbiased_on_crafted():
     acc = {}
     for r in range(runs):
         rng = random.Random("law|%d" % r)
-        rep = estimate_counts(gens, K, rng, keep_log=False)
+        rep = estimate_counts(gens, K, rng)
         for key, row in rep.rows.items():
             acc.setdefault(key, []).append(row["estimate"])
     expected_keys = {
@@ -420,7 +419,6 @@ def test_sharded_estimate_single_thread_matches_plain():
     direct = estimate_counts(gens, 400, derived_rng("s9", "run0|sampling"))
     sharded = sharded_estimate(gens, 400, "s9", 0)
     assert sharded.rows == direct.rows
-    assert sharded.log == direct.log
 
 
 def test_resolve_build_policies():

@@ -4,15 +4,7 @@ from itertools import product
 import pytest
 
 from hypergraphlets.hypercore import HypergraphError
-from hypergraphlets.treelets import (
-    TreeletCatalog,
-    canonical_code,
-    canonical_decomposition,
-    code_from_children,
-    code_of_parent_array,
-    code_order,
-    enumerate_treelets,
-)
+from hypergraphlets.treelets import TreeletCatalog, canonical_code, code_from_children
 
 from oracles import ahu_code
 
@@ -44,10 +36,9 @@ def test_counts_match_bruteforce_enumeration():
 
 
 def test_code_order_and_shapes():
-    assert code_order("()") == 1
-    assert code_order("(())") == 2
-    assert code_order("(()())") == 3
-    assert code_order("((()))") == 3
+    # A code has one "(" per vertex.
+    for t in TreeletCatalog(6).treelets:
+        assert t.order == t.code.count("(")
     # Lexicographic child sort puts "(())" before "()".
     assert code_from_children(["()", "(())"]) == "((())())"
 
@@ -55,13 +46,11 @@ def test_code_order_and_shapes():
 def test_frozen_decompositions():
     cat = TreeletCatalog(3)
     star = cat[cat.tid_of("(()())")]
-    t1, t2, d = canonical_decomposition(cat, star.tid)
-    assert (t1.code, t2.code, d) == ("(())", "()", 2)
+    assert (cat[star.t1].code, cat[star.t2].code, star.d) == ("(())", "()", 2)
     path_end = cat[cat.tid_of("((()))")]
-    t1, t2, d = canonical_decomposition(cat, path_end.tid)
-    assert (t1.code, t2.code, d) == ("()", "(())", 1)
-    with pytest.raises(HypergraphError):
-        canonical_decomposition(cat, cat.tid_of("()"))
+    assert (cat[path_end.t1].code, cat[path_end.t2].code, path_end.d) == ("()", "(())", 1)
+    leaf = cat[cat.tid_of("()")]
+    assert (leaf.t1, leaf.t2, leaf.d) == (None, None, None)
 
 
 def test_decomposition_reassembles():
@@ -72,19 +61,12 @@ def test_decomposition_reassembles():
             continue
         t1, t2 = cat[t.t1], cat[t.t2]
         assert t1.order + t2.order == t.order
-        assert cat.merge(t.t1, t.t2) == t.tid
+        # Hanging T2 under T1's root gives T back.
+        assert cat.tid_of(code_from_children(list(t1.children) + [t2.code])) == t.tid
         # T2 is the smallest child subtree, d its multiplicity.
         assert t2.code == min(t.children)
         assert t.d == sum(1 for c in t.children if c == t2.code)
         assert tuple(sorted(list(t1.children) + [t2.code])) == t.children
-
-
-def test_merge_leaves():
-    cat = TreeletCatalog(4)
-    leaf = cat.tid_of("()")
-    two = cat.merge(leaf, leaf)
-    assert cat[two].code == "(())"
-    assert cat[cat.merge(two, leaf)].code == "(()())"
 
 
 def test_catalog_order_is_by_order_then_code():
@@ -102,7 +84,10 @@ def test_canonical_code_matches_oracle_on_random_trees():
         h = rng.randint(1, 9)
         parents = [rng.randrange(i) for i in range(1, h)]
         edges = [(i + 1, p) for i, p in enumerate(parents)]
-        assert code_of_parent_array(parents) == ahu_code(h, edges, 0)
+        children = [[] for _ in range(h)]
+        for i, p in edges:
+            children[p].append(i)
+        assert canonical_code(children, 0) == ahu_code(h, edges, 0)
 
 
 def test_canonical_code_invariant_under_child_order():
@@ -125,4 +110,4 @@ def test_dump_versioning_text():
     assert lines[0] == "()"
     assert lines[1] == "(())"
     assert len(lines) == 37
-    assert enumerate_treelets(6)[5].code == lines[5]
+    assert [t.code for t in cat.treelets] == lines
