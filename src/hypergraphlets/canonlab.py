@@ -11,7 +11,7 @@ against.
 from __future__ import annotations
 
 import os
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .hypercore import (
     HypergraphError,
@@ -22,7 +22,8 @@ from .hypercore import (
 from .treelets import canonical_code
 
 DEFAULT_BUDGET = 10 ** 8
-MAX_KEY_ORDER = 8  # canonical_key tries all k'! relabelings
+MAX_KEY_ORDER = 8  # the largest order canonical_key, -k and .hmt headers accept
+KEY_CACHE_CAP = 1 << 14  # _KEY_CACHE is emptied when it holds this many keys
 
 
 def enumeration_budget(default=DEFAULT_BUDGET):
@@ -54,33 +55,77 @@ _KEY_CACHE = {}
 
 
 def canonical_key(P):
-    """Minimal (order, edge-tuple) over all vertex permutations; k' <= 8."""
+    """The key of the module docstring, as (order, sorted masks); k' <= 8.
+
+    Keys are cached by P's labeled edge tuple, and the cache is emptied
+    whenever it reaches KEY_CACHE_CAP entries.
+    """
     kp = P.order
     check_key_order(kp)
     raw = (kp, P.edges)
-    hit = _KEY_CACHE.get(raw)
-    if hit is not None:
-        return hit
-    if kp <= 1 or not P.edges:
-        best = P.edges
-    else:
-        best = None
-        for perm in permutations(range(kp)):
-            mapped = []
-            for mask in P.edges:
-                m = 0
-                rest = mask
-                while rest:
-                    low = rest & -rest
-                    m |= 1 << perm[low.bit_length() - 1]
-                    rest ^= low
-                mapped.append(m)
-            mapped = tuple(sorted(mapped))
-            if best is None or mapped < best:
-                best = mapped
-    key = (kp, best)
-    _KEY_CACHE[raw] = key
+    key = _KEY_CACHE.get(raw)
+    if key is None:
+        if len(_KEY_CACHE) >= KEY_CACHE_CAP:
+            _KEY_CACHE.clear()
+        key = _KEY_CACHE[raw] = (kp, _min_relabeling(kp, P.edges))
     return key
+
+
+def _min_relabeling(kp, edges):
+    """Smallest sorted relabeled mask tuple, placing positions 0, 1, ... in turn.
+
+    Once positions 0..p-1 are placed, the masks of the edges inside the placed
+    set are final and every other mask is at least 2**p.  So placing vertex v
+    at p closes a sorted run of masks in [2**p, 2**(p+1)) that follows all
+    masks closed before it.  With a sentinel 1 << kp appended, two runs
+    compare as the tuples they lead to: the longer run wins when one is a
+    prefix of the other.  Each level keeps only the children whose run is
+    minimal over the level, so all its nodes share one prefix.  Nodes with the
+    same unplaced set and open edges have the same futures and are merged, and
+    a node tries one vertex per twin class (vertices in exactly the same
+    edges), since twins are interchangeable.
+    """
+    twins = {}
+    for v in range(kp):
+        twins.setdefault(tuple([mask >> v & 1 for mask in edges]), []).append(v)
+    classes = list(twins.values())
+    low = (1 << kp) - 1
+    sentinel = [1 << kp]
+    # A node: its unplaced vertices as a mask, and its open edges, each with
+    # its placed positions in the low kp bits and unplaced vertex v at kp + v.
+    level = [(low, [mask << kp for mask in edges])]
+    key = []
+    for p in range(kp):
+        pbit = 1 << p
+        best = None
+        for free, open_edges in level:
+            for cls in classes:
+                for v in cls:
+                    if free >> v & 1:
+                        break
+                else:
+                    continue
+                vbit = 1 << (kp + v)
+                run = []
+                rest = []
+                for m in open_edges:
+                    if m & vbit:
+                        m ^= vbit | pbit
+                        if m <= low:
+                            run.append(m)
+                            continue
+                    rest.append(m)
+                run += sentinel
+                run.sort()
+                if best is None or run < best:
+                    best = run
+                    children = []
+                if run == best:
+                    children.append((free ^ (1 << v), rest))
+        key += best[:-1]
+        level = {(free, frozenset(rest)): (free, rest)
+                 for free, rest in children}.values()
+    return tuple(key)
 
 
 def key_to_hypergraphlet(key):
@@ -162,6 +207,7 @@ def exact_counts(H, k, budget=None):
 
 def exact_colorful_counts(H, coloring, k, budget=None):
     """As exact_counts but restricted to colorful U (all k colors present)."""
+    check_key_order(k)
     colors = coloring.colors
     counts = {}
     for U in connected_ksets(H, k, budget=budget):

@@ -5,7 +5,7 @@ importing any library internals beyond the Hypergraph container itself, so
 that agreement between the two is meaningful.
 """
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 from hypergraphlets.hypercore import Hypergraph
 
@@ -62,6 +62,17 @@ def truncated_edge_masks(H, U):
         if m:
             masks.add(m)
     return masks
+
+
+def brute_canonical_key(P):
+    """The canonical key by its definition: over all order! relabelings of
+    P's vertices, the smallest sorted tuple of edge masks."""
+    order = P.order
+    members = [[v for v in range(order) if mask >> v & 1] for mask in P.edges]
+    best = min(
+        sorted([sum([bit[v] for v in vs]) for vs in members])
+        for bit in permutations([1 << v for v in range(order)]))
+    return (order, tuple(best))
 
 
 def ahu_code(n, edges, root):

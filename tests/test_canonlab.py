@@ -1,8 +1,9 @@
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
+from hypergraphlets import canonlab
 from hypergraphlets.buildup import Coloring
 from hypergraphlets.canonlab import (
     BudgetExceeded,
@@ -25,7 +26,7 @@ from hypergraphlets.hypercore import (
     parse_hypergraph,
 )
 
-from oracles import naive_connected_ksets, random_hypergraph
+from oracles import brute_canonical_key, naive_connected_ksets, random_hypergraph
 
 TOY_TEXT = "# vertices 8\n0 1\n1 4\n3 5 6\n0 1 2 4 6\n"
 
@@ -94,6 +95,30 @@ def test_exact_colorful_counts_restricts(toy):
     assert exact_colorful_counts(toy, Coloring(2, [0] * 8), 2) == {}
 
 
+def test_exact_colorful_counts_refuses_large_k_up_front(toy):
+    # toy has 8 vertices, so no 9-set would ever reach canonical_key.
+    with pytest.raises(HypergraphError, match="order <= 8"):
+        exact_colorful_counts(toy, Coloring(9, range(8)), 9)
+
+
+def _relabeled(P, perm):
+    """P with local vertex i renamed perm[i]."""
+    return Hypergraphlet(P.order, [
+        sum(1 << perm[i] for i in range(P.order) if mask >> i & 1)
+        for mask in P.edges
+    ])
+
+
+def _every_edge_set(order):
+    masks = range(1, 1 << order)
+    for chosen in range(1 << len(masks)):
+        yield Hypergraphlet(order, [m for i, m in enumerate(masks) if chosen >> i & 1])
+
+
+def _from_vertex_sets(order, sets):
+    return Hypergraphlet(order, [sum(1 << v for v in e) for e in sets])
+
+
 def test_canonical_key_relabel_invariance():
     rng = random.Random(73)
     for _ in range(80):
@@ -104,14 +129,7 @@ def test_canonical_key_relabel_invariance():
         key = canonical_key(P)
         perm = list(range(P.order))
         rng.shuffle(perm)
-        relabeled = Hypergraphlet(
-            P.order,
-            [
-                sum(1 << perm[i] for i in range(P.order) if mask >> i & 1)
-                for mask in P.edges
-            ],
-        )
-        assert canonical_key(relabeled) == key
+        assert canonical_key(_relabeled(P, perm)) == key
 
 
 def test_canonical_key_is_minimum_over_permutations():
@@ -127,6 +145,63 @@ def test_canonical_key_is_minimum_over_permutations():
         )
         all_images.append(imgs)
     assert key == (3, min(all_images))
+
+
+def test_canonical_key_matches_brute_on_every_edge_set_up_to_order_3():
+    for order in range(1, 4):
+        for P in _every_edge_set(order):
+            assert canonical_key(P) == brute_canonical_key(P)
+
+
+def test_canonical_key_matches_brute_on_every_order_4_edge_set():
+    # Relabelings share one brute-force key, so the oracle runs once per
+    # isomorphism class and canonical_key still sees all 2**15 edge sets.
+    checked = set()
+    for P in _every_edge_set(4):
+        if P.edges in checked:
+            continue
+        key = brute_canonical_key(P)
+        for perm in permutations(range(4)):
+            Q = _relabeled(P, perm)
+            checked.add(Q.edges)
+            assert canonical_key(Q) == key
+    assert len(checked) == 1 << 15
+
+
+def test_canonical_key_matches_brute_on_random_orders_5_to_8():
+    rng = random.Random(79)
+    for order, cases in ((5, 60), (6, 30), (7, 8), (8, 2)):
+        for _ in range(cases):
+            sets = [
+                rng.sample(range(order), rng.choice((2, 2, 3, rng.randint(1, order))))
+                for _ in range(rng.randint(1, 2 * order))
+            ]
+            P = _from_vertex_sets(order, sets)
+            key = brute_canonical_key(P)
+            assert canonical_key(P) == key
+            perm = list(range(order))
+            rng.shuffle(perm)
+            assert canonical_key(_relabeled(P, perm)) == key
+
+
+@pytest.mark.parametrize("sets", [
+    list(combinations(range(8), 2)),  # K8
+    list(combinations(range(8), 3)),  # complete 3-uniform on 8 vertices
+    [(i, (i + 1) % 8) for i in range(8)],  # C8
+    [(a, a | 1 << b) for a in range(8) for b in range(3) if not a >> b & 1],  # cube
+    [(a, b) for a in range(4) for b in range(4, 8)],  # K4,4
+], ids=["K8", "K3-8", "C8", "cube", "K4-4"])
+def test_canonical_key_matches_brute_on_symmetric_order_8(sets):
+    P = _from_vertex_sets(8, sets)
+    assert canonical_key(P) == brute_canonical_key(P)
+
+
+def test_key_cache_is_emptied_at_its_cap(monkeypatch):
+    monkeypatch.setattr(canonlab, "_KEY_CACHE", {})
+    monkeypatch.setattr(canonlab, "KEY_CACHE_CAP", 5)
+    for P in _every_edge_set(3):
+        assert canonical_key(P) == brute_canonical_key(P)
+        assert len(canonlab._KEY_CACHE) <= 5
 
 
 def test_canonical_key_separates_shapes():
