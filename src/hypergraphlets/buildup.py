@@ -3,25 +3,29 @@
 C(T,S,v) counts rooted trees in the Gaifman graph that are isomorphic to the
 rooted treelet T, use exactly the color set S (one vertex per color), and are
 rooted at v.  The recurrence glues T1 (rooted at v) to T2 (rooted at a
-neighbor u), so each round needs eta(v) = sum of C(T2,S2,u) over neighbors u
-of v.  A round runs across an alpha-split: directly on the Gaifman projection
-of the lower part, then, for each vertex in an upper edge, adds the upper
-neighbors by inclusion-exclusion over its type and takes back the pairs
-adjacent in both parts.  An NWPlan holds what no round changes, built once
-per build.  eta lives only while the build runs: the tables and the split
-are all the sampler and the table loader need.  The naive baseline is the
-split at alpha = H.rank, whose upper part is empty.  Counts are exact
-arbitrary-precision integers.
+neighbor u), so each T2 needs eta(v) = sum of C(T2,S2,u) over neighbors u of
+v, for every color set S2.  One neighbor-weight round per T2 serves all its
+S2: the counts of each vertex are packed into one integer, a fixed-width
+field per S2, and the round sums those integers.  A round runs across an
+alpha-split: directly on the Gaifman projection of the lower part, then, for
+each vertex in an upper edge, adds the upper neighbors by inclusion-exclusion
+over its type and takes back the pairs adjacent in both parts.  An NWPlan
+holds what no round changes, built once per build.  The DP and the rounds
+walk only the nonzero entries of each table.  eta lives only while the
+build runs: the tables and the split are all the sampler and the table
+loader need.  The naive baseline is the split at alpha = H.rank, whose upper
+part is empty.  Counts are exact arbitrary-precision integers.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+import struct
 import sys
 from array import array
 from functools import cache
-from itertools import combinations
+from itertools import combinations, compress
 
 from .canonlab import MAX_KEY_ORDER
 
@@ -62,13 +66,16 @@ def random_coloring(H, k, seed):
 
 
 def nw_naive(G, w):
-    """eta(v) = sum of w(u) over Gaifman neighbors u of v."""
+    """eta(v) = sum of w(u) over Gaifman neighbors u of v.
+
+    w may hold packed integers (see packed_neighbor_weights): the sum is
+    linear in w."""
     out = [0] * G.n
     adj = G.adj
-    for v, x in enumerate(w):
-        if x:
-            for u in adj[v]:
-                out[u] += x
+    for v in compress(range(G.n), w):
+        x = w[v]
+        for u in adj[v]:
+            out[u] += x
     return out
 
 
@@ -138,6 +145,30 @@ def combined_neighbor_weight(plan, w):
     return eta
 
 
+def packed_neighbor_weights(plan, vectors):
+    """combined_neighbor_weight of each nonnegative vector, in one round.
+
+    Vertex v's entries go into one integer, vector j in the j-th
+    little-endian field of width bytes, and the round runs once on those
+    integers.  Both passes of a round are linear in w, and each final field
+    lies in [0, n * max), since a vertex has fewer than n neighbors; a field
+    that holds n * max therefore never borrows from or carries into the
+    next, whatever the inclusion-exclusion terms do on the way.  width is
+    _pack's width for n * max."""
+    n, m = len(vectors[0]), len(vectors)
+    width = _width(n * max(map(max, vectors)))
+    stride = m * width
+    # flat[v * m + j] is vector j at v: byte for byte, the packed integers.
+    flat = [0] * (n * m)
+    for j, vec in enumerate(vectors):
+        flat[j::m] = vec
+    packed = [int.from_bytes(x, "little")
+              for x, in struct.iter_unpack("%ds" % stride, _to_bytes(flat, width))]
+    eta = combined_neighbor_weight(plan, packed)
+    flat = _from_bytes(b"".join([x.to_bytes(stride, "little") for x in eta]), width)
+    return [flat[j::m] for j in range(m)]
+
+
 @cache
 def masks_of_size(k, h):
     """All k-bit masks with h bits set, ascending; one shared tuple per (k, h)."""
@@ -178,9 +209,11 @@ class CounterSet:
 
 
 def build_counters(H, split, k, coloring, cap=20):
-    """Bottom-up DP over the treelet catalog; each neighbor-weight round
-    (T2,S2) runs combined_neighbor_weight over one NWPlan of the split, once,
-    and is skipped (None) when C(T2,S2,.) is identically zero."""
+    """Bottom-up DP over the treelet catalog.  Each treelet T2 that some T
+    glues on gets one neighbor-weight round over the split's NWPlan, which
+    packs C(T2,S2,.) of every S2 whose table is not identically zero (see
+    packed_neighbor_weights).  The DP's products and the divisibility pass
+    walk only nonzero entries."""
     catalog = TreeletCatalog(k)
     if coloring.k != k:
         raise BuildError("coloring has %d colors, build wants %d" % (coloring.k, k))
@@ -189,60 +222,71 @@ def build_counters(H, split, k, coloring, cap=20):
     n = H.n
     colors = coloring.colors
     zeros = [0] * n
+    # One shared int per vertex id, so the support lists below hold
+    # pointers, not fresh ints.
+    verts = list(range(n))
 
     tables = [None] * len(catalog)
     tables[0] = {1 << c: [1 if colors[v] == c else 0 for v in range(n)]
                  for c in range(k)}
+    # support[tid][S]: the vertices where C(T_tid,S,.) is nonzero, for the
+    # orders below k, the ones a later treelet reads.
+    support = [None] * len(catalog)
+    support[0] = {S: list(compress(verts, w)) for S, w in tables[0].items()}
 
     # k = 1 has no neighbor-weight round, so neither a plan nor a cap check.
     plan = NWPlan(split, cap) if k > 1 else None
+    # eta[t2] lives from t2's round to the last treelet that glues t2.
     eta = {}
-    for h in range(2, k + 1):
-        for t in catalog.of_order(h):
-            h2 = catalog[t.t2].order
-            h1 = h - h2
-            acc = {}
-            for S2 in masks_of_size(k, h2):
-                if (t.t2, S2) not in eta:
-                    w = tables[t.t2][S2]
-                    eta[t.t2, S2] = combined_neighbor_weight(plan, w) if any(w) else None
-                eta2 = eta[t.t2, S2]
-                if eta2 is None:
+    glued = catalog.treelets[1:]
+    last = {t.t2: t.tid for t in glued}
+    for t in glued:
+        h, h2 = t.order, catalog[t.t2].order
+        h1 = h - h2
+        if t.t2 not in eta:
+            w2 = tables[t.t2]
+            live = [S2 for S2 in masks_of_size(k, h2) if support[t.t2][S2]]
+            eta[t.t2] = dict(zip(live, packed_neighbor_weights(
+                plan, [w2[S2] for S2 in live]) if live else ()))
+        acc = {}
+        sup1 = support[t.t1]
+        w1s = tables[t.t1]
+        for S2, eta2 in eta[t.t2].items():
+            rest = [c for c in range(k) if not S2 >> c & 1]
+            for cset in combinations(rest, h1):
+                S1 = sum(1 << c for c in cset)
+                nz = sup1[S1]
+                if not nz:
                     continue
-                rest = [c for c in range(k) if not S2 >> c & 1]
-                for cset in combinations(rest, h1):
-                    S1 = sum(1 << c for c in cset)
-                    w1 = tables[t.t1][S1]
-                    if w1 is zeros:
-                        continue
-                    a = acc.get(S1 | S2)
-                    if a is None:
-                        a = acc[S1 | S2] = [0] * n
-                    for i, x in enumerate(w1):
-                        if x:
-                            y = eta2[i]
-                            if y:
-                                a[i] += x * y
-            tbl = {}
-            d = t.d
-            for S in masks_of_size(k, h):
-                a = acc.get(S)
+                w1 = w1s[S1]
+                a = acc.get(S1 | S2)
                 if a is None:
-                    tbl[S] = zeros
-                elif d == 1:
-                    tbl[S] = a
-                else:
-                    out = [0] * n
-                    for i, val in enumerate(a):
-                        if val:
-                            q, r = divmod(val, d)
-                            if r:
-                                raise BuildError(
-                                    "counter sum for treelet %d not divisible by d=%d"
-                                    % (t.tid, d))
-                            out[i] = q
-                    tbl[S] = out
-            tables[t.tid] = tbl
+                    a = acc[S1 | S2] = [0] * n
+                for i in nz:
+                    a[i] += w1[i] * eta2[i]
+        tbl = {}
+        d = t.d
+        for S in masks_of_size(k, h):
+            a = acc.get(S)
+            if a is None:
+                tbl[S] = zeros
+            elif d == 1:
+                tbl[S] = a
+            else:
+                out = [0] * n
+                for i in compress(verts, a):
+                    q, r = divmod(a[i], d)
+                    if r:
+                        raise BuildError(
+                            "counter sum for treelet %d not divisible by d=%d"
+                            % (t.tid, d))
+                    out[i] = q
+                tbl[S] = out
+        tables[t.tid] = tbl
+        if last[t.t2] == t.tid:
+            del eta[t.t2]
+        if h < k:
+            support[t.tid] = {S: list(compress(verts, w)) for S, w in tbl.items()}
 
     full = (1 << k) - 1
     W = sum(sum(tables[t.tid][full]) for t in catalog.of_order(k))
@@ -296,19 +340,40 @@ def _read_varint(buf, pos):
         shift += 7
 
 
-def _pack(values):
-    """A width varint, then every value little-endian in that many bytes:
-    the narrowest array width that holds the maximum, or as many bytes as
-    the maximum needs once it reaches 2^64."""
-    top = max(values, default=0)
-    width = next((w for w in _WIDTHS if top < 1 << 8 * w),
-                 (top.bit_length() + 7) // 8)
+def _width(top):
+    """Bytes per value: the narrowest array width that holds top, or as
+    many bytes as top needs once it reaches 2^64."""
+    return next((w for w in _WIDTHS if top < 1 << 8 * w),
+                (top.bit_length() + 7) // 8)
+
+
+def _to_bytes(values, width):
+    """Every value little-endian in width bytes."""
     if width in _TYPECODES:
         arr = array(_TYPECODES[width], values)
         if sys.byteorder == "big":
             arr.byteswap()
-        return _varint(width) + arr.tobytes()
-    return _varint(width) + b"".join(x.to_bytes(width, "little") for x in values)
+        return arr.tobytes()
+    return b"".join(x.to_bytes(width, "little") for x in values)
+
+
+def _from_bytes(raw, width):
+    """Inverse of _to_bytes."""
+    if width in _TYPECODES:
+        arr = array(_TYPECODES[width])
+        arr.frombytes(raw)
+        if sys.byteorder == "big":
+            arr.byteswap()
+        return arr.tolist()
+    return [int.from_bytes(raw[i:i + width], "little")
+            for i in range(0, len(raw), width)]
+
+
+def _pack(values):
+    """A width varint, then every value little-endian in that many bytes,
+    the width _width gives for the maximum."""
+    width = _width(max(values, default=0))
+    return _varint(width) + _to_bytes(values, width)
 
 
 def _unpack(buf, pos, n):
@@ -317,14 +382,7 @@ def _unpack(buf, pos, n):
     end = pos + width * n
     if not width or end > len(buf):
         raise BuildError(_CORRUPT)
-    if width in _TYPECODES:
-        arr = array(_TYPECODES[width])
-        arr.frombytes(buf[pos:end])
-        if sys.byteorder == "big":
-            arr.byteswap()
-        return arr.tolist(), end
-    return [int.from_bytes(buf[i:i + width], "little")
-            for i in range(pos, end, width)], end
+    return _from_bytes(buf[pos:end], width), end
 
 
 def catalog_digest(catalog):

@@ -58,13 +58,14 @@ def canonical_key(P):
     """The key of the module docstring, as (order, sorted masks); k' <= 8.
 
     Keys are cached by P's labeled edge tuple, and the cache is emptied
-    whenever it reaches KEY_CACHE_CAP entries.
+    whenever it reaches KEY_CACHE_CAP entries.  Only a miss checks the
+    order: a key enters the cache after its order has passed the check.
     """
     kp = P.order
-    check_key_order(kp)
     raw = (kp, P.edges)
     key = _KEY_CACHE.get(raw)
     if key is None:
+        check_key_order(kp)
         if len(_KEY_CACHE) >= KEY_CACHE_CAP:
             _KEY_CACHE.clear()
         key = _KEY_CACHE[raw] = (kp, _min_relabeling(kp, P.edges))

@@ -131,8 +131,8 @@ class Generators:
 
     def _edge_totals(self, t2, S2):
         """Per upper edge j: the sum of C(T2,S2,.) over edge j.  All edges
-        at once: one pass over the upper part, which costs less than the
-        build's own round (T2,S2) did."""
+        at once: one pass over the upper part, which costs less than a
+        neighbor-weight round over C(T2,S2,.)."""
         key = (t2, S2)
         totals = self._edge_total.get(key)
         if totals is None:

@@ -16,6 +16,7 @@ from hypergraphlets.buildup import (
     masks_of_size,
     nw_ie,
     nw_naive,
+    packed_neighbor_weights,
     random_coloring,
     read_table,
     write_table,
@@ -123,6 +124,51 @@ def test_combined_neighbor_weight_random():
         split = apply_split(H, alpha)
         w = [rng.randrange(-2, 6) for _ in range(H.n)]
         assert combined_neighbor_weight(NWPlan(split), w) == nw_naive(gaifman(H), w)
+
+
+@pytest.mark.parametrize("alpha", [0, 2, 3, "naive"])
+def test_packed_round_matches_per_s2_rounds(toy, alpha):
+    # Alpha 0, 2 and 3 leave upper edges, whose inclusion-exclusion
+    # subtracts inside the packed integers; naive has no upper part.
+    split = apply_split(toy, toy.rank if alpha == "naive" else alpha)
+    plan = NWPlan(split)
+    cs = build_counters(toy, split, 4, random_coloring(toy, 4, "packed"))
+    for t in cs.catalog.treelets:
+        if t.order < 4:
+            vectors = list(cs.tables[t.tid].values())
+            assert packed_neighbor_weights(plan, vectors) == [
+                combined_neighbor_weight(plan, w) for w in vectors]
+
+
+@pytest.mark.parametrize("top", [255, 2 ** 64 - 1, 2 ** 70])
+def test_packed_round_at_field_widths(toy, top):
+    # Fields are sized for n * max, not max: an eta of 2 * 255 needs two
+    # bytes.  Past 2^64 the fields take the int.to_bytes path.
+    split = apply_split(toy, 2)
+    assert split.upper.m
+    plan = NWPlan(split)
+    cs = build_counters(toy, split, 3, rainbow(toy, 3))
+    leaf = cs.catalog.tid_of("()")
+    vectors = [[x * (top - j) for x in w]
+               for j, w in enumerate(cs.tables[leaf].values())]
+    expect = [combined_neighbor_weight(plan, w) for w in vectors]
+    assert max(map(max, expect)) > top
+    assert packed_neighbor_weights(plan, vectors) == expect
+
+
+def test_one_neighbor_weight_round_per_t2(toy, monkeypatch):
+    calls = []
+    per_s2 = buildup.combined_neighbor_weight
+
+    def counted(plan, w):
+        calls.append(w)
+        return per_s2(plan, w)
+
+    monkeypatch.setattr(buildup, "combined_neighbor_weight", counted)
+    cs = build_counters(toy, apply_split(toy, 2), 4, rainbow(toy, 4))
+    glued = {t.t2 for t in cs.catalog.treelets if t.order > 1}
+    live = [t2 for t2 in glued if any(map(any, cs.tables[t2].values()))]
+    assert len(live) > 1 and len(calls) == len(live)
 
 
 # --- counter builds -------------------------------------------------------
