@@ -52,7 +52,7 @@ CAP_HELP = "refuse splits whose upper part has a vertex of degree above this"
 
 
 def _load(args):
-    with open(args.input, "r", encoding="utf-8") as fh:
+    with open(args.input, "r", encoding="utf-8-sig") as fh:
         return parse_hypergraph(fh.read(), dedupe_edges=not args.no_dedupe_edges)
 
 
@@ -292,7 +292,7 @@ def _cmd_ksh(args):
 
 def _read_ov(path):
     vectors = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for ln, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("%"):

@@ -181,7 +181,7 @@ def parse_hypergraph(text, dedupe_edges=True):
     tokens densify as usual and must not exceed n distinct values.
     """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        text = text.decode("utf-8-sig")
     header_n = None
     raw_edges = []  # (lineno, tokens)
     for lineno, line in enumerate(text.splitlines(), start=1):

@@ -11,8 +11,9 @@ never eta: a neighbor draw proposes a partition (S1, S2) and then u through
 one slot joining v and u, a lower Gaifman edge or an upper edge they share,
 and keeps the pair with probability one over u's number of slots.  Every
 draw and rejection test is exact integer arithmetic: one uniform integer
-below an integer total, located in integer prefix sums.  The draw tables
-are built lazily, only for the branch a draw takes, and cached; cache
+below an integer total, located in integer prefix sums.  Draw tables are
+built lazily and cached by what their weights depend on (upper-edge tables
+by upper type, not by vertex), and sigma is computed once per shape; cache
 warm-up consumes no randomness, so results are reproducible.
 """
 
@@ -61,10 +62,11 @@ class Generators:
     """Exact draw tables over one CounterSet.
 
     The root table is eager; the per-(T2,S2,v) lower-neighbor tables,
-    per-(T2,S2,e) vertex tables, per-(T2,S2,v) upper-edge tables, per-(T2,S2)
-    upper-edge totals and per-(T,S,v) partition tables, which hold v's slot
-    totals, are built on first use and cached (their construction is
-    deterministic and consumes no randomness).
+    per-(T2,S2,e) vertex tables, per-(T2,S2,upper type) upper-edge tables,
+    per-(T2,S2) upper-edge totals and per-(T,S,v) partition tables, which
+    hold v's slot totals, are built on first use and cached (their
+    construction is deterministic and consumes no randomness).  sigmas maps
+    each canonical key sampled so far to its sigma.
     """
 
     def __init__(self, cs):
@@ -82,9 +84,10 @@ class Generators:
         self.root_gen = VoseAlias(items, weights)
         self._partition = {}
         self._lower = {}
-        self._upper_edge = {}
+        self._upper = {}
         self._edge_vertex = {}
         self._edge_total = {}
+        self.sigmas = {}
 
     # -- lazy table builders ------------------------------------------
 
@@ -98,6 +101,7 @@ class Generators:
             cs = self.cs
             t = cs.catalog[tid]
             lower_nbrs = cs.split.lower_neighbors[v]
+            ty = cs.split.upper_types[v]
             items = []
             weights = []
             for S2 in masks_of_size(cs.k, cs.catalog[t.t2].order):
@@ -108,8 +112,8 @@ class Generators:
                 if not w1:
                     continue
                 w_low = sum(map(cs.tables[t.t2][S2].__getitem__, lower_nbrs))
-                w_all = w_low + sum(map(self._edge_totals(t.t2, S2).__getitem__,
-                                        cs.split.upper_types[v]))
+                up = self._upper_gen(t.t2, S2, ty) if ty else None
+                w_all = w_low + (up.total if up else 0)
                 if w_all:
                     items.append((S1, S2, w_low, w_all))
                     weights.append(w1 * w_all)
@@ -141,14 +145,15 @@ class Generators:
                 sum(map(vec.__getitem__, e)) for e in self.cs.split.upper.edges]
         return totals
 
-    def _upper_edge_gen(self, t2, S2, v):
-        key = (t2, S2, v)
-        gen = self._upper_edge.get(key)
-        if gen is None:
-            edges = self.cs.split.upper_types[v]
+    def _upper_gen(self, t2, S2, ty):
+        """Upper type ty (a vertex's upper edges) weighted by the edge totals
+        under C(T2,S2,.), shared by every vertex of that type; None if 0."""
+        key = (t2, S2, ty)
+        if key not in self._upper:
             totals = self._edge_totals(t2, S2)
-            gen = self._upper_edge[key] = VoseAlias(edges, [totals[j] for j in edges])
-        return gen
+            weights = [totals[j] for j in ty]
+            self._upper[key] = VoseAlias(ty, weights) if any(weights) else None
+        return self._upper[key]
 
     def _edge_vertex_gen(self, t2, S2, j):
         key = (t2, S2, j)
@@ -184,7 +189,7 @@ class Generators:
                 u = self._lower_gen(t2, S2, v).draw(rng)
                 in_lower = True
             else:
-                j = self._upper_edge_gen(t2, S2, v).draw(rng)
+                j = self._upper_gen(t2, S2, split.upper_types[v]).draw(rng)
                 u = self._edge_vertex_gen(t2, S2, j).draw(rng)
                 i = bisect_left(lower_nbrs, u)
                 in_lower = i < len(lower_nbrs) and lower_nbrs[i] == u
@@ -278,12 +283,16 @@ class SampleOutcome:
 
 
 def sample_outcome(gens, rng):
-    """Sample one treelet and complete it with extraction, sigma, and key:
-    sigma counts spanning trees of Gaif(H|_U) = Gaif(H)[U]."""
+    """Sample one treelet and complete it with extraction, key and sigma:
+    sigma counts spanning trees of Gaif(H|_U) = Gaif(H)[U].  It depends only
+    on the shape, so it is computed once per key and kept in gens.sigmas."""
     _tid, U, tree_edges = gens.sample_treelet(rng)
     P = extract_hypergraphlet(gens.cs.H, U)
-    sigma = spanning_tree_count(_gaifman_matrix(P))
-    return SampleOutcome(U, tree_edges, sigma, P, canonical_key(P))
+    key = canonical_key(P)
+    sigma = gens.sigmas.get(key)
+    if sigma is None:
+        sigma = gens.sigmas[key] = spanning_tree_count(_gaifman_matrix(P))
+    return SampleOutcome(U, tree_edges, sigma, P, key)
 
 
 class EstimateReport:
@@ -318,9 +327,9 @@ def estimate_counts(gens, K, rng, mode="weighted"):
     weighted: every sample contributes 1/sigma to its key.  uniform: a
     sample survives with probability 1/sigma, each accepted one contributing
     1.  Either way the colorful-count estimate for key i is
-    W/(k*K) * (that key's accumulated contribution); the contribution is held
-    exactly (a per-key histogram of sigma values, an accepted uniform sample
-    counting as sigma 1) until report time.
+    W/(k*K) * (that key's accumulated contribution).  Sigma is a shape
+    invariant, so one count per key holds that contribution exactly: c/sigma
+    in weighted mode and c in uniform mode.
     """
     if K < 1:
         raise SamplerError("sample budget must be at least 1")
@@ -328,24 +337,17 @@ def estimate_counts(gens, K, rng, mode="weighted"):
         raise SamplerError("unknown mode %r" % (mode,))
     uniform = mode == "uniform"
     cs = gens.cs
-    hists = {}
+    counts = {}
     for _ in range(K):
         out = sample_outcome(gens, rng)
-        sigma = out.sigma
-        if uniform:
-            if rng.randrange(sigma):
-                continue
-            sigma = 1
-        h = hists.get(out.key)
-        if h is None:
-            h = hists[out.key] = {}
-        h[sigma] = h.get(sigma, 0) + 1
+        if uniform and rng.randrange(out.sigma):
+            continue
+        counts[out.key] = counts.get(out.key, 0) + 1
     scale = Fraction(cs.W, cs.k * K)
     rows = {}
-    for key, h in hists.items():
-        inv = sum(Fraction(c, s) for s, c in h.items())
-        rows[key] = {"samples": sum(h.values()), "inv_sigma_sum": inv,
-                     "estimate": scale * inv}
+    for key, c in counts.items():
+        inv = Fraction(c, 1 if uniform else gens.sigmas[key])
+        rows[key] = {"samples": c, "inv_sigma_sum": inv, "estimate": scale * inv}
     return EstimateReport(cs.k, cs.W, K, mode, _with_frequencies(rows))
 
 

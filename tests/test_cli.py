@@ -676,3 +676,62 @@ def test_non_utf8_input_is_module_error(tmp_path, command):
     bad.write_bytes("0 1\n1 2\n".encode("utf-16"))
     proc = run_cli(command[0], str(bad), *command[1:], expect=1)
     assert "not UTF-8 text" in one_line_error(proc)
+
+
+def test_byte_order_mark_is_not_part_of_the_input(tmp_path):
+    bom = b"\xef\xbb\xbf"
+    toy = tmp_path / "toy.hg"
+    toy.write_bytes(bom + Path(TOY).read_bytes())
+    for args in (["stats"], ["count", "-k", "3", "--samples", "300", "--seed", "s9"]):
+        assert (run_cli(args[0], str(toy), *args[1:]).stdout
+                == run_cli(args[0], TOY, *args[1:]).stdout)
+    ov = tmp_path / "ov.txt"
+    ov.write_bytes(bom + Path(OV_YES).read_bytes())
+    assert run_cli("ov", str(ov)).stdout == run_cli("ov", OV_YES).stdout
+
+
+# sha256 of seeded stdout on toy.hg, all at --samples 300 --seed 4.  At
+# alpha 0 and 2 the split has upper edges, so these pin the neighbor draws
+# through upper edges as well as the lower ones.  A change to any draw, or
+# to the order in which the stream is consumed, changes them.
+STREAM_MODES = {"plain": [], "uniform": ["--uniform"], "runs": ["--runs", "2"]}
+STREAM_DIGESTS = {
+    "count-k3-a0-plain": "2d49e7474e7bc73f8749bda60c573b1bf2de13e7f8381958e873d72a1393816f",
+    "count-k3-a0-uniform": "4eb8c621285f665b6a93fab883d642b125524288a9b95ee44fda5f86ead5106a",
+    "count-k3-a0-runs": "9f542bac71cf7cae083fe29a6a6dc403d6b6effc6184921ae9a49aca7d159631",
+    "count-k3-a2-plain": "0d168701c1b80588e9a0eb8437245b4302af797eafbfece5281df1fe515e5e25",
+    "count-k3-a2-uniform": "16037e3fc1f588b2b4a999164096ce1caeb17f5f5d523d47b39487a530bbf1be",
+    "count-k3-a2-runs": "0cb65f7392844f73941fd99ddcf85830e4ce13de048388b6690be1baf6e2a1c9",
+    "count-k4-a0-plain": "d4f495b273c039ecc140508c04ae5b969c5e0393db8f4c4aea324ae1e77af8ce",
+    "count-k4-a0-uniform": "dc5d86a95c0b108949fb750e8fd78c1f8dcda409075158a917890314d6456097",
+    "count-k4-a0-runs": "5659a126e3d56cc3a124a37a77e027c1adb34bb9b813a1b90a5ddffa78893d3c",
+    "count-k4-a2-plain": "57349a1b92f10c3acaa32b63a321aa74ccbdf582c45591368d50bc8089fb5d5b",
+    "count-k4-a2-uniform": "d3e30f871ac7684ed8eece4c9ac98b4b75a6422088e152d1338fcc365a5a9c2d",
+    "count-k4-a2-runs": "afd5703e736246d5e5b95822cd0707380324a1dc71a4ab92ba232a3d7c3520ca",
+    # sample reads the build's table, so it prints count's bytes.
+    "sample-k3-a2-plain": "0d168701c1b80588e9a0eb8437245b4302af797eafbfece5281df1fe515e5e25",
+    "sample-k3-a2-uniform": "16037e3fc1f588b2b4a999164096ce1caeb17f5f5d523d47b39487a530bbf1be",
+}
+
+
+def _digest(stdout):
+    assert len(parse_rows(stdout)) > 1
+    return hashlib.sha256(stdout.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("mode", sorted(STREAM_MODES))
+@pytest.mark.parametrize("alpha", ["0", "2"])
+@pytest.mark.parametrize("k", ["3", "4"])
+def test_seeded_count_bytes_are_pinned(k, alpha, mode):
+    out = run_cli("count", TOY, "-k", k, "--samples", "300", "--seed", "4",
+                  "--alpha", alpha, *STREAM_MODES[mode]).stdout
+    assert _digest(out) == STREAM_DIGESTS["count-k%s-a%s-%s" % (k, alpha, mode)]
+
+
+def test_seeded_sample_bytes_are_pinned(tmp_path):
+    table = tmp_path / "toy.hmt"
+    run_cli("build", TOY, "-k", "3", "--seed", "4", "--alpha", "2", "-o", str(table))
+    for mode in ("plain", "uniform"):
+        out = run_cli("sample", TOY, "--table", str(table), "--samples", "300",
+                      "--seed", "4", *STREAM_MODES[mode]).stdout
+        assert _digest(out) == STREAM_DIGESTS["sample-k3-a2-%s" % mode]

@@ -5,7 +5,14 @@ from itertools import accumulate
 
 import pytest
 
-from hypergraphlets.buildup import Coloring, build_counters, build_counters_naive, random_coloring
+import hypergraphlets.sampler as sampler
+from hypergraphlets.buildup import (
+    Coloring,
+    build_counters,
+    build_counters_naive,
+    masks_of_size,
+    random_coloring,
+)
 from hypergraphlets.canonlab import canonical_key, connected_ksets
 from hypergraphlets.hypercore import Hypergraph, gaifman, induced_sub, parse_hypergraph
 from hypergraphlets.sampler import (
@@ -341,6 +348,57 @@ def test_extraction_agreement():
                 pairs = [(pos[a], pos[b]) for a, b in gaifman_pairs(H)
                          if a in pos and b in pos]
                 assert out.sigma == count_spanning_trees_brute(len(U), pairs)
+
+
+def test_vertices_of_one_upper_type_share_one_upper_table():
+    # toy.hg at alpha 0: vertices 3 and 5 lie only in edge {3,5,6}.  SHARED
+    # at alpha 2: vertices 0 and 1 lie in {0,1,2} and {0,1,3}.
+    for H, alpha, coloring, (a, b) in [
+        (parse_hypergraph(TOY_TEXT), 0, Coloring(3, (0, 1, 2, 0, 1, 2, 0, 1)), (3, 5)),
+        (SHARED, 2, SHARED_COLORING, (0, 1)),
+    ]:
+        split = apply_split(H, alpha)
+        ty = split.upper_types[a]
+        assert ty and split.upper_types[b] == ty
+        cs = build_counters(H, split, 3, coloring)
+        gens = build_generators(cs)
+        shared = 0
+        for t in cs.catalog.treelets:
+            if t.order < 2:
+                continue
+            for S2 in masks_of_size(3, cs.catalog[t.t2].order):
+                gen = gens._upper_gen(t.t2, S2, split.upper_types[a])
+                assert gens._upper_gen(t.t2, S2, split.upper_types[b]) is gen
+                totals = gens._edge_totals(t.t2, S2)
+                if gen is None:
+                    assert not any(totals[j] for j in ty)
+                    continue
+                shared += 1
+                assert gen.items == [j for j in ty if totals[j]]
+                assert gen.total == sum(totals[j] for j in ty)
+        assert shared
+
+
+def test_sigma_is_computed_once_per_key(monkeypatch):
+    calls = []
+
+    def counted(A):
+        calls.append(A)
+        return spanning_tree_count(A)
+
+    monkeypatch.setattr(sampler, "spanning_tree_count", counted)
+    toy = parse_hypergraph(TOY_TEXT)
+    cases = [crafted_generators(alpha=2),
+             build_generators(resolve_build(toy, 3, random_coloring(toy, 3, "t2|run0"),
+                                            alpha_policy=0))]
+    for seed, gens in enumerate(cases):
+        del calls[:]
+        rep = estimate_counts(gens, 500, random.Random(seed))
+        assert len(rep.rows) > 1
+        assert len(calls) == len(rep.rows)
+        assert len(gens.sigmas) == len(rep.rows)
+        for key, row in rep.rows.items():
+            assert row["inv_sigma_sum"] == Fraction(row["samples"], gens.sigmas[key])
 
 
 def test_sample_outcome_key_consistency():
