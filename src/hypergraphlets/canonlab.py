@@ -2,10 +2,12 @@
 
 The canonical key of a hypergraphlet is the lexicographically smallest sorted
 edge-bitmask tuple over all relabelings of its vertices; two hypergraphlets
-get the same key iff they are isomorphic.  exact_counts enumerates every
-connected k-set of the Gaifman graph exactly once (pivot growth) and tallies
-keys; these exact tables are the ground truth all estimates are judged
-against.
+get the same key iff they are isomorphic.  Keys are cached by a copy of each
+hypergraphlet with its vertices ordered by the sizes of their edges, not by
+its labeled edges, so most labelings of one shape share one cache entry.
+exact_counts enumerates every connected k-set of the Gaifman graph exactly
+once (pivot growth) and tallies keys; these exact tables are the ground
+truth all estimates are judged against.
 """
 
 from __future__ import annotations
@@ -57,19 +59,45 @@ _KEY_CACHE = {}
 def canonical_key(P):
     """The key of the module docstring, as (order, sorted masks); k' <= 8.
 
-    Keys are cached by P's labeled edge tuple, and the cache is emptied
-    whenever it reaches KEY_CACHE_CAP entries.  Only a miss checks the
-    order: a key enters the cache after its order has passed the check.
+    Keys are cached by _profile_ordered(P), an isomorphic copy of P, so the
+    labelings of one shape that the copy maps to the same masks share one
+    entry and one search.  The cache is emptied whenever it reaches
+    KEY_CACHE_CAP entries.
     """
     kp = P.order
-    raw = (kp, P.edges)
-    key = _KEY_CACHE.get(raw)
+    check_key_order(kp)
+    copy = (kp, _profile_ordered(kp, P.edges))
+    key = _KEY_CACHE.get(copy)
     if key is None:
-        check_key_order(kp)
         if len(_KEY_CACHE) >= KEY_CACHE_CAP:
             _KEY_CACHE.clear()
-        key = _KEY_CACHE[raw] = (kp, _min_relabeling(kp, P.edges))
+        key = _KEY_CACHE[copy] = (kp, _min_relabeling(*copy))
     return key
+
+
+# The local vertices of every mask of order <= MAX_KEY_ORDER.
+_BITS = [tuple([v for v in range(MAX_KEY_ORDER) if mask >> v & 1])
+         for mask in range(1 << MAX_KEY_ORDER)]
+
+
+def _profile_ordered(kp, edges):
+    """The sorted masks of edges relabeled so that vertices come in order of
+    their profile, the multiset of the sizes of their edges; ties keep label
+    order.  A profile is one integer, a count per edge size in 8-bit fields.
+    Every relabeling of a shape has the same canonical key, so the copy keeps
+    the key whatever invariant orders it; the invariant decides only how
+    many labelings map to one copy.
+    """
+    profile = [0] * kp
+    for mask in edges:
+        bits = _BITS[mask]
+        field = 1 << (len(bits) << 3)
+        for v in bits:
+            profile[v] += field
+    bit = [0] * kp
+    for p, v in enumerate(sorted(range(kp), key=profile.__getitem__)):
+        bit[v] = 1 << p
+    return tuple(sorted([sum(map(bit.__getitem__, _BITS[mask])) for mask in edges]))
 
 
 def _min_relabeling(kp, edges):

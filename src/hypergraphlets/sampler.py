@@ -11,17 +11,19 @@ never eta: a neighbor draw proposes a partition (S1, S2) and then u through
 one slot joining v and u, a lower Gaifman edge or an upper edge they share,
 and keeps the pair with probability one over u's number of slots.  Every
 draw and rejection test is exact integer arithmetic: one uniform integer
-below an integer total, located in integer prefix sums.  Draw tables are
-built lazily and cached by what their weights depend on (upper-edge tables
-by upper type, not by vertex), and sigma is computed once per shape; cache
-warm-up consumes no randomness, so results are reproducible.
+below an integer total, located in integer prefix sums.  The root draw reads
+per-treelet prefix sums of C(T,[k],.); every other draw table is built
+lazily and cached by what its weights depend on (upper-edge tables by upper
+type, not by vertex).  Sigma is computed once per shape, and canonical keys
+come from canonlab's cache, which is keyed by an isomorphic copy of each
+shape.  Cache warm-up consumes no randomness, so results are reproducible.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, compress
 
 from .buildup import build_counters, derived_rng, masks_of_size, random_coloring
 from .canonlab import canonical_key, check_key_order
@@ -47,11 +49,11 @@ class VoseAlias:
     __slots__ = ("items", "cum", "total")
 
     def __init__(self, items, weights):
-        pairs = [(it, w) for it, w in zip(items, weights) if w > 0]
-        if not pairs:
+        """weights: a list of nonnegative integers, one per item."""
+        self.items = list(compress(items, weights))
+        if not self.items:
             raise SamplerError("draw table needs positive total weight")
-        self.items = [it for it, _ in pairs]
-        self.cum = list(accumulate(w for _, w in pairs))
+        self.cum = list(accumulate(compress(weights, weights)))
         self.total = self.cum[-1]
 
     def draw(self, rng):
@@ -61,7 +63,9 @@ class VoseAlias:
 class Generators:
     """Exact draw tables over one CounterSet.
 
-    The root table is eager; the per-(T2,S2,v) lower-neighbor tables,
+    The root draw's prefix sums are eager: one list of C(T,[k],.) prefix
+    sums per order-k treelet with a colorful occurrence, and the running
+    totals over those treelets.  The per-(T2,S2,v) lower-neighbor tables,
     per-(T2,S2,e) vertex tables, per-(T2,S2,upper type) upper-edge tables,
     per-(T2,S2) upper-edge totals and per-(T,S,v) partition tables, which
     hold v's slot totals, are built on first use and cached (their
@@ -71,17 +75,17 @@ class Generators:
 
     def __init__(self, cs):
         self.cs = cs
-        items = []
-        weights = []
+        self._root_tids = []
+        self._root_cums = []
         for tid, vec in cs.root_weights():
-            for v, w in enumerate(vec):
-                if w:
-                    items.append((tid, v))
-                    weights.append(w)
-        if not items:
+            cum = list(accumulate(vec))
+            if cum and cum[-1]:
+                self._root_tids.append(tid)
+                self._root_cums.append(cum)
+        if not self._root_tids:
             raise NoColorfulOccurrences(
                 "no colorful treelet occurrences under this coloring")
-        self.root_gen = VoseAlias(items, weights)
+        self._root_ends = list(accumulate(cum[-1] for cum in self._root_cums))
         self._partition = {}
         self._lower = {}
         self._upper = {}
@@ -92,9 +96,9 @@ class Generators:
     # -- lazy table builders ------------------------------------------
 
     def _partition_gen(self, tid, S, v):
-        """Items (S1, S2, w_low, w_all) weighted C(T1,S1,v) * w_all, where
-        w_low and w_all are v's lower and total slot weights under
-        C(T2,S2,.)."""
+        """Items (S1, S2, w_low, w_all, up) weighted C(T1,S1,v) * w_all,
+        where w_low and w_all are v's lower and total slot weights under
+        C(T2,S2,.) and up is the upper-edge table w_all was summed from."""
         key = (tid, S, v)
         gen = self._partition.get(key)
         if gen is None:
@@ -115,7 +119,7 @@ class Generators:
                 up = self._upper_gen(t.t2, S2, ty) if ty else None
                 w_all = w_low + (up.total if up else 0)
                 if w_all:
-                    items.append((S1, S2, w_low, w_all))
+                    items.append((S1, S2, w_low, w_all, up))
                     weights.append(w1 * w_all)
             if not items:
                 raise SamplerError(
@@ -130,7 +134,8 @@ class Generators:
             cs = self.cs
             vec = cs.tables[t2][S2]
             nbrs = cs.split.lower_neighbors[v]
-            gen = self._lower[key] = VoseAlias(nbrs, [vec[u] for u in nbrs])
+            gen = self._lower[key] = VoseAlias(
+                nbrs, list(map(vec.__getitem__, nbrs)))
         return gen
 
     def _edge_totals(self, t2, S2):
@@ -151,7 +156,7 @@ class Generators:
         key = (t2, S2, ty)
         if key not in self._upper:
             totals = self._edge_totals(t2, S2)
-            weights = [totals[j] for j in ty]
+            weights = list(map(totals.__getitem__, ty))
             self._upper[key] = VoseAlias(ty, weights) if any(weights) else None
         return self._upper[key]
 
@@ -162,7 +167,8 @@ class Generators:
             cs = self.cs
             vec = cs.tables[t2][S2]
             verts = cs.split.upper.edges[j]
-            gen = self._edge_vertex[key] = VoseAlias(verts, [vec[u] for u in verts])
+            gen = self._edge_vertex[key] = VoseAlias(
+                verts, list(map(vec.__getitem__, verts)))
         return gen
 
     # -- the samplers --------------------------------------------------
@@ -184,12 +190,12 @@ class Generators:
         lower_nbrs = split.lower_neighbors[v]
         partition = self._partition_gen(tid, S, v)
         while True:
-            S1, S2, w_low, w_all = partition.draw(rng)
+            S1, S2, w_low, w_all, up = partition.draw(rng)
             if rng.randrange(w_all) < w_low:
                 u = self._lower_gen(t2, S2, v).draw(rng)
                 in_lower = True
             else:
-                j = self._upper_gen(t2, S2, split.upper_types[v]).draw(rng)
+                j = up.draw(rng)
                 u = self._edge_vertex_gen(t2, S2, j).draw(rng)
                 i = bisect_left(lower_nbrs, u)
                 in_lower = i < len(lower_nbrs) and lower_nbrs[i] == u
@@ -205,9 +211,20 @@ class Generators:
         self._sample_rec(self.cs.catalog[tid].t1, S1, v, rng, vertices, edges)
         self._sample_rec(t2, S2, u, rng, vertices, edges)
 
+    def draw_root(self, rng):
+        """(T, v) with probability C(T,[k],v) / W: one uniform integer below
+        W, located first in the running totals over treelets, then in that
+        treelet's prefix sums.  The same (T, v) for every integer as one flat
+        table over the cs.root_weights() items in order."""
+        r = rng.randrange(self._root_ends[-1])
+        i = bisect_right(self._root_ends, r)
+        if i:
+            r -= self._root_ends[i - 1]
+        return self._root_tids[i], bisect_right(self._root_cums[i], r)
+
     def sample_treelet(self, rng):
         """One uniform colorful treelet: returns (root tid, U, tree edges)."""
-        tid, v = self.root_gen.draw(rng)
+        tid, v = self.draw_root(rng)
         vertices, edges = [], []
         self._sample_rec(tid, (1 << self.cs.k) - 1, v, rng, vertices, edges)
         return tid, tuple(sorted(vertices)), edges

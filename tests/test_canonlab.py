@@ -168,7 +168,8 @@ def test_canonical_key_matches_brute_on_every_order_4_edge_set():
     assert len(checked) == 1 << 15
 
 
-def test_canonical_key_matches_brute_on_random_orders_5_to_8():
+def _random_cases():
+    """Seeded edge sets of order 5 to 8, each with a random relabeling."""
     rng = random.Random(79)
     for order, cases in ((5, 60), (6, 30), (7, 8), (8, 2)):
         for _ in range(cases):
@@ -176,12 +177,16 @@ def test_canonical_key_matches_brute_on_random_orders_5_to_8():
                 rng.sample(range(order), rng.choice((2, 2, 3, rng.randint(1, order))))
                 for _ in range(rng.randint(1, 2 * order))
             ]
-            P = _from_vertex_sets(order, sets)
-            key = brute_canonical_key(P)
-            assert canonical_key(P) == key
             perm = list(range(order))
             rng.shuffle(perm)
-            assert canonical_key(_relabeled(P, perm)) == key
+            yield _from_vertex_sets(order, sets), perm
+
+
+def test_canonical_key_matches_brute_on_random_orders_5_to_8():
+    for P, perm in _random_cases():
+        key = brute_canonical_key(P)
+        assert canonical_key(P) == key
+        assert canonical_key(_relabeled(P, perm)) == key
 
 
 @pytest.mark.parametrize("sets", [
@@ -199,9 +204,42 @@ def test_canonical_key_matches_brute_on_symmetric_order_8(sets):
 def test_key_cache_is_emptied_at_its_cap(monkeypatch):
     monkeypatch.setattr(canonlab, "_KEY_CACHE", {})
     monkeypatch.setattr(canonlab, "KEY_CACHE_CAP", 5)
+    reached = emptied = 0
     for P in _every_edge_set(3):
+        before = len(canonlab._KEY_CACHE)
         assert canonical_key(P) == brute_canonical_key(P)
-        assert len(canonlab._KEY_CACHE) <= 5
+        after = len(canonlab._KEY_CACHE)
+        assert after <= 5
+        reached += after == 5
+        emptied += after < before
+    assert reached and emptied
+
+
+def test_profile_ordered_copy_keeps_the_key():
+    for order in range(1, 5):
+        # The brute-force key of every edge set, one search per class.
+        brute = {}
+        for P in _every_edge_set(order):
+            if P.edges not in brute:
+                key = brute_canonical_key(P)
+                for perm in permutations(range(order)):
+                    brute[_relabeled(P, perm).edges] = key
+        for edges, key in brute.items():
+            assert brute[canonlab._profile_ordered(order, edges)] == key
+    for P, _perm in _random_cases():
+        copy = Hypergraphlet(P.order, canonlab._profile_ordered(P.order, P.edges))
+        assert brute_canonical_key(copy) == brute_canonical_key(P)
+
+
+def test_relabelings_of_one_shape_share_one_cache_entry(monkeypatch):
+    # Edges {0,1,2,3}, {0,1,2}, {0,1} and {0}: the four vertices lie in edges
+    # of different size multisets, so every relabeling maps to one copy.
+    monkeypatch.setattr(canonlab, "_KEY_CACHE", {})
+    P = _from_vertex_sets(4, [(0, 1, 2, 3), (0, 1, 2), (0, 1), (0,)])
+    key = brute_canonical_key(P)
+    for perm in permutations(range(4)):
+        assert canonical_key(_relabeled(P, perm)) == key
+    assert len(canonlab._KEY_CACHE) == 1
 
 
 def test_canonical_key_separates_shapes():

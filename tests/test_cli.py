@@ -294,6 +294,17 @@ def test_sample_empty_when_no_colorful(tmp_path):
     assert out.strip() == CSV_HEADER
 
 
+def test_zero_vertex_host_prints_only_the_header(tmp_path):
+    path = tmp_path / "zero.hg"
+    path.write_text("# vertices 0\n")
+    table = tmp_path / "zero.hmt"
+    run_cli("build", str(path), "-k", "2", "--seed", "s", "-o", str(table))
+    for args in (["count", str(path), "-k", "2"],
+                 ["sample", str(path), "--table", str(table)]):
+        out = run_cli(*args, "--samples", "5", "--seed", "s").stdout
+        assert out == CSV_HEADER + "\n"
+
+
 def test_sample_wrong_host_is_module_error(tmp_path):
     table = tmp_path / "toy.hmt"
     run_cli("build", TOY, "-k", "3", "--seed", "s", "-o", str(table))

@@ -316,6 +316,23 @@ def test_sampled_trees_are_spanning_trees():
             assert v in G.adj[u]
 
 
+def test_root_draw_matches_one_flat_table():
+    # Every integer below W, once: the per-treelet prefix sums give the same
+    # (T, v) as one table over the cs.root_weights() items in order.
+    toy = parse_hypergraph(TOY_TEXT)
+    for cs in [resolve_build(toy, 3, random_coloring(toy, 3, "t2|run0")),
+               build_counters(SHARED, apply_split(SHARED, 2), 3, SHARED_COLORING)]:
+        roots = cs.root_weights()
+        flat = VoseAlias([(tid, v) for tid, vec in roots for v in range(len(vec))],
+                         [w for _tid, vec in roots for w in vec])
+        assert len(roots) > 1 and flat.total == cs.W
+        gens = build_generators(cs)
+        ours, theirs = ScriptedRng(range(cs.W)), ScriptedRng(range(cs.W))
+        assert ([gens.draw_root(ours) for _ in range(cs.W)]
+                == [flat.draw(theirs) for _ in range(cs.W)])
+        assert ours.bounds == theirs.bounds == [cs.W] * cs.W
+
+
 def test_no_colorful_occurrences():
     H = Hypergraph(3, [(0, 1), (1, 2), (0, 2)])
     cs = build_counters_naive(H, 3, Coloring(3, [0, 0, 1]))
