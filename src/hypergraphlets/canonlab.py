@@ -23,16 +23,21 @@ from .hypercore import (
 )
 from .treelets import canonical_code
 
-DEFAULT_BUDGET = 10 ** 8
+DEFAULT_BUDGET = 10 ** 7  # sets an exhaustive search may examine
 MAX_KEY_ORDER = 8  # the largest order canonical_key, -k and .hmt headers accept
 KEY_CACHE_CAP = 1 << 14  # _KEY_CACHE is emptied when it holds this many keys
 
 
-def enumeration_budget(default=DEFAULT_BUDGET):
-    """Brute-force cap: HM_BUDGET, a positive integer, when set; else default."""
+class BudgetExceeded(HypergraphError):
+    pass
+
+
+def enumeration_budget():
+    """Cap on the sets any exhaustive search examines: HM_BUDGET, a positive
+    integer, when set; else DEFAULT_BUDGET.  The one reader of HM_BUDGET."""
     raw = os.environ.get("HM_BUDGET")
     if not raw:
-        return default
+        return DEFAULT_BUDGET
     try:
         value = int(raw)
     except ValueError:
@@ -42,15 +47,19 @@ def enumeration_budget(default=DEFAULT_BUDGET):
     return value
 
 
+def check_budget(count, what):
+    """Refuse a search that would examine count sets, past the budget."""
+    budget = enumeration_budget()
+    if count > budget:
+        raise BudgetExceeded(
+            "%s exceeds budget %d (set HM_BUDGET to raise)" % (what, budget))
+
+
 def check_key_order(k):
     """Refuse orders canonical_key cannot handle, before any work is done."""
     if k > MAX_KEY_ORDER:
         raise HypergraphError(
             "canonical form limited to order <= %d, got %d" % (MAX_KEY_ORDER, k))
-
-
-class BudgetExceeded(HypergraphError):
-    pass
 
 
 _KEY_CACHE = {}
@@ -173,17 +182,17 @@ def key_from_text(text):
     return (order, masks)
 
 
-def connected_ksets(H, k, budget=None):
+def connected_ksets(H, k):
     """Yield every U with |U|=k and H|_U connected, each exactly once.
 
     Pivot growth over the Gaifman graph: start at each vertex v, extend only
     with higher-numbered vertices reachable from the current set, keeping the
     extension candidates disjoint from the current closed neighborhood.
+    The total is unknown up front, so sets are counted as they are produced.
     """
     if k < 1:
         raise HypergraphError("k must be at least 1")
-    if budget is None:
-        budget = enumeration_budget()
+    budget = enumeration_budget()
     adj = [sum(1 << u for u in nbrs) for nbrs in gaifman(H).adj]
     produced = 0
     if k == 1:
@@ -210,9 +219,7 @@ def connected_ksets(H, k, budget=None):
                 for w in bits(ext):
                     produced += 1
                     if produced > budget:
-                        raise BudgetExceeded(
-                            "connected-set enumeration exceeded budget %d "
-                            "(set HM_BUDGET to raise)" % budget)
+                        check_budget(produced, "connected-set enumeration")
                     yield tuple(bits(sub | (1 << w)))
                 continue
             while ext:
@@ -224,29 +231,26 @@ def connected_ksets(H, k, budget=None):
         # (sets not containing any vertex < v are rooted at v exactly once)
 
 
-def exact_counts(H, k, budget=None):
-    """Exact per-key counts of connected induced k-vertex sub-hypergraphs."""
+def _tally(H, k, ksets):
     check_key_order(k)
     counts = {}
-    for U in connected_ksets(H, k, budget=budget):
+    for U in ksets:
         key = canonical_key(induced_sub(H, U))
         counts[key] = counts.get(key, 0) + 1
     return counts
 
 
-def exact_colorful_counts(H, coloring, k, budget=None):
+def exact_counts(H, k):
+    """Exact per-key counts of connected induced k-vertex sub-hypergraphs."""
+    return _tally(H, k, connected_ksets(H, k))
+
+
+def exact_colorful_counts(H, coloring, k):
     """As exact_counts but restricted to colorful U (all k colors present)."""
-    check_key_order(k)
     colors = coloring.colors
-    counts = {}
-    for U in connected_ksets(H, k, budget=budget):
-        seen = 0
-        for v in U:
-            seen |= 1 << colors[v]
-        if seen == (1 << k) - 1:
-            key = canonical_key(induced_sub(H, U))
-            counts[key] = counts.get(key, 0) + 1
-    return counts
+    every = set(range(k))
+    return _tally(H, k, (U for U in connected_ksets(H, k)
+                         if {colors[v] for v in U} == every))
 
 
 def brute_spanning_trees(A):

@@ -505,6 +505,9 @@ def main(argv=None):
     except HypergraphError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

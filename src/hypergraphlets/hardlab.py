@@ -23,7 +23,7 @@ import math
 
 from .buildup import (Coloring, NWPlan, build_counters, build_counters_naive,
                       combined_neighbor_weight)
-from .canonlab import enumeration_budget
+from .canonlab import check_budget
 from .hypercore import Graph, Hypergraph, HypergraphError, gaifman, masks_connected
 from .splitter import choose_split_refined
 from .treelets import TreeletCatalog
@@ -31,9 +31,6 @@ from .treelets import TreeletCatalog
 
 class ReductionError(HypergraphError):
     pass
-
-
-DEFAULT_SUBSET_BUDGET = 10**7
 
 
 class CliqueReductionOutput:
@@ -97,21 +94,16 @@ def reduce_clique_to_ksh(G, k):
     return CliqueReductionOutput(H, k, k_prime, block, block_map, edge_map, g_edges)
 
 
-def decide_ksh_bruteforce(H, k, budget=None):
+def decide_ksh_bruteforce(H, k):
     """Generic decider: does H contain U, |U| = k, with H<U> connected?
 
-    Enumerates all C(n, k) subsets as vertex bitmasks; refuses when that
-    exceeds the budget (an explicit budget, else HM_BUDGET, else 10^7).
+    Enumerates all C(n, k) subsets as vertex bitmasks; refuses up front when
+    that count exceeds the enumeration budget.
     """
-    if budget is None:
-        budget = enumeration_budget(DEFAULT_SUBSET_BUDGET)
-    if k < 1 or k > H.n:
+    total = math.comb(H.n, k) if 1 <= k <= H.n else 0
+    check_budget(total, "C(%d, %d) = %d subsets" % (H.n, k, total))
+    if not total:
         return False
-    total = math.comb(H.n, k)
-    if total > budget:
-        raise ReductionError(
-            "C(%d, %d) = %d subsets exceeds budget %d" % (H.n, k, total, budget)
-        )
     masks = [sum(1 << v for v in e) for e in H.edges]
     bit = [1 << v for v in range(H.n)]
     for U in combinations(bit, k):
@@ -131,25 +123,24 @@ def decide_ksh_reduction(red):
     among the edges of G[T], and test connectivity of the graph (T, S').
 
     Returns (found, witness); witness lists U, T, S' and the size accounting.
+    Refuses up front when the block sets to try exceed the enumeration budget.
     """
     k_prime = red.k_prime
     block = red.block_size
     n = len(red.block_map)
-    adj = {}
-    for (u, v) in red.g_edges:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
+    passes = []
     for t in range(1, n + 1):
         s = k_prime - t * block
-        if s < 0:
+        if s < t - 1:  # t blocks need t - 1 singletons; s only shrinks as t grows
             break
-        if s > t * (t - 1) // 2:
-            continue
+        if s <= t * (t - 1) // 2:
+            passes.append((t, s))
+    total = sum(math.comb(n, t) for t, _ in passes)
+    check_budget(total, "%d block sets" % total)
+    for t, s in passes:
         for T in combinations(range(n), t):
-            tset = set(T)
-            inner = [
-                (u, v) for (u, v) in red.g_edges if u in tset and v in tset
-            ]
+            # edges of G[T] in g_edges order, in O(t^2) rather than O(|E(G)|)
+            inner = [pair for pair in combinations(T, 2) if pair in red.edge_map]
             if len(inner) < s:
                 continue
             full = sum(1 << v for v in T)

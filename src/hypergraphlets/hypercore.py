@@ -218,7 +218,7 @@ def parse_hypergraph(text, dedupe_edges=True):
                         "line %d: vertex id %d exceeds declared count %d" % (lineno, v, n)
                     )
             edges.append(ids)
-        labels = [str(v) for v in range(n)]
+        labels = None  # ids are the labels; label_of gives str(v)
     else:
         idx = {}
         labels = []

@@ -154,9 +154,8 @@ def curve_with_costs(H, gamma=0.01):
 def choose_split_refined(H, gamma=0.01):
     """Minimize gamma*sum|e|^2 + (1-gamma)*sum 2^d over all thresholds."""
     best = None
-    for alpha, beta, lo, up in _cost_table(H):
-        w = _weighted(gamma, lo, up)
-        if best is None or w < best[0]:
-            best = (w, alpha)
-    split = apply_split(H, best[1])
-    return split, split_cost(H, split, gamma)
+    for alpha, _beta, lo, up in _cost_table(H):
+        cost = SplitCost(lo, up, gamma)
+        if best is None or cost.weighted < best[1].weighted:
+            best = (alpha, cost)
+    return apply_split(H, best[0]), best[1]

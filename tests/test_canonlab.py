@@ -57,9 +57,10 @@ def test_connected_ksets_matches_naive_filter():
             assert len(set(mine)) == len(mine)
 
 
-def test_budget(toy):
+def test_budget(monkeypatch, toy):
+    monkeypatch.setenv("HM_BUDGET", "3")
     with pytest.raises(BudgetExceeded):
-        list(connected_ksets(toy, 2, budget=3))
+        list(connected_ksets(toy, 2))
 
 
 def test_budget_env_override(monkeypatch, toy):
@@ -68,7 +69,7 @@ def test_budget_env_override(monkeypatch, toy):
     with pytest.raises(BudgetExceeded):
         exact_counts(toy, 2)
     monkeypatch.delenv("HM_BUDGET")
-    assert enumeration_budget() == 10 ** 8
+    assert enumeration_budget() == 10 ** 7
 
 
 def test_exact_counts_toy_frozen(toy):

@@ -500,12 +500,44 @@ def test_bad_hm_budget_is_module_error():
     assert one_line_error(proc).startswith("error: HM_BUDGET ")
 
 
-@pytest.mark.parametrize("k", ["3", "9"])
-def test_ksh_bad_hm_budget_is_module_error(k):
+@pytest.mark.parametrize("args", [
+    pytest.param([TOY, "-k", "3"], id="3"),
+    pytest.param([TOY, "-k", "9"], id="9"),
+    pytest.param([K4, "-k", "3", "--reduce"], id="reduce"),
+])
+def test_ksh_bad_hm_budget_is_module_error(args):
     # Read before the k > n shortcut, so -k 9 on 8 vertices fails like exact.
     env = dict(os.environ, HM_BUDGET="abc")
-    proc = run_cli("ksh", TOY, "-k", k, expect=1, env=env)
+    proc = run_cli("ksh", *args, expect=1, env=env)
     assert one_line_error(proc).startswith("error: HM_BUDGET ")
+
+
+@pytest.mark.parametrize("args, what", [
+    (["exact", TOY, "-k", "3"], "connected-set enumeration"),
+    (["ksh", TOY, "-k", "3"], "C(8, 3) = 56 subsets"),
+    (["ksh", K4, "-k", "3", "--reduce"], "4 block sets"),
+], ids=["exact", "ksh", "ksh-reduce"])
+def test_small_hm_budget_is_module_error(args, what):
+    env = dict(os.environ, HM_BUDGET="3")
+    proc = run_cli(*args, expect=1, env=env)
+    assert one_line_error(proc) == (
+        "error: %s exceeds budget 3 (set HM_BUDGET to raise)" % what)
+
+
+@pytest.mark.parametrize("n", ["20000000", "99999999999"])
+def test_huge_vertex_header_is_module_error(tmp_path, n):
+    # The child caps its own address space, so the test never asks for more.
+    path = tmp_path / "huge.hg"
+    path.write_text("# vertices %s\n0 1\n" % n)
+    limit = 512 << 20
+    code = ("import resource, sys; "
+            "resource.setrlimit(resource.RLIMIT_AS, (%d, %d)); "
+            "from hypergraphlets.cli import main; sys.exit(main(sys.argv[1:]))"
+            % (limit, limit))
+    proc = subprocess.run([sys.executable, "-c", code, "stats", str(path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert one_line_error(proc) == "error: out of memory"
 
 
 @pytest.mark.parametrize("damage", ["truncated", "version1", "trailing", "host",

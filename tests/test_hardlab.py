@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypergraphlets import hardlab
+from hypergraphlets.canonlab import BudgetExceeded
 from hypergraphlets.hardlab import (
     ReductionError,
     _iroot,
@@ -125,27 +127,34 @@ def test_deciders_agree_on_small_graphs():
         assert decide_ksh_bruteforce(red.H, red.k_prime) == direct
 
 
-def test_bruteforce_budget():
-    red = reduce_clique_to_ksh(complete_graph(5), 3)
-    with pytest.raises(ReductionError, match="exceeds budget 10"):
-        decide_ksh_bruteforce(red.H, red.k_prime, budget=10)
+def test_bruteforce_budget(monkeypatch):
+    # C(4, 3) = 4 subsets: a budget of 4 allows them, 3 refuses them.
+    k4 = Hypergraph(4, complete_graph(4).edge_list())
+    monkeypatch.setenv("HM_BUDGET", "4")
+    assert decide_ksh_bruteforce(k4, 3)
+    monkeypatch.setenv("HM_BUDGET", "3")
+    with pytest.raises(BudgetExceeded, match=r"= 4 subsets exceeds budget 3 "):
+        decide_ksh_bruteforce(k4, 3)
 
 
 def test_bruteforce_budget_env(monkeypatch):
     red = reduce_clique_to_ksh(complete_graph(5), 3)
     monkeypatch.setenv("HM_BUDGET", "10")
-    with pytest.raises(ReductionError, match="exceeds budget 10"):
+    with pytest.raises(BudgetExceeded, match="exceeds budget 10"):
         decide_ksh_bruteforce(red.H, red.k_prime)
 
 
-def test_bruteforce_explicit_budget_wins_over_env(monkeypatch):
-    red = reduce_clique_to_ksh(complete_graph(5), 3)
-    monkeypatch.setenv("HM_BUDGET", str(10**9))
-    with pytest.raises(ReductionError, match="exceeds budget 10$"):
-        decide_ksh_bruteforce(red.H, red.k_prime, budget=10)
-    monkeypatch.setenv("HM_BUDGET", "1")
-    k4 = Hypergraph(4, complete_graph(4).edge_list())
-    assert decide_ksh_bruteforce(k4, 3, budget=4)
+def test_reduction_budget_refuses_before_any_block_set(monkeypatch):
+    # A 301-vertex path at k = 3 has C(301, 3) = 4499950 block sets to try.
+    red = reduce_clique_to_ksh(Graph(301, [(v, v + 1) for v in range(300)]), 3)
+
+    def no_enumeration(*_args):
+        raise AssertionError("block sets enumerated past the budget")
+
+    monkeypatch.setattr(hardlab, "combinations", no_enumeration)
+    monkeypatch.setenv("HM_BUDGET", "4499949")
+    with pytest.raises(BudgetExceeded, match="^4499950 block sets exceeds budget 4499949 "):
+        decide_ksh_reduction(red)
 
 
 def ksh_from_definition(H, k):

@@ -65,6 +65,7 @@ def test_parse_header_verbatim_ids():
     # Numeric tokens under a header keep their ids; vertex 7 stays isolated.
     H = parse_hypergraph(TOY_TEXT)
     assert H.n == 8
+    assert H.labels is None  # no string per vertex is built
     assert H.label_of(7) == "7"
 
 
