@@ -181,21 +181,22 @@ class CounterSet:
     tables[tid][S] is the length-n list C(T_tid, S, .).  split is the
     AlphaSplit the tables were built over; the naive build's is the split at
     alpha = H.rank, whose upper part is empty.  cap is the 2^degree cap the
-    build ran under.
+    build ran under.  W, the number of colorful treelet occurrences, is the
+    sum of every C(T,[k],.) over the order-k treelets.
     """
 
     __slots__ = ("k", "n", "H", "coloring", "catalog", "tables", "W", "split", "cap")
 
-    def __init__(self, k, n, H, coloring, catalog, tables, W, split, cap):
+    def __init__(self, k, n, H, coloring, catalog, tables, split, cap):
         self.k = k
         self.n = n
         self.H = H
         self.coloring = coloring
         self.catalog = catalog
         self.tables = tables
-        self.W = W
         self.split = split
         self.cap = cap
+        self.W = sum(sum(vec) for _tid, vec in self.root_weights())
 
     def root_weights(self):
         """Per order-k treelet: the C(T,[k],.) vector."""
@@ -288,9 +289,7 @@ def build_counters(H, split, k, coloring, cap=20):
         if h < k:
             support[t.tid] = {S: list(compress(verts, w)) for S, w in tbl.items()}
 
-    full = (1 << k) - 1
-    W = sum(sum(tables[t.tid][full]) for t in catalog.of_order(k))
-    return CounterSet(k, n, H, coloring, catalog, tables, W, split, cap)
+    return CounterSet(k, n, H, coloring, catalog, tables, split, cap)
 
 
 def build_counters_naive(H, k, coloring):
@@ -473,7 +472,8 @@ def read_table(path):
 
 def counterset_from_table(H, data):
     """Rebuild a usable CounterSet from read_table output plus H.  No round
-    runs; the split is still refused under the cap the build recorded."""
+    runs; the split is still refused under the cap the build recorded, and
+    the file's W under the W of its own tables."""
     if H.n != data["n"]:
         raise BuildError("hypergraph has %d vertices, table says %d" % (H.n, data["n"]))
     if host_digest(H) != data["host"]:
@@ -483,5 +483,9 @@ def counterset_from_table(H, data):
     split = AlphaSplit(H, data["alpha"])
     if k > 1:
         check_cap(split, data["cap"])
-    return CounterSet(k, data["n"], H, coloring, catalog, data["tables"],
-                      data["W"], split, data["cap"])
+    cs = CounterSet(k, data["n"], H, coloring, catalog, data["tables"],
+                    split, data["cap"])
+    if cs.W != data["W"]:
+        raise BuildError("table records W = %d, its tables sum to %d"
+                         % (data["W"], cs.W))
+    return cs

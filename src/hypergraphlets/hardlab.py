@@ -194,7 +194,7 @@ def ov_hypergraph(vectors):
     return Hypergraph(len(vectors), edges)
 
 
-def solve_ov_via_nc(vectors, cap=20):
+def solve_ov_via_nc(vectors):
     """Decide OV through neighborhood counting: build the derived hypergraph,
     compute eta(v) = |N(v)| for all v with unit weights, and answer YES iff
     some eta(v) < n - 1.
@@ -204,7 +204,7 @@ def solve_ov_via_nc(vectors, cap=20):
     """
     H = ov_hypergraph(vectors)
     split, _ = choose_split_refined(H)
-    eta = combined_neighbor_weight(NWPlan(split, cap), [1] * H.n)
+    eta = combined_neighbor_weight(NWPlan(split), [1] * H.n)
     answer = any(x < H.n - 1 for x in eta)
     return answer, H, eta
 

@@ -176,9 +176,10 @@ def parse_hypergraph(text, dedupe_edges=True):
     Format: optional first line '# vertices <n>'; '%' starts a comment line;
     every other nonempty line is one hyperedge of whitespace-separated vertex
     tokens.  Without a header, tokens are densified to 0-based ids in
-    first-appearance order.  With a header, all-integer tokens below n are
-    taken verbatim as ids (so files we serialize round-trip); otherwise
-    tokens densify as usual and must not exceed n distinct values.
+    first-appearance order.  With a header and every token decimal
+    (str.isdecimal, exactly what int() reads), tokens are ids below n taken
+    verbatim (so files we serialize round-trip); otherwise tokens densify as
+    usual and must not exceed n distinct values.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8-sig")
@@ -206,7 +207,7 @@ def parse_hypergraph(text, dedupe_edges=True):
             seen.add(t)
         raw_edges.append((lineno, tokens))
 
-    all_numeric = all(t.isdigit() for _, toks in raw_edges for t in toks)
+    all_numeric = all(t.isdecimal() for _, toks in raw_edges for t in toks)
     if header_n is not None and all_numeric:
         n = header_n
         edges = []

@@ -13,10 +13,12 @@ and keeps the pair with probability one over u's number of slots.  Every
 draw and rejection test is exact integer arithmetic: one uniform integer
 below an integer total, located in integer prefix sums.  The root draw reads
 per-treelet prefix sums of C(T,[k],.); every other draw table is built
-lazily and cached by what its weights depend on (upper-edge tables by upper
-type, not by vertex).  Sigma is computed once per shape, and canonical keys
-come from canonlab's cache, which is keyed by an isomorphic copy of each
-shape.  Cache warm-up consumes no randomness, so results are reproducible.
+lazily and cached by what its weights depend on: vertex tables by a vertex's
+lower neighbors or by one upper edge, and upper-edge tables by upper type,
+not by vertex.  A sampled treelet is kept only as its vertex set U.  Sigma
+is computed once per shape, and canonical keys come from canonlab's cache,
+which is keyed by an isomorphic copy of each shape.  Cache warm-up consumes
+no randomness, so results are reproducible.
 """
 
 from __future__ import annotations
@@ -65,12 +67,14 @@ class Generators:
 
     The root draw's prefix sums are eager: one list of C(T,[k],.) prefix
     sums per order-k treelet with a colorful occurrence, and the running
-    totals over those treelets.  The per-(T2,S2,v) lower-neighbor tables,
-    per-(T2,S2,e) vertex tables, per-(T2,S2,upper type) upper-edge tables,
-    per-(T2,S2) upper-edge totals and per-(T,S,v) partition tables, which
-    hold v's slot totals, are built on first use and cached (their
-    construction is deterministic and consumes no randomness).  sigmas maps
-    each canonical key sampled so far to its sigma.
+    totals over those treelets.  Three kinds of table are built on first
+    use and cached (their construction is deterministic and consumes no
+    randomness): per-(T,S,v) partition tables, which hold v's slot totals;
+    per-(T2,S2) vertex tables, one over v's lower neighbors and one over
+    each upper edge's vertices, all weighted by C(T2,S2,.); and
+    per-(T2,S2,upper type) tables over a type's upper edges, each weighted
+    by its vertex table's total.  sigmas maps each canonical key sampled so
+    far to its sigma.
     """
 
     def __init__(self, cs):
@@ -87,10 +91,8 @@ class Generators:
                 "no colorful treelet occurrences under this coloring")
         self._root_ends = list(accumulate(cum[-1] for cum in self._root_cums))
         self._partition = {}
-        self._lower = {}
+        self._vertices = {}
         self._upper = {}
-        self._edge_vertex = {}
-        self._edge_total = {}
         self.sigmas = {}
 
     # -- lazy table builders ------------------------------------------
@@ -127,49 +129,28 @@ class Generators:
             gen = self._partition[key] = VoseAlias(items, weights)
         return gen
 
-    def _lower_gen(self, t2, S2, v):
-        key = (t2, S2, v)
-        gen = self._lower.get(key)
-        if gen is None:
-            cs = self.cs
-            vec = cs.tables[t2][S2]
-            nbrs = cs.split.lower_neighbors[v]
-            gen = self._lower[key] = VoseAlias(
-                nbrs, list(map(vec.__getitem__, nbrs)))
-        return gen
-
-    def _edge_totals(self, t2, S2):
-        """Per upper edge j: the sum of C(T2,S2,.) over edge j.  All edges
-        at once: one pass over the upper part, which costs less than a
-        neighbor-weight round over C(T2,S2,.)."""
-        key = (t2, S2)
-        totals = self._edge_total.get(key)
-        if totals is None:
-            vec = self.cs.tables[t2][S2]
-            totals = self._edge_total[key] = [
-                sum(map(vec.__getitem__, e)) for e in self.cs.split.upper.edges]
-        return totals
+    def _vertex_gen(self, t2, S2, x):
+        """Vertices weighted by C(T2,S2,.): the lower neighbors of vertex
+        x >= 0, or the vertices of upper edge j for x = ~j; None if every
+        weight is 0."""
+        key = (t2, S2, x)
+        if key not in self._vertices:
+            split = self.cs.split
+            verts = split.lower_neighbors[x] if x >= 0 else split.upper.edges[~x]
+            weights = list(map(self.cs.tables[t2][S2].__getitem__, verts))
+            self._vertices[key] = VoseAlias(verts, weights) if any(weights) else None
+        return self._vertices[key]
 
     def _upper_gen(self, t2, S2, ty):
-        """Upper type ty (a vertex's upper edges) weighted by the edge totals
-        under C(T2,S2,.), shared by every vertex of that type; None if 0."""
+        """Upper type ty (a vertex's upper edges), each edge weighted by its
+        vertex table's total under C(T2,S2,.), shared by every vertex of
+        that type; None if 0."""
         key = (t2, S2, ty)
         if key not in self._upper:
-            totals = self._edge_totals(t2, S2)
-            weights = list(map(totals.__getitem__, ty))
+            gens = [self._vertex_gen(t2, S2, ~j) for j in ty]
+            weights = [gen.total if gen else 0 for gen in gens]
             self._upper[key] = VoseAlias(ty, weights) if any(weights) else None
         return self._upper[key]
-
-    def _edge_vertex_gen(self, t2, S2, j):
-        key = (t2, S2, j)
-        gen = self._edge_vertex.get(key)
-        if gen is None:
-            cs = self.cs
-            vec = cs.tables[t2][S2]
-            verts = cs.split.upper.edges[j]
-            gen = self._edge_vertex[key] = VoseAlias(
-                verts, list(map(vec.__getitem__, verts)))
-        return gen
 
     # -- the samplers --------------------------------------------------
 
@@ -192,24 +173,22 @@ class Generators:
         while True:
             S1, S2, w_low, w_all, up = partition.draw(rng)
             if rng.randrange(w_all) < w_low:
-                u = self._lower_gen(t2, S2, v).draw(rng)
+                u = self._vertex_gen(t2, S2, v).draw(rng)
                 in_lower = True
             else:
-                j = up.draw(rng)
-                u = self._edge_vertex_gen(t2, S2, j).draw(rng)
+                u = self._vertex_gen(t2, S2, ~up.draw(rng)).draw(rng)
                 i = bisect_left(lower_nbrs, u)
                 in_lower = i < len(lower_nbrs) and lower_nbrs[i] == u
             if not rng.randrange(in_lower + split.upper_overlap(u, v)):
                 return t2, S1, S2, u
 
-    def _sample_rec(self, tid, S, v, rng, vertices, edges):
+    def _sample_rec(self, tid, S, v, rng, vertices):
         if self.cs.catalog[tid].order == 1:
             vertices.append(v)
             return
         t2, S1, S2, u = self.sample_neigh(tid, S, v, rng)
-        edges.append((v, u))
-        self._sample_rec(self.cs.catalog[tid].t1, S1, v, rng, vertices, edges)
-        self._sample_rec(t2, S2, u, rng, vertices, edges)
+        self._sample_rec(self.cs.catalog[tid].t1, S1, v, rng, vertices)
+        self._sample_rec(t2, S2, u, rng, vertices)
 
     def draw_root(self, rng):
         """(T, v) with probability C(T,[k],v) / W: one uniform integer below
@@ -223,11 +202,11 @@ class Generators:
         return self._root_tids[i], bisect_right(self._root_cums[i], r)
 
     def sample_treelet(self, rng):
-        """One uniform colorful treelet: returns (root tid, U, tree edges)."""
+        """The sorted vertex set U of one uniform colorful treelet."""
         tid, v = self.draw_root(rng)
-        vertices, edges = [], []
-        self._sample_rec(tid, (1 << self.cs.k) - 1, v, rng, vertices, edges)
-        return tid, tuple(sorted(vertices)), edges
+        vertices = []
+        self._sample_rec(tid, (1 << self.cs.k) - 1, v, rng, vertices)
+        return tuple(sorted(vertices))
 
 
 def build_generators(cs):
@@ -289,11 +268,10 @@ def spanning_tree_count(A):
 
 
 class SampleOutcome:
-    __slots__ = ("U", "tree_edges", "sigma", "hypergraphlet", "key")
+    __slots__ = ("U", "sigma", "hypergraphlet", "key")
 
-    def __init__(self, U, tree_edges, sigma, hypergraphlet, key):
+    def __init__(self, U, sigma, hypergraphlet, key):
         self.U = U
-        self.tree_edges = tree_edges
         self.sigma = sigma
         self.hypergraphlet = hypergraphlet
         self.key = key
@@ -303,13 +281,13 @@ def sample_outcome(gens, rng):
     """Sample one treelet and complete it with extraction, key and sigma:
     sigma counts spanning trees of Gaif(H|_U) = Gaif(H)[U].  It depends only
     on the shape, so it is computed once per key and kept in gens.sigmas."""
-    _tid, U, tree_edges = gens.sample_treelet(rng)
+    U = gens.sample_treelet(rng)
     P = extract_hypergraphlet(gens.cs.H, U)
     key = canonical_key(P)
     sigma = gens.sigmas.get(key)
     if sigma is None:
         sigma = gens.sigmas[key] = spanning_tree_count(_gaifman_matrix(P))
-    return SampleOutcome(U, tree_edges, sigma, P, key)
+    return SampleOutcome(U, sigma, P, key)
 
 
 class EstimateReport:

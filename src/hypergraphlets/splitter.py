@@ -42,16 +42,13 @@ class AlphaSplit:
     upper part is empty and this is the plain Gaifman baseline.
     """
 
-    __slots__ = (
-        "alpha", "beta", "lower", "upper", "gaif_lower",
-        "lower_neighbors", "upper_types", "n",
-    )
+    __slots__ = ("alpha", "beta", "lower", "upper", "gaif_lower",
+                 "lower_neighbors", "upper_types")
 
     def __init__(self, H, alpha):
         lower_edges = [e for e in H.edges if len(e) <= alpha]
         upper_edges = [e for e in H.edges if len(e) > alpha]
         self.alpha = alpha
-        self.n = H.n
         self.lower = Hypergraph(H.n, lower_edges)
         self.upper = Hypergraph(H.n, upper_edges)
         self.beta = self.upper.max_degree

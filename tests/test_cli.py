@@ -524,6 +524,13 @@ def test_small_hm_budget_is_module_error(args, what):
         "error: %s exceeds budget 3 (set HM_BUDGET to raise)" % what)
 
 
+def test_superscript_digit_under_a_header_is_a_label(tmp_path):
+    path = tmp_path / "sup.hg"
+    path.write_text("# vertices 3\n0 \u00b2\n", encoding="utf-8")
+    out = json.loads(run_cli("stats", str(path)).stdout)
+    assert out["vertices"] == 3 and out["edges"] == 1
+
+
 @pytest.mark.parametrize("n", ["20000000", "99999999999"])
 def test_huge_vertex_header_is_module_error(tmp_path, n):
     # The child caps its own address space, so the test never asks for more.
@@ -599,6 +606,26 @@ def test_damaged_alpha_is_refused_by_the_recorded_cap(tmp_path):
                    "-o", str(tmp_path / "toy.hmt"), expect=1)
     assert one_line_error(proc).endswith(
         "degree 3 exceeds the 2^degree cap 2; re-split with a larger alpha")
+
+
+def test_damaged_w_is_refused_by_the_tables(tmp_path):
+    # W scales every estimate, so a stored W that is not the sum of the
+    # file's own C(T,[k],.) tables must not be used.
+    table = tmp_path / "w.hmt"
+    out = run_cli("build", TOY, "-k", "3", "--seed", "s2", "-o", str(table)).stdout
+    assert json.loads(out)["W"] == "24"
+    raw = table.read_bytes()
+    # magic, version, k, then alpha 5, cap 20, the coloring seed, n = 8,
+    # two digests and eight colors: W is the one-byte varint after them.
+    assert raw[6:17] == b"\x05\x14\x07s2|run0\x08"
+    pos = 17 + 64 + 8
+    assert raw[pos] == 24
+    damaged = raw[:pos] + bytes([25]) + raw[pos + 1:-32]
+    table.write_bytes(damaged + hashlib.sha256(damaged).digest())
+    proc = run_cli("sample", TOY, "--table", str(table), "--samples", "50",
+                   "--seed", "1", expect=1)
+    assert one_line_error(proc) == (
+        "error: table records W = 25, its tables sum to 24")
 
 
 def usage_error_line(proc):
@@ -754,6 +781,8 @@ STREAM_DIGESTS = {
     # sample reads the build's table, so it prints count's bytes.
     "sample-k3-a2-plain": "0d168701c1b80588e9a0eb8437245b4302af797eafbfece5281df1fe515e5e25",
     "sample-k3-a2-uniform": "16037e3fc1f588b2b4a999164096ce1caeb17f5f5d523d47b39487a530bbf1be",
+    # A (4,3)-nice file with six 12-vertex upper edges at alpha 4.
+    "count-nice-k4-a4-plain": "43e59b8c226491e19c235165f67ce67214271fc5dd7006ecfdbf9563d6f19333",
 }
 
 
@@ -778,3 +807,18 @@ def test_seeded_sample_bytes_are_pinned(tmp_path):
         out = run_cli("sample", TOY, "--table", str(table), "--samples", "300",
                       "--seed", "4", *STREAM_MODES[mode]).stdout
         assert _digest(out) == STREAM_DIGESTS["sample-k3-a2-%s" % mode]
+
+
+def test_seeded_count_bytes_on_large_upper_edges_are_pinned(tmp_path):
+    # toy.hg's upper edges hold at most five vertices.  Here six upper edges
+    # hold twelve each, so a drift in the draws through large edges fails
+    # this test, not only the benchmark.
+    hg = tmp_path / "nice.hg"
+    run_cli("gen-synthetic", "--model", "nice", "-n", "60", "-m", "30",
+            "--alpha", "4", "--beta", "3", "--big-size", "12", "--rho", "0.8",
+            "--seed", "4", "-o", str(hg))
+    split = json.loads(run_cli("split", str(hg), "--alpha", "4").stdout)
+    assert split["upper_edges"] >= 5
+    out = run_cli("count", str(hg), "-k", "4", "--samples", "300", "--seed", "4",
+                  "--alpha", "4").stdout
+    assert _digest(out) == STREAM_DIGESTS["count-nice-k4-a4-plain"]

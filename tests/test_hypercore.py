@@ -86,6 +86,19 @@ def test_parse_header_with_labels():
         parse_hypergraph("# vertices 1\nx y\n")
 
 
+def test_parse_header_ids_are_what_int_accepts():
+    # '²' is a digit but not a decimal, and int() refuses it: it is a
+    # label, so the file's tokens densify.  '٣' is a decimal (Arabic-Indic
+    # three), so it stays id 3 as int() reads it.
+    H = parse_hypergraph("# vertices 3\n0 \u00b2\n")
+    assert H.n == 3
+    assert H.edges == [(0, 1)]
+    assert H.labels == ["0", "\u00b2", "2"]
+    H = parse_hypergraph("# vertices 4\n0 \u0663\n")
+    assert H.labels is None
+    assert H.edges == [(0, 3)]
+
+
 def test_parse_comments_and_blank_lines():
     H = parse_hypergraph("% a comment\n\n0 1\n% another\n1 2\n", )
     assert H.n == 3

@@ -258,7 +258,7 @@ def test_sample_law_through_split_rejection_branches():
         n = 20000
         tally = {}
         for _ in range(n):
-            U = gens.sample_treelet(rng)[1]
+            U = gens.sample_treelet(rng)
             tally[U] = tally.get(U, 0) + 1
         assert set(tally) == set(law)
         for U, p in law.items():
@@ -299,21 +299,30 @@ def test_sample_neigh_redraws_the_partition_on_rejection():
         assert four_sigma_ok(tally[key], n, p)
 
 
-def test_sampled_trees_are_spanning_trees():
-    gens = crafted_generators()
-    rng = random.Random(107)
-    for _ in range(300):
-        tid, U, edges = gens.sample_treelet(rng)
-        assert len(U) == 3
-        assert len(edges) == 2
-        verts = set()
-        for u, v in edges:
-            verts.update((u, v))
-        assert verts == set(U)
-        # Every tree edge joins co-occurring vertices.
-        G = gaifman(CRAFTED)
-        for u, v in edges:
-            assert v in G.adj[u]
+def test_sampled_neighbors_are_gaifman_neighbors():
+    # Every neighbor draw with positive weight, under every split: u is a
+    # Gaifman neighbor of v, and (S1, S2) splits S with both sides counted.
+    for H, coloring in [(CRAFTED, CRAFTED_COLORING), (SHARED, SHARED_COLORING)]:
+        adj = gaifman(H).adj
+        for alpha in candidate_alphas(H):
+            cs = build_counters(H, apply_split(H, alpha), 3, coloring)
+            gens = build_generators(cs)
+            rng = random.Random(107 + alpha)
+            drawn = 0
+            for t in cs.catalog.treelets:
+                if t.order < 2:
+                    continue
+                for S in masks_of_size(3, t.order):
+                    for v in range(H.n):
+                        if not cs.tables[t.tid][S][v]:
+                            continue
+                        for _ in range(20):
+                            t2, S1, S2, u = gens.sample_neigh(t.tid, S, v, rng)
+                            assert u in adj[v]
+                            assert S1 | S2 == S and not S1 & S2
+                            assert cs.tables[t.t1][S1][v] and cs.tables[t2][S2][u]
+                            drawn += 1
+            assert drawn
 
 
 def test_root_draw_matches_one_flat_table():
@@ -386,13 +395,21 @@ def test_vertices_of_one_upper_type_share_one_upper_table():
             for S2 in masks_of_size(3, cs.catalog[t.t2].order):
                 gen = gens._upper_gen(t.t2, S2, split.upper_types[a])
                 assert gens._upper_gen(t.t2, S2, split.upper_types[b]) is gen
-                totals = gens._edge_totals(t.t2, S2)
+                vec = cs.tables[t.t2][S2]
+                totals = {j: sum(vec[u] for u in split.upper.edges[j]) for j in ty}
+                # The upper table is weighted by the edges' own vertex tables,
+                # and the edge draw after up.draw reads those cached tables.
+                edge_gens = {j: gens._vertices[t.t2, S2, ~j] for j in ty}
+                for j, edge_gen in edge_gens.items():
+                    assert gens._vertex_gen(t.t2, S2, ~j) is edge_gen
+                    assert (edge_gen.total if edge_gen else 0) == totals[j]
                 if gen is None:
-                    assert not any(totals[j] for j in ty)
+                    assert not any(totals.values())
                     continue
                 shared += 1
                 assert gen.items == [j for j in ty if totals[j]]
-                assert gen.total == sum(totals[j] for j in ty)
+                assert gen.cum == list(accumulate(
+                    edge_gens[j].total for j in gen.items))
         assert shared
 
 
