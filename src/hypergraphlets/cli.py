@@ -8,7 +8,9 @@ depends on it.
 """
 
 import argparse
+import errno
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -49,6 +51,8 @@ from .synth import nice_hypergraph, power_law_hypergraph
 CSV_HEADER = "key,samples,inv_sigma_sum,colorful_estimate,relative_frequency"
 THREADS_HELP = "accepted for compatibility; output never depends on it"
 CAP_HELP = "refuse splits whose upper part has a vertex of degree above this"
+# Commands whose -o names a prefix for several files, not a file.
+PREFIX_OUT = ("split", "reduce-clique")
 
 
 def _load(args):
@@ -66,6 +70,15 @@ def _load_graph(args):
             )
         pairs.append(e)
     return Graph(H.n, pairs)
+
+
+def _check_out(args):
+    """Refuse an -o path before any work: its directory must exist, and
+    unless it is a prefix it must not name a directory."""
+    if not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise FileNotFoundError(errno.ENOENT, "no such directory", args.out)
+    if args.command not in PREFIX_OUT and os.path.isdir(args.out):
+        raise IsADirectoryError(errno.EISDIR, "is a directory", args.out)
 
 
 def _emit(text, path):
@@ -492,6 +505,8 @@ def main(argv=None):
     if args.command in ("build", "gen-synthetic") and args.out is None:
         parser.error("%s requires -o/--out" % args.command)
     try:
+        if args.out is not None:
+            _check_out(args)
         return args.func(args)
     except FileNotFoundError as exc:
         print("error: no such file: %s" % (exc.filename or exc), file=sys.stderr)

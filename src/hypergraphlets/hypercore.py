@@ -174,25 +174,22 @@ def parse_hypergraph(text, dedupe_edges=True):
     """Parse edge-list text into a Hypergraph.
 
     Format: optional first line '# vertices <n>'; '%' starts a comment line;
-    every other nonempty line is one hyperedge of whitespace-separated vertex
-    tokens.  Without a header, tokens are densified to 0-based ids in
-    first-appearance order.  With a header and every token decimal
-    (str.isdecimal, exactly what int() reads), tokens are ids below n taken
-    verbatim (so files we serialize round-trip); otherwise tokens densify as
-    usual and must not exceed n distinct values.
+    a blank line (empty, or only whitespace) is skipped; every other line is
+    one hyperedge of whitespace-separated vertex tokens.  Without a header,
+    tokens are densified to 0-based ids in first-appearance order.  With a
+    header and every token decimal (str.isdecimal, exactly what int()
+    reads), tokens are ids below n taken verbatim (so files we serialize
+    round-trip); otherwise tokens densify as usual and must not exceed n
+    distinct values.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8-sig")
     header_n = None
     raw_edges = []  # (lineno, tokens)
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if line == "":
-            continue
         stripped = line.strip()
-        if stripped.startswith("%"):
+        if not stripped or stripped.startswith("%"):
             continue
-        if stripped == "":
-            raise HypergraphError("line %d: empty edge" % lineno)
         if stripped.startswith("#"):
             match = _HEADER_RE.match(stripped)
             if match is None or raw_edges or header_n is not None:

@@ -10,13 +10,15 @@ removes that bias.  The sampler reads only the count tables and the split,
 never eta: a neighbor draw proposes a partition (S1, S2) and then u through
 one slot joining v and u, a lower Gaifman edge or an upper edge they share,
 and keeps the pair with probability one over u's number of slots.  Every
-draw and rejection test is exact integer arithmetic: one uniform integer
-below an integer total, located in integer prefix sums.  The root draw reads
-per-treelet prefix sums of C(T,[k],.); every other draw table is built
-lazily and cached by what its weights depend on: vertex tables by a vertex's
-lower neighbors or by one upper edge, and upper-edge tables by upper type,
-not by vertex.  A sampled treelet is kept only as its vertex set U.  Sigma
-is computed once per shape, and canonical keys come from canonlab's cache,
+draw and rejection test is exact integer arithmetic: one integer from
+below(rng, n), uniform below an integer total, located in integer prefix
+sums.  A draw whose outcome is certain (one item, one slot, a total held by
+one item) spends no random bits.  The root draw reads per-treelet prefix
+sums of C(T,[k],.); the partition and lower-neighbor draws build their
+prefix sums per call, since each serves about one draw; only upper-edge
+draws use cached tables, one per upper edge and one per upper type, not
+per vertex.  A sampled treelet is kept only as its vertex set U.  Sigma is
+computed once per shape, and canonical keys come from canonlab's cache,
 which is keyed by an isomorphic copy of each shape.  Cache warm-up consumes
 no randomness, so results are reproducible.
 """
@@ -43,10 +45,24 @@ class NoColorfulOccurrences(SamplerError):
     """The coloring produced no colorful treelet at all (W = 0)."""
 
 
+def below(rng, n):
+    """A uniform integer in [0, n), n >= 1: rng.getrandbits((n - 1).bit_length())
+    until the result is below n, so fewer than two draws on average.  For
+    n = 1 it returns 0 and draws nothing."""
+    if n == 1:
+        return 0
+    bits = (n - 1).bit_length()
+    r = rng.getrandbits(bits)
+    while r >= n:
+        r = rng.getrandbits(bits)
+    return r
+
+
 # The class keeps the name and methods perfbench/launch.py traces.
 class VoseAlias:
-    """Exact draws from a fixed weighted support: one uniform integer below
-    the total weight, located by binary search in the integer prefix sums."""
+    """Exact draws from a fixed weighted support: one integer from
+    below(rng, total), located by binary search in the integer prefix sums.
+    A support of one item is drawn without random bits."""
 
     __slots__ = ("items", "cum", "total")
 
@@ -59,21 +75,23 @@ class VoseAlias:
         self.total = self.cum[-1]
 
     def draw(self, rng):
-        return self.items[bisect_right(self.cum, rng.randrange(self.total))]
+        if len(self.cum) == 1:
+            return self.items[0]
+        return self.items[bisect_right(self.cum, below(rng, self.total))]
 
 
 class Generators:
-    """Exact draw tables over one CounterSet.
+    """Exact draws over one CounterSet.
 
     The root draw's prefix sums are eager: one list of C(T,[k],.) prefix
     sums per order-k treelet with a colorful occurrence, and the running
-    totals over those treelets.  Three kinds of table are built on first
-    use and cached (their construction is deterministic and consumes no
-    randomness): per-(T,S,v) partition tables, which hold v's slot totals;
-    per-(T2,S2) vertex tables, one over v's lower neighbors and one over
-    each upper edge's vertices, all weighted by C(T2,S2,.); and
+    totals over those treelets.  Partition and lower-neighbor prefix sums
+    are built by each sample_neigh call, which draws from them about once.
+    Two kinds of upper-edge table are built on first use and cached (their
+    construction is deterministic and consumes no randomness): per-(T2,S2)
+    tables over each upper edge's vertices, weighted by C(T2,S2,.), and
     per-(T2,S2,upper type) tables over a type's upper edges, each weighted
-    by its vertex table's total.  sigmas maps each canonical key sampled so
+    by its edge table's total.  sigmas maps each canonical key sampled so
     far to its sigma.
     """
 
@@ -90,64 +108,29 @@ class Generators:
             raise NoColorfulOccurrences(
                 "no colorful treelet occurrences under this coloring")
         self._root_ends = list(accumulate(cum[-1] for cum in self._root_cums))
-        self._partition = {}
-        self._vertices = {}
+        self._edges = {}
         self._upper = {}
         self.sigmas = {}
 
     # -- lazy table builders ------------------------------------------
 
-    def _partition_gen(self, tid, S, v):
-        """Items (S1, S2, w_low, w_all, up) weighted C(T1,S1,v) * w_all,
-        where w_low and w_all are v's lower and total slot weights under
-        C(T2,S2,.) and up is the upper-edge table w_all was summed from."""
-        key = (tid, S, v)
-        gen = self._partition.get(key)
-        if gen is None:
-            cs = self.cs
-            t = cs.catalog[tid]
-            lower_nbrs = cs.split.lower_neighbors[v]
-            ty = cs.split.upper_types[v]
-            items = []
-            weights = []
-            for S2 in masks_of_size(cs.k, cs.catalog[t.t2].order):
-                if S2 & ~S:
-                    continue
-                S1 = S & ~S2
-                w1 = cs.tables[t.t1][S1][v]
-                if not w1:
-                    continue
-                w_low = sum(map(cs.tables[t.t2][S2].__getitem__, lower_nbrs))
-                up = self._upper_gen(t.t2, S2, ty) if ty else None
-                w_all = w_low + (up.total if up else 0)
-                if w_all:
-                    items.append((S1, S2, w_low, w_all, up))
-                    weights.append(w1 * w_all)
-            if not items:
-                raise SamplerError(
-                    "sample_neigh called with C(T,S,v) = 0 (no partition weight)")
-            gen = self._partition[key] = VoseAlias(items, weights)
-        return gen
-
-    def _vertex_gen(self, t2, S2, x):
-        """Vertices weighted by C(T2,S2,.): the lower neighbors of vertex
-        x >= 0, or the vertices of upper edge j for x = ~j; None if every
-        weight is 0."""
-        key = (t2, S2, x)
-        if key not in self._vertices:
-            split = self.cs.split
-            verts = split.lower_neighbors[x] if x >= 0 else split.upper.edges[~x]
+    def _edge_gen(self, t2, S2, j):
+        """The vertices of upper edge j weighted by C(T2,S2,.); None if
+        every weight is 0."""
+        key = (t2, S2, j)
+        if key not in self._edges:
+            verts = self.cs.split.upper.edges[j]
             weights = list(map(self.cs.tables[t2][S2].__getitem__, verts))
-            self._vertices[key] = VoseAlias(verts, weights) if any(weights) else None
-        return self._vertices[key]
+            self._edges[key] = VoseAlias(verts, weights) if any(weights) else None
+        return self._edges[key]
 
     def _upper_gen(self, t2, S2, ty):
         """Upper type ty (a vertex's upper edges), each edge weighted by its
-        vertex table's total under C(T2,S2,.), shared by every vertex of
-        that type; None if 0."""
+        edge table's total under C(T2,S2,.), shared by every vertex of that
+        type; None if 0."""
         key = (t2, S2, ty)
         if key not in self._upper:
-            gens = [self._vertex_gen(t2, S2, ~j) for j in ty]
+            gens = [self._edge_gen(t2, S2, j) for j in ty]
             weights = [gen.total if gen else 0 for gen in gens]
             self._upper[key] = VoseAlias(ty, weights) if any(weights) else None
         return self._upper[key]
@@ -159,27 +142,59 @@ class Generators:
         probability proportional to C(T1,S1,v) * C(T2,S2,u).
 
         One try draws a partition (S1, S2) with weight C(T1,S1,v) times the
-        slot total of v, then one slot joining v to some u, with weight
-        C(T2,S2,u): the pair's lower Gaifman edge, if any, or an upper edge
-        holding both.  One test keeps the try with probability one over u's
-        number of slots; a rejected try redraws the partition too, so each
-        (S1, S2, u) ends up with weight C(T1,S1,v) * C(T2,S2,u) exactly
-        (rejection sampling).
+        slot total w_all of v, then one slot joining v to some u, with
+        weight C(T2,S2,u): the pair's lower Gaifman edge, if any, or an
+        upper edge holding both.  One test keeps the try with probability
+        one over u's number of slots; a rejected try redraws the partition
+        too, so each (S1, S2, u) ends up with weight C(T1,S1,v) * C(T2,S2,u)
+        exactly (rejection sampling).  The partition list is built here and
+        serves every try.  The slot test draws only when both kinds of slot
+        have weight, and a lower draw only when two lower neighbors do.
         """
-        split = self.cs.split
-        t2 = self.cs.catalog[tid].t2
+        cs = self.cs
+        split = cs.split
+        t = cs.catalog[tid]
+        t2 = t.t2
         lower_nbrs = split.lower_neighbors[v]
-        partition = self._partition_gen(tid, S, v)
+        ty = split.upper_types[v]
+        items = []
+        cum = []
+        total = 0
+        for S2 in masks_of_size(cs.k, cs.catalog[t2].order):
+            if S2 & ~S:
+                continue
+            S1 = S & ~S2
+            w1 = cs.tables[t.t1][S1][v]
+            if not w1:
+                continue
+            w_low = sum(map(cs.tables[t2][S2].__getitem__, lower_nbrs))
+            up = self._upper_gen(t2, S2, ty) if ty else None
+            w_all = w_low + (up.total if up else 0)
+            if w_all:
+                items.append((S1, S2, w_low, w_all, up))
+                total += w1 * w_all
+                cum.append(total)
+        if not items:
+            raise SamplerError(
+                "sample_neigh called with C(T,S,v) = 0 (no partition weight)")
         while True:
-            S1, S2, w_low, w_all, up = partition.draw(rng)
-            if rng.randrange(w_all) < w_low:
-                u = self._vertex_gen(t2, S2, v).draw(rng)
-                in_lower = True
+            i = bisect_right(cum, below(rng, total)) if len(cum) > 1 else 0
+            S1, S2, w_low, w_all, up = items[i]
+            if w_low == w_all or (w_low and below(rng, w_all) < w_low):
+                # The lower neighbors' prefix sums: the first positive one is
+                # the only one with weight when it is already w_low.
+                low = list(accumulate(map(cs.tables[t2][S2].__getitem__, lower_nbrs)))
+                i = bisect_right(low, 0)
+                if low[i] < w_low:
+                    i = bisect_right(low, below(rng, w_low), i)
+                u = lower_nbrs[i]
+                slots = 1 + split.upper_overlap(u, v) if ty else 1
             else:
-                u = self._vertex_gen(t2, S2, ~up.draw(rng)).draw(rng)
+                u = self._edge_gen(t2, S2, up.draw(rng)).draw(rng)
                 i = bisect_left(lower_nbrs, u)
                 in_lower = i < len(lower_nbrs) and lower_nbrs[i] == u
-            if not rng.randrange(in_lower + split.upper_overlap(u, v)):
+                slots = in_lower + split.upper_overlap(u, v)
+            if slots == 1 or not below(rng, slots):
                 return t2, S1, S2, u
 
     def _sample_rec(self, tid, S, v, rng, vertices):
@@ -191,11 +206,12 @@ class Generators:
         self._sample_rec(t2, S2, u, rng, vertices)
 
     def draw_root(self, rng):
-        """(T, v) with probability C(T,[k],v) / W: one uniform integer below
-        W, located first in the running totals over treelets, then in that
-        treelet's prefix sums.  The same (T, v) for every integer as one flat
-        table over the cs.root_weights() items in order."""
-        r = rng.randrange(self._root_ends[-1])
+        """(T, v) with probability C(T,[k],v) / W: one integer from
+        below(rng, W), located first in the running totals over treelets,
+        then in that treelet's prefix sums.  The same (T, v) for every
+        integer as one flat table over the cs.root_weights() items in
+        order."""
+        r = below(rng, self._root_ends[-1])
         i = bisect_right(self._root_ends, r)
         if i:
             r -= self._root_ends[i - 1]
@@ -335,7 +351,7 @@ def estimate_counts(gens, K, rng, mode="weighted"):
     counts = {}
     for _ in range(K):
         out = sample_outcome(gens, rng)
-        if uniform and rng.randrange(out.sigma):
+        if uniform and below(rng, out.sigma):
             continue
         counts[out.key] = counts.get(out.key, 0) + 1
     scale = Fraction(cs.W, cs.k * K)

@@ -456,6 +456,28 @@ def test_build_requires_out():
     assert "build requires -o/--out" in proc.stderr
 
 
+@pytest.mark.parametrize("command", [["build", "-k", "3"],
+                                     ["count", "-k", "3", "--samples", "5"]])
+def test_unwritable_out_fails_before_the_work(tmp_path, command):
+    # A missing directory or a directory as -o is refused with the message
+    # and exit code a failed write gives, before the input is even read:
+    # the input here does not exist, and the -o error is the one reported.
+    for out, message in [(tmp_path / "missing" / "x.out", "error: no such file: "),
+                         (tmp_path, "error: not a file: ")]:
+        proc = run_cli(command[0], str(tmp_path / "absent.hg"), *command[1:],
+                       "-o", str(out), expect=2)
+        assert one_line_error(proc) == message + str(out)
+
+
+def test_prefix_out_may_name_a_directory(tmp_path):
+    # split's -o is a prefix: a directory of that name is no obstacle.
+    (tmp_path / "p").mkdir()
+    info = json.loads(run_cli("split", TOY, "--alpha", "2", "-o",
+                              str(tmp_path / "p")).stdout)
+    assert Path(info["lower_file"]).is_file()
+    run_cli("split", TOY, "-o", str(tmp_path / "missing" / "p"), expect=2)
+
+
 def test_bench_csv(tmp_path):
     out = run_cli(
         "bench", "--sizes", "60,120", "-k", "3", "--repeats", "1",
@@ -766,23 +788,23 @@ def test_byte_order_mark_is_not_part_of_the_input(tmp_path):
 # to the order in which the stream is consumed, changes them.
 STREAM_MODES = {"plain": [], "uniform": ["--uniform"], "runs": ["--runs", "2"]}
 STREAM_DIGESTS = {
-    "count-k3-a0-plain": "2d49e7474e7bc73f8749bda60c573b1bf2de13e7f8381958e873d72a1393816f",
-    "count-k3-a0-uniform": "4eb8c621285f665b6a93fab883d642b125524288a9b95ee44fda5f86ead5106a",
-    "count-k3-a0-runs": "9f542bac71cf7cae083fe29a6a6dc403d6b6effc6184921ae9a49aca7d159631",
-    "count-k3-a2-plain": "0d168701c1b80588e9a0eb8437245b4302af797eafbfece5281df1fe515e5e25",
-    "count-k3-a2-uniform": "16037e3fc1f588b2b4a999164096ce1caeb17f5f5d523d47b39487a530bbf1be",
-    "count-k3-a2-runs": "0cb65f7392844f73941fd99ddcf85830e4ce13de048388b6690be1baf6e2a1c9",
-    "count-k4-a0-plain": "d4f495b273c039ecc140508c04ae5b969c5e0393db8f4c4aea324ae1e77af8ce",
-    "count-k4-a0-uniform": "dc5d86a95c0b108949fb750e8fd78c1f8dcda409075158a917890314d6456097",
-    "count-k4-a0-runs": "5659a126e3d56cc3a124a37a77e027c1adb34bb9b813a1b90a5ddffa78893d3c",
-    "count-k4-a2-plain": "57349a1b92f10c3acaa32b63a321aa74ccbdf582c45591368d50bc8089fb5d5b",
-    "count-k4-a2-uniform": "d3e30f871ac7684ed8eece4c9ac98b4b75a6422088e152d1338fcc365a5a9c2d",
-    "count-k4-a2-runs": "afd5703e736246d5e5b95822cd0707380324a1dc71a4ab92ba232a3d7c3520ca",
+    "count-k3-a0-plain": "8189e40c1a0713f9aee59795196c93e5379b641646dea056d53e3f76abb40d32",
+    "count-k3-a0-uniform": "d51c80f85598add699257e65105125943025aeb1f17d2b94bb314dcb536566a0",
+    "count-k3-a0-runs": "6430e8489b2cb8061347690ec93c20b9bef0195ca54b0049e316ec50ede660ec",
+    "count-k3-a2-plain": "72ea03789d2bffc7b1a3c0014b1a75931d121fa2c6b164476b3127c9880247e8",
+    "count-k3-a2-uniform": "34e32fe20a8917cfbd13969108a7ba67aef81c3866905f26f50b0b8c777c8e7d",
+    "count-k3-a2-runs": "02661a832a60d3c1f5dd0790307fb386edf0866ca0b35d78b9a8ce2f29df6621",
+    "count-k4-a0-plain": "26eac549e3706536fede0a306da96244eb4f95f8b2f44a0b10c47364bf62b066",
+    "count-k4-a0-uniform": "958508e58fea8a131d8f3d9e7fdaa438dc55462402abbe980da340565c1cc316",
+    "count-k4-a0-runs": "21d5d5577f5c26981a30f699e6fab75b2d7c0edd033e102cef8388bf0f51f3cd",
+    "count-k4-a2-plain": "8d825067aed9d1a76a4779e262fc2608c81e3e237001d6dc18aeb0910d340b62",
+    "count-k4-a2-uniform": "8ab44e46255f5b2961381a4b3a132b98a39ef5cb4ed2fe356c7d5d3dbd6febd2",
+    "count-k4-a2-runs": "88cde59c2e9130cca4ce6f9e024f0184ce2468f0329c50519e9f0e40cf4921f8",
     # sample reads the build's table, so it prints count's bytes.
-    "sample-k3-a2-plain": "0d168701c1b80588e9a0eb8437245b4302af797eafbfece5281df1fe515e5e25",
-    "sample-k3-a2-uniform": "16037e3fc1f588b2b4a999164096ce1caeb17f5f5d523d47b39487a530bbf1be",
+    "sample-k3-a2-plain": "72ea03789d2bffc7b1a3c0014b1a75931d121fa2c6b164476b3127c9880247e8",
+    "sample-k3-a2-uniform": "34e32fe20a8917cfbd13969108a7ba67aef81c3866905f26f50b0b8c777c8e7d",
     # A (4,3)-nice file with six 12-vertex upper edges at alpha 4.
-    "count-nice-k4-a4-plain": "43e59b8c226491e19c235165f67ce67214271fc5dd7006ecfdbf9563d6f19333",
+    "count-nice-k4-a4-plain": "6494aaa25946e0a0d024fcaef0304b8213993550b4b48ec16c1ace105e0de715",
 }
 
 

@@ -105,9 +105,18 @@ def test_parse_comments_and_blank_lines():
     assert H.m == 2
 
 
+@pytest.mark.parametrize("blank", ["   ", "\t", " \t "])
+def test_parse_skips_whitespace_only_lines(blank):
+    # A line of spaces or tabs is skipped like an empty one.
+    text = "# vertices 3\n0 1\n%s\n1 2\n" % blank
+    assert parse_hypergraph(text) == parse_hypergraph("# vertices 3\n0 1\n\n1 2\n")
+    assert parse_hypergraph(text).m == 2
+
+
 def test_parse_error_line_numbers():
-    with pytest.raises(HypergraphError, match="line 2"):
-        parse_hypergraph("0 1\n   \n1 2\n")
+    # Skipped blank lines still count toward the line number.
+    with pytest.raises(HypergraphError, match="line 3: duplicate vertex"):
+        parse_hypergraph("0 1\n   \n1 2 1\n")
     with pytest.raises(HypergraphError, match="line 3"):
         parse_hypergraph("% c\n0 1\n0 1 0\n")
     with pytest.raises(HypergraphError, match="line 2: malformed header"):

@@ -69,8 +69,9 @@ def test_vose_alias_law():
 
 def test_vose_alias_zero_weights_excluded():
     alias = VoseAlias(["a", "b", "c"], [0, 5, 0])
-    rng = random.Random(83)
+    rng = CountingRng(83)
     assert {alias.draw(rng) for _ in range(50)} == {"b"}
+    assert rng.widths == []  # one item left: a certain draw spends no bits
     with pytest.raises(SamplerError):
         VoseAlias(["a"], [0])
     with pytest.raises(SamplerError):
@@ -85,40 +86,124 @@ def test_vose_alias_big_integer_weights():
     assert four_sigma_ok(ones, n, 0.75)
 
 
-class ScriptedRng:
-    """Stands in for random.Random: randrange returns the scripted values
-    in order and records each bound it was called with."""
+class ScriptedBelow:
+    """Stands in for sampler.below: returns the scripted values in order and
+    records each bound it was called with."""
 
     def __init__(self, values):
         self.values = iter(values)
         self.bounds = []
 
-    def randrange(self, n):
+    def __call__(self, _rng, n):
         value = next(self.values)
         assert 0 <= value < n
         self.bounds.append(n)
         return value
 
 
-def test_vose_alias_draw_is_exact():
+def test_vose_alias_draw_is_exact(monkeypatch):
     # Every integer below the total, once: item i comes back exactly w_i times.
     alias = VoseAlias("abcdef", [3, 0, 1, 5, 0, 2])
-    rng = ScriptedRng(range(11))
+    script = ScriptedBelow(range(11))
+    monkeypatch.setattr(sampler, "below", script)
     tally = {}
     for _ in range(11):
-        item = alias.draw(rng)
+        item = alias.draw(None)
         tally[item] = tally.get(item, 0) + 1
     assert tally == {"a": 3, "c": 1, "d": 5, "f": 2}
-    assert rng.bounds == [11] * 11
+    assert script.bounds == [11] * 11
     # Weights past 64 bits: the last value below each prefix-sum boundary
     # and the boundary itself land on the two neighboring items.
     weights = [2 ** 64 - 1, 2 ** 64, 2 ** 100 + 7]
     alias = VoseAlias(["x", "y", "z"], weights)
     first, second, total = list(accumulate(weights))
     values = [0, first - 1, first, second - 1, second, total - 1]
-    rng = ScriptedRng(values)
-    assert [alias.draw(rng) for _ in values] == ["x", "x", "y", "y", "z", "z"]
-    assert rng.bounds == [total] * len(values)
+    script = ScriptedBelow(values)
+    monkeypatch.setattr(sampler, "below", script)
+    assert [alias.draw(None) for _ in values] == ["x", "x", "y", "y", "z", "z"]
+    assert script.bounds == [total] * len(values)
+
+
+class CountingRng(random.Random):
+    """A seeded random.Random that records the width of every getrandbits
+    call, and refuses randrange, so every draw must go through below."""
+
+    def __init__(self, seed=0):
+        super().__init__(seed)
+        self.widths = []
+
+    def getrandbits(self, k):
+        self.widths.append(k)
+        return super().getrandbits(k)
+
+    def randrange(self, *args):
+        raise AssertionError("draws go through sampler.below")
+
+
+class BitsScript:
+    """getrandbits returns the scripted values in order."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+        self.widths = []
+
+    def getrandbits(self, k):
+        value = next(self.values)
+        assert 0 <= value < 1 << k
+        self.widths.append(k)
+        return value
+
+
+def test_below_draws_nothing_for_one():
+    rng = CountingRng()
+    assert [sampler.below(rng, 1) for _ in range(5)] == [0] * 5
+    assert rng.widths == []
+
+
+def test_below_power_of_two_takes_one_draw():
+    for e in (1, 2, 3, 10, 64, 100):
+        rng = CountingRng(e)
+        for _ in range(20):
+            assert 0 <= sampler.below(rng, 2 ** e) < 2 ** e
+        assert rng.widths == [e] * 20
+
+
+def test_below_redraws_out_of_range_values():
+    # n = 5 takes 3 bits: 7, 5 and 6 are refused, 3 is kept.
+    rng = BitsScript([7, 5, 6, 3, 0])
+    assert sampler.below(rng, 5) == 3
+    assert rng.widths == [3] * 4
+    assert sampler.below(rng, 5) == 0
+    # Past 64 bits: the largest value below n is kept, n itself is not.
+    n = 2 ** 100 + 7
+    rng = BitsScript([n, n - 1])
+    assert sampler.below(rng, n) == n - 1
+    assert rng.widths == [101, 101]
+
+
+def test_below_reaches_every_value():
+    for n in range(2, 40):
+        # Each in-range word maps to itself; each word past n is redrawn.
+        kept = [sampler.below(BitsScript([r]), n) for r in range(n)]
+        assert kept == list(range(n))
+        rng = random.Random(n)
+        seen = {sampler.below(rng, n) for _ in range(40 * n)}
+        assert seen == set(range(n))
+
+
+def test_one_edge_treelet_spends_one_draw():
+    # One 2-vertex edge at k = 2, lower or upper: W = 2, and the root draw
+    # below(2) is the only uncertain choice (one partition, one slot, one
+    # neighbor, one edge).
+    H = Hypergraph(2, [(0, 1)])
+    coloring = Coloring(2, (0, 1))
+    for alpha in candidate_alphas(H):
+        gens = build_generators(build_counters(H, apply_split(H, alpha), 2, coloring))
+        assert gens.cs.W == 2
+        for seed in range(8):
+            rng = CountingRng(seed)
+            assert gens.sample_treelet(rng) == (0, 1)
+            assert rng.widths == [1]
 
 
 # --- spanning-tree counts -------------------------------------------------
@@ -265,18 +350,20 @@ def test_sample_law_through_split_rejection_branches():
             assert four_sigma_ok(tally[U], n, float(p))
 
 
-def test_sample_neigh_accepts_once_per_proposal():
+def test_sample_neigh_accepts_once_per_proposal(monkeypatch):
     # At alpha 2, vertex 1 is vertex 0's one lower neighbor and shares both
     # of 0's upper edges, so it has three slots: the slot total w_all is
-    # w_low 1 plus the two upper-edge totals, and one randrange(3) keeps it.
+    # w_low 1 plus the two upper-edge totals, and one below(3) keeps it.
     cs = build_counters(SHARED, apply_split(SHARED, 2), 3, SHARED_COLORING)
     gens = build_generators(cs)
     edge = cs.catalog.of_order(2)[0]
-    # partition, lower proposal, lower draw, rejected; partition again,
-    # upper proposal, upper edge {0,1,3}, vertex 1 in it, accepted.
-    rng = ScriptedRng([0, 0, 0, 1, 0, 2, 1, 0, 0])
-    assert gens.sample_neigh(edge.tid, 0b011, 0, rng) == (edge.t2, 0b001, 0b010, 1)
-    assert rng.bounds == [3, 3, 1, 3, 3, 3, 2, 1, 3]
+    # The partition (one item), the lower draw (one neighbor) and the draw
+    # in edge {0,1,3} (one vertex of color 1) are certain and draw nothing.
+    # Lower proposal, rejected; upper proposal, upper edge {0,1,3}, accepted.
+    script = ScriptedBelow([0, 1, 2, 1, 0])
+    monkeypatch.setattr(sampler, "below", script)
+    assert gens.sample_neigh(edge.tid, 0b011, 0, None) == (edge.t2, 0b001, 0b010, 1)
+    assert script.bounds == [3, 3, 3, 2, 3]
 
 
 def test_sample_neigh_redraws_the_partition_on_rejection():
@@ -325,7 +412,7 @@ def test_sampled_neighbors_are_gaifman_neighbors():
             assert drawn
 
 
-def test_root_draw_matches_one_flat_table():
+def test_root_draw_matches_one_flat_table(monkeypatch):
     # Every integer below W, once: the per-treelet prefix sums give the same
     # (T, v) as one table over the cs.root_weights() items in order.
     toy = parse_hypergraph(TOY_TEXT)
@@ -336,9 +423,11 @@ def test_root_draw_matches_one_flat_table():
                          [w for _tid, vec in roots for w in vec])
         assert len(roots) > 1 and flat.total == cs.W
         gens = build_generators(cs)
-        ours, theirs = ScriptedRng(range(cs.W)), ScriptedRng(range(cs.W))
-        assert ([gens.draw_root(ours) for _ in range(cs.W)]
-                == [flat.draw(theirs) for _ in range(cs.W)])
+        ours, theirs = ScriptedBelow(range(cs.W)), ScriptedBelow(range(cs.W))
+        monkeypatch.setattr(sampler, "below", ours)
+        drawn = [gens.draw_root(None) for _ in range(cs.W)]
+        monkeypatch.setattr(sampler, "below", theirs)
+        assert drawn == [flat.draw(None) for _ in range(cs.W)]
         assert ours.bounds == theirs.bounds == [cs.W] * cs.W
 
 
@@ -397,11 +486,11 @@ def test_vertices_of_one_upper_type_share_one_upper_table():
                 assert gens._upper_gen(t.t2, S2, split.upper_types[b]) is gen
                 vec = cs.tables[t.t2][S2]
                 totals = {j: sum(vec[u] for u in split.upper.edges[j]) for j in ty}
-                # The upper table is weighted by the edges' own vertex tables,
-                # and the edge draw after up.draw reads those cached tables.
-                edge_gens = {j: gens._vertices[t.t2, S2, ~j] for j in ty}
+                # The upper table is weighted by the edges' own tables, and
+                # the edge draw after up.draw reads those cached tables.
+                edge_gens = {j: gens._edges[t.t2, S2, j] for j in ty}
                 for j, edge_gen in edge_gens.items():
-                    assert gens._vertex_gen(t.t2, S2, ~j) is edge_gen
+                    assert gens._edge_gen(t.t2, S2, j) is edge_gen
                     assert (edge_gen.total if edge_gen else 0) == totals[j]
                 if gen is None:
                     assert not any(totals.values())
