@@ -89,35 +89,42 @@ def check_cap(split, cap):
 class NWPlan:
     """What every neighbor-weight round over one alpha-split reuses.
 
-    Built once per split.  Each nonempty subset X of a vertex's upper type
-    is interned as an integer id, and members[id] lists the vertices whose
-    type contains X.  upper holds one (v, odd, even, shared) row per vertex
-    v in an upper edge: the ids of v's subsets of odd and of even size,
-    which inclusion-exclusion adds and subtracts, and v's lower neighbors
-    that also share an upper edge with v, the pairs that both parts count.
-    The 2^degree cap is checked here, before any round runs.
+    Built once per split.  Each nonempty subset X of an upper type is
+    interned as an integer id, and members[id] lists the vertices whose type
+    contains X.  upper holds one (v, odd, even, shared) row per vertex v in
+    an upper edge: the ids of the subsets of v's type of odd and of even
+    size, which inclusion-exclusion adds and subtracts, and v's lower
+    neighbors that also share an upper edge with v, the pairs that both
+    parts count.  Subsets are enumerated once per distinct type, and the
+    vertices of one type share its id lists.  The 2^degree cap is checked
+    here, before any round runs.
     """
 
     __slots__ = ("lower", "members", "upper")
 
     def __init__(self, split, cap=20):
         check_cap(split, cap)
+        types = split.upper_types
+        of_type = {}
+        for v, ty in enumerate(types):
+            if ty:
+                of_type.setdefault(ty, []).append(v)
         index = {}
         self.lower = split.gaif_lower
         self.members, self.upper = [], []
-        for v, ty in enumerate(split.upper_types):
-            if not ty:
-                continue
+        for ty, verts in of_type.items():
             sides = ([], [])
             for r in range(1, len(ty) + 1):
                 for X in combinations(ty, r):
                     i = index.setdefault(X, len(index))
                     if i == len(self.members):
                         self.members.append([])
-                    self.members[i].append(v)
+                    self.members[i] += verts
                     sides[r % 2].append(i)
-            shared = [u for u in split.lower_neighbors[v] if split.upper_overlap(u, v)]
-            self.upper.append((v, sides[1], sides[0], shared))
+            for v in verts:
+                shared = [u for u in split.lower_neighbors[v]
+                          if any(map(ty.__contains__, types[u]))]
+                self.upper.append((v, sides[1], sides[0], shared))
 
 
 def nw_ie(H, w, cap=20):

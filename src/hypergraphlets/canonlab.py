@@ -2,9 +2,15 @@
 
 The canonical key of a hypergraphlet is the lexicographically smallest sorted
 edge-bitmask tuple over all relabelings of its vertices; two hypergraphlets
-get the same key iff they are isomorphic.  Keys are cached by a copy of each
-hypergraphlet with its vertices ordered by the sizes of their edges, not by
-its labeled edges, so most labelings of one shape share one cache entry.
+get the same key iff they are isomorphic.  The key is found by a search that
+places one vertex per position and, at each node, tries one unplaced vertex
+per swap class: vertices whose exchange maps the edge set onto itself.  Such
+an exchange fixes every placed vertex, so the children it skips reach the
+same tuples and the minimum stays exact.  A labeled edge set seen before is
+answered by a front cache.  Behind it, keys are cached by a copy of each
+hypergraphlet with its vertices ordered by the sizes of their edges, so most
+labelings of one shape share one cache entry and one search.
+
 exact_counts enumerates every connected k-set of the Gaifman graph exactly
 once (pivot growth) and tallies keys; these exact tables are the ground
 truth all estimates are judged against.
@@ -25,7 +31,7 @@ from .treelets import canonical_code
 
 DEFAULT_BUDGET = 10 ** 7  # sets an exhaustive search may examine
 MAX_KEY_ORDER = 8  # the largest order canonical_key, -k and .hmt headers accept
-KEY_CACHE_CAP = 1 << 14  # _KEY_CACHE is emptied when it holds this many keys
+KEY_CACHE_CAP = 1 << 14  # each key cache is emptied when it holds this many keys
 
 
 class BudgetExceeded(HypergraphError):
@@ -63,24 +69,32 @@ def check_key_order(k):
 
 
 _KEY_CACHE = {}
+_LABELED_KEYS = {}
 
 
 def canonical_key(P):
     """The key of the module docstring, as (order, sorted masks); k' <= 8.
 
-    Keys are cached by _profile_ordered(P), an isomorphic copy of P, so the
-    labelings of one shape that the copy maps to the same masks share one
-    entry and one search.  The cache is emptied whenever it reaches
-    KEY_CACHE_CAP entries.
+    A labeled edge set seen before is answered from _LABELED_KEYS with no
+    copy made.  Otherwise keys are cached by _profile_ordered(P), an
+    isomorphic copy of P, so the labelings of one shape that the copy maps
+    to the same masks share one entry and one search.  Each cache is
+    emptied whenever it reaches KEY_CACHE_CAP entries.
     """
     kp = P.order
-    check_key_order(kp)
-    copy = (kp, _profile_ordered(kp, P.edges))
-    key = _KEY_CACHE.get(copy)
+    labeled = (kp, P.edges)
+    key = _LABELED_KEYS.get(labeled)
     if key is None:
-        if len(_KEY_CACHE) >= KEY_CACHE_CAP:
-            _KEY_CACHE.clear()
-        key = _KEY_CACHE[copy] = (kp, _min_relabeling(*copy))
+        check_key_order(kp)
+        copy = (kp, _profile_ordered(kp, P.edges))
+        key = _KEY_CACHE.get(copy)
+        if key is None:
+            if len(_KEY_CACHE) >= KEY_CACHE_CAP:
+                _KEY_CACHE.clear()
+            key = _KEY_CACHE[copy] = (kp, _min_relabeling(*copy))
+        if len(_LABELED_KEYS) >= KEY_CACHE_CAP:
+            _LABELED_KEYS.clear()
+        _LABELED_KEYS[labeled] = key
     return key
 
 
@@ -109,6 +123,37 @@ def _profile_ordered(kp, edges):
     return tuple(sorted([sum(map(bit.__getitem__, _BITS[mask])) for mask in edges]))
 
 
+def _swap_classes(kp, edges):
+    """The vertices of the edge set grouped into swap classes, one mask each.
+
+    u and v are swappable when exchanging them maps the edge set onto
+    itself.  That is an equivalence: if (u v) and (v w) are automorphisms, so
+    is (u w) = (u v)(v w)(u v), so each vertex is tested only against the
+    first member of each class.  The test: equal degrees, and the swap of
+    every edge that holds v but not u is an edge.  Equal degrees make as many
+    edges hold u but not v, so the swap maps those onto each other too.
+    """
+    present = set(edges)
+    degree = [0] * kp
+    for mask in edges:
+        for v in _BITS[mask]:
+            degree[v] += 1
+    firsts = []
+    classes = []
+    for v in range(kp):
+        vbit = 1 << v
+        for i, u in enumerate(firsts):
+            if degree[u] == degree[v]:
+                both = vbit | 1 << u
+                if all([m ^ both in present for m in edges if m & both == vbit]):
+                    classes[i] |= vbit
+                    break
+        else:
+            firsts.append(v)
+            classes.append(vbit)
+    return classes
+
+
 def _min_relabeling(kp, edges):
     """Smallest sorted relabeled mask tuple, placing positions 0, 1, ... in turn.
 
@@ -119,14 +164,13 @@ def _min_relabeling(kp, edges):
     compare as the tuples they lead to: the longer run wins when one is a
     prefix of the other.  Each level keeps only the children whose run is
     minimal over the level, so all its nodes share one prefix.  Nodes with the
-    same unplaced set and open edges have the same futures and are merged, and
-    a node tries one vertex per twin class (vertices in exactly the same
-    edges), since twins are interchangeable.
+    same unplaced set and open edges have the same futures and are merged.
+    A node tries only the lowest unplaced vertex of each swap class
+    (_swap_classes): exchanging two unplaced vertices of one class fixes every
+    placed vertex and maps the edge set onto itself, so the two children
+    reach the same relabeled tuples, and the minimum stays exact.
     """
-    twins = {}
-    for v in range(kp):
-        twins.setdefault(tuple([mask >> v & 1 for mask in edges]), []).append(v)
-    classes = list(twins.values())
+    classes = _swap_classes(kp, edges)
     low = (1 << kp) - 1
     sentinel = [1 << kp]
     # A node: its unplaced vertices as a mask, and its open edges, each with
@@ -138,17 +182,16 @@ def _min_relabeling(kp, edges):
         best = None
         for free, open_edges in level:
             for cls in classes:
-                for v in cls:
-                    if free >> v & 1:
-                        break
-                else:
+                vbit = free & cls
+                if not vbit:
                     continue
-                vbit = 1 << (kp + v)
+                vbit &= -vbit
+                shifted = vbit << kp
                 run = []
                 rest = []
                 for m in open_edges:
-                    if m & vbit:
-                        m ^= vbit | pbit
+                    if m & shifted:
+                        m ^= shifted | pbit
                         if m <= low:
                             run.append(m)
                             continue
@@ -159,7 +202,7 @@ def _min_relabeling(kp, edges):
                     best = run
                     children = []
                 if run == best:
-                    children.append((free ^ (1 << v), rest))
+                    children.append((free ^ vbit, rest))
         key += best[:-1]
         level = {(free, frozenset(rest)): (free, rest)
                  for free, rest in children}.values()

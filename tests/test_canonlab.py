@@ -204,6 +204,7 @@ def test_canonical_key_matches_brute_on_symmetric_order_8(sets):
 
 def test_key_cache_is_emptied_at_its_cap(monkeypatch):
     monkeypatch.setattr(canonlab, "_KEY_CACHE", {})
+    monkeypatch.setattr(canonlab, "_LABELED_KEYS", {})
     monkeypatch.setattr(canonlab, "KEY_CACHE_CAP", 5)
     reached = emptied = 0
     for P in _every_edge_set(3):
@@ -236,11 +237,58 @@ def test_relabelings_of_one_shape_share_one_cache_entry(monkeypatch):
     # Edges {0,1,2,3}, {0,1,2}, {0,1} and {0}: the four vertices lie in edges
     # of different size multisets, so every relabeling maps to one copy.
     monkeypatch.setattr(canonlab, "_KEY_CACHE", {})
+    monkeypatch.setattr(canonlab, "_LABELED_KEYS", {})
     P = _from_vertex_sets(4, [(0, 1, 2, 3), (0, 1, 2), (0, 1), (0,)])
     key = brute_canonical_key(P)
     for perm in permutations(range(4)):
         assert canonical_key(_relabeled(P, perm)) == key
     assert len(canonlab._KEY_CACHE) == 1
+
+
+def test_repeated_labeled_edge_set_skips_the_copy_and_both_caches_stay_capped(monkeypatch):
+    monkeypatch.setattr(canonlab, "_KEY_CACHE", {})
+    monkeypatch.setattr(canonlab, "_LABELED_KEYS", {})
+    monkeypatch.setattr(canonlab, "KEY_CACHE_CAP", 5)
+    profile_ordered = canonlab._profile_ordered
+    key = canonical_key(Hypergraphlet(3, [3, 6]))
+
+    def no_copy(kp, edges):
+        raise AssertionError("a labeled repeat made a profile-ordered copy")
+
+    monkeypatch.setattr(canonlab, "_profile_ordered", no_copy)
+    assert canonical_key(Hypergraphlet(3, [3, 6])) == key
+    assert len(canonlab._KEY_CACHE) == 1
+    monkeypatch.setattr(canonlab, "_profile_ordered", profile_ordered)
+    for _ in range(2):
+        for P in _every_edge_set(3):
+            assert canonical_key(P) == brute_canonical_key(P)
+            assert len(canonlab._KEY_CACHE) <= 5
+            assert len(canonlab._LABELED_KEYS) <= 5
+
+
+def _swaps_onto_itself(P, u, v):
+    both = 1 << u | 1 << v
+    swapped = {m ^ both if bin(m & both).count("1") == 1 else m for m in P.edges}
+    return swapped == set(P.edges)
+
+
+def test_swap_classes_are_the_swaps_that_keep_the_edge_set():
+    for order in range(1, 5):
+        for P in _every_edge_set(order):
+            classes = canonlab._swap_classes(order, P.edges)
+            # The classes partition the vertices.
+            assert sorted(v for cls in classes for v in range(order) if cls >> v & 1) \
+                == list(range(order))
+            of = {v: cls for cls in classes for v in range(order) if cls >> v & 1}
+            for u, v in combinations(range(order), 2):
+                assert (of[u] == of[v]) == _swaps_onto_itself(P, u, v)
+
+
+def test_swap_classes_of_singletons_plus_full_edge_and_of_a_path():
+    star = _from_vertex_sets(6, [(v,) for v in range(6)] + [tuple(range(6))])
+    assert canonlab._swap_classes(6, star.edges) == [0b111111]
+    path = _from_vertex_sets(3, [(0, 1), (1, 2)])
+    assert canonlab._swap_classes(3, path.edges) == [0b101, 0b010]
 
 
 def test_canonical_key_separates_shapes():
