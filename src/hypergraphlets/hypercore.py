@@ -130,28 +130,21 @@ class Graph:
 class Hypergraphlet:
     """Small hypergraph on local vertices 0..order-1, edges as bitmasks.
 
-    Edge bitmasks form a set (no duplicates); vertex_map[i] is the original
-    id of local vertex i, ascending.  This is the value type for both
-    induced_sub and section_sub.
+    Edge bitmasks form a set (no duplicates); bit i stands for the i-th
+    smallest vertex of the U it was read on.  This is the value type for
+    both induced_sub and section_sub.
     """
 
-    __slots__ = ("order", "edges", "vertex_map")
+    __slots__ = ("order", "edges")
 
-    def __init__(self, order, edges, vertex_map=None):
+    def __init__(self, order, edges):
         edges = tuple(sorted(set(edges)))
         full = (1 << order) - 1
         for mask in edges:
             if mask <= 0 or mask > full:
                 raise HypergraphError("edge bitmask %r not within %d bits" % (mask, order))
-        if vertex_map is None:
-            vertex_map = tuple(range(order))
-        else:
-            vertex_map = tuple(vertex_map)
-            if len(vertex_map) != order:
-                raise HypergraphError("vertex_map length must equal order")
         self.order = order
         self.edges = edges
-        self.vertex_map = vertex_map
 
     def __eq__(self, other):
         return (
@@ -291,7 +284,7 @@ def _truncations(H, U):
 def induced_sub(H, U):
     """H|_U: every edge meeting U, truncated to U; duplicates collapse."""
     U = _check_subset(H, U)
-    return Hypergraphlet(len(U), _truncations(H, U).values(), vertex_map=U)
+    return Hypergraphlet(len(U), _truncations(H, U).values())
 
 
 def section_sub(H, U):
@@ -299,7 +292,7 @@ def section_sub(H, U):
     U = _check_subset(H, U)
     masks = [mask for j, mask in _truncations(H, U).items()
              if mask.bit_count() == len(H.edges[j])]
-    return Hypergraphlet(len(U), masks, vertex_map=U)
+    return Hypergraphlet(len(U), masks)
 
 
 def masks_connected(masks, full):

@@ -13,21 +13,21 @@ and keeps the pair with probability one over u's number of slots.  Every
 draw and rejection test is exact integer arithmetic: one integer from
 below(rng, n), uniform below an integer total, located in integer prefix
 sums.  A draw whose outcome is certain (one item, one slot, a total held by
-one item) spends no random bits.  The root draw reads per-treelet prefix
-sums of C(T,[k],.); the partition and lower-neighbor draws build their
-prefix sums per call, since each serves about one draw; only upper-edge
-draws use cached tables, one per upper edge and one per upper type, not
-per vertex.  A sampled treelet is kept only as its vertex set U.  Sigma is
-computed once per shape, and canonical keys come from canonlab's cache,
-which is keyed by an isomorphic copy of each shape.  Cache warm-up consumes
-no randomness, so results are reproducible.
+one item) spends no random bits.  The root draw reads one flat list of
+prefix sums of C(T,[k],.) over every order-k treelet; the partition and
+lower-neighbor draws build their prefix sums per call, since each serves
+about one draw; only upper-edge draws use cached tables, one per upper edge
+and one per upper type, not per vertex.  A sampled treelet is kept only as
+its vertex set U.  Sigma is computed once per shape, and canonical keys come
+from canonlab's cache, which is keyed by an isomorphic copy of each shape.
+Cache warm-up consumes no randomness, so results are reproducible.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import accumulate, compress
+from itertools import accumulate, chain, compress
 
 from .buildup import build_counters, derived_rng, masks_of_size, random_coloring
 from .canonlab import canonical_key, check_key_order
@@ -83,31 +83,26 @@ class VoseAlias:
 class Generators:
     """Exact draws over one CounterSet.
 
-    The root draw's prefix sums are eager: one list of C(T,[k],.) prefix
-    sums per order-k treelet with a colorful occurrence, and the running
-    totals over those treelets.  Partition and lower-neighbor prefix sums
-    are built by each sample_neigh call, which draws from them about once.
-    Two kinds of upper-edge table are built on first use and cached (their
-    construction is deterministic and consumes no randomness): per-(T2,S2)
-    tables over each upper edge's vertices, weighted by C(T2,S2,.), and
-    per-(T2,S2,upper type) tables over a type's upper edges, each weighted
-    by its edge table's total.  sigmas maps each canonical key sampled so
-    far to its sigma.
+    The root draw's prefix sums are eager: one flat list of C(T,[k],v)
+    prefix sums over every order-k treelet T and vertex v.  Partition and
+    lower-neighbor prefix sums are built by each sample_neigh call, which
+    draws from them about once.  Two kinds of upper-edge table are built on
+    first use and cached (their construction is deterministic and consumes
+    no randomness): per-(T2,S2) tables over each upper edge's vertices,
+    weighted by C(T2,S2,.), and per-(T2,S2,upper type) tables over a type's
+    upper edges, each weighted by its edge table's total.  sigmas maps each
+    canonical key sampled so far to its sigma.
     """
 
     def __init__(self, cs):
-        self.cs = cs
-        self._root_tids = []
-        self._root_cums = []
-        for tid, vec in cs.root_weights():
-            cum = list(accumulate(vec))
-            if cum and cum[-1]:
-                self._root_tids.append(tid)
-                self._root_cums.append(cum)
-        if not self._root_tids:
+        if not cs.W:
             raise NoColorfulOccurrences(
                 "no colorful treelet occurrences under this coloring")
-        self._root_ends = list(accumulate(cum[-1] for cum in self._root_cums))
+        self.cs = cs
+        roots = cs.root_weights()
+        self._root_tids = [tid for tid, _vec in roots]
+        self._root_cum = list(accumulate(chain.from_iterable(
+            vec for _tid, vec in roots)))
         self._edges = {}
         self._upper = {}
         self.sigmas = {}
@@ -207,15 +202,11 @@ class Generators:
 
     def draw_root(self, rng):
         """(T, v) with probability C(T,[k],v) / W: one integer from
-        below(rng, W), located first in the running totals over treelets,
-        then in that treelet's prefix sums.  The same (T, v) for every
-        integer as one flat table over the cs.root_weights() items in
-        order."""
-        r = below(rng, self._root_ends[-1])
-        i = bisect_right(self._root_ends, r)
-        if i:
-            r -= self._root_ends[i - 1]
-        return self._root_tids[i], bisect_right(self._root_cums[i], r)
+        below(rng, W), located in one flat list of prefix sums over the
+        cs.root_weights() vectors in order, where the i-th treelet's entry
+        for v sits at position i * n + v."""
+        i, v = divmod(bisect_right(self._root_cum, below(rng, self.cs.W)), self.cs.n)
+        return self._root_tids[i], v
 
     def sample_treelet(self, rng):
         """The sorted vertex set U of one uniform colorful treelet."""

@@ -7,6 +7,13 @@ order >= 2 decomposes into (T1, T2): T2 is the root-child subtree with the
 smallest code, T1 is the rest (same root), and d is how many root children
 carry a subtree isomorphic to T2; d is the normalizing factor of the
 counter recurrence.
+
+The catalog is built the way the recurrence reads it, one order at a time:
+every T2 of order h2 is hung under the root of every T1 of order h - h2.
+A pair is kept only when T1's root has no child or T2's code is at most
+T1's smallest child code, so that T2 is the smallest child of the result.
+Each treelet of order h then comes from exactly one pair, which is its
+decomposition.
 """
 
 from __future__ import annotations
@@ -41,20 +48,6 @@ def canonical_code(children_of, root):
     return rec(root)
 
 
-def _children_codes(code):
-    """Split a code into its root-child codes (unsorted order of appearance)."""
-    inner = code[1:-1]
-    out = []
-    depth = 0
-    start = 0
-    for i, ch in enumerate(inner):
-        depth += 1 if ch == "(" else -1
-        if depth == 0:
-            out.append(inner[start:i + 1])
-            start = i + 1
-    return out
-
-
 class TreeletCatalog:
     """All rooted treelets of order 1..k, deterministically ordered and
     indexed, each with its canonical (T1, T2, d) decomposition."""
@@ -63,33 +56,23 @@ class TreeletCatalog:
         if not 1 <= k <= 16:
             raise HypergraphError("k must lie in 1..16")
         self.k = k
-        codes_by_order = [None, ["()"]]
+        self.treelets = [Treelet(0, 1, "()", ())]
+        self._orders = [(), tuple(self.treelets)]
         for h in range(2, k + 1):
-            seen = set()
-            for code in codes_by_order[h - 1]:
-                for ext in _extend_by_leaf(code):
-                    seen.add(ext)
-            codes_by_order.append(sorted(seen))
-
-        self.treelets = []
-        self.by_code = {}
-        for h in range(1, k + 1):
-            for code in codes_by_order[h]:
-                t = Treelet(len(self.treelets), h, code,
-                            tuple(sorted(_children_codes(code))))
-                self.treelets.append(t)
-                self.by_code[code] = t.tid
-
-        for t in self.treelets:
-            if t.order == 1:
-                continue
-            t2_code = min(t.children)
-            rest = list(t.children)
-            rest.remove(t2_code)
-            t1_code = code_from_children(rest)
-            t.t2 = self.by_code[t2_code]
-            t.t1 = self.by_code[t1_code]
-            t.d = sum(1 for c in t.children if c == t2_code)
+            glued = []
+            for h2 in range(1, h):
+                for t2 in self._orders[h2]:
+                    for t1 in self._orders[h - h2]:
+                        if t1.children and t2.code > t1.children[0]:
+                            continue
+                        children = tuple(sorted(t1.children + (t2.code,)))
+                        glued.append((code_from_children(children), children, t1.tid,
+                                      t2.tid, 1 + t1.children.count(t2.code)))
+            base = len(self.treelets)
+            self._orders.append(tuple(Treelet(base + i, h, *g)
+                                      for i, g in enumerate(sorted(glued))))
+            self.treelets.extend(self._orders[h])
+        self.by_code = {t.code: t.tid for t in self.treelets}
 
     def __len__(self):
         return len(self.treelets)
@@ -98,7 +81,7 @@ class TreeletCatalog:
         return self.treelets[tid]
 
     def of_order(self, h):
-        return [t for t in self.treelets if t.order == h]
+        return self._orders[h]
 
     def tid_of(self, code):
         return self.by_code[code]
@@ -106,21 +89,4 @@ class TreeletCatalog:
     def dump(self):
         """One canonical code per line; versioning text for table files."""
         return "\n".join(t.code for t in self.treelets) + "\n"
-
-
-def _extend_by_leaf(code):
-    """All codes reachable by hanging one new leaf somewhere in the tree."""
-    results = set()
-
-    def rec(c):
-        # c with a leaf added at its root, plus c with a leaf added inside
-        # any one child subtree.
-        kids = _children_codes(c)
-        out = {code_from_children(kids + ["()"])}
-        for i, kid in enumerate(kids):
-            for ext in rec(kid):
-                out.add(code_from_children(kids[:i] + [ext] + kids[i + 1:]))
-        return out
-
-    return rec(code)
 

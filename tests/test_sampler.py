@@ -413,8 +413,8 @@ def test_sampled_neighbors_are_gaifman_neighbors():
 
 
 def test_root_draw_matches_one_flat_table(monkeypatch):
-    # Every integer below W, once: the per-treelet prefix sums give the same
-    # (T, v) as one table over the cs.root_weights() items in order.
+    # Every integer below W, once: draw_root gives the same (T, v) as one
+    # alias table over the cs.root_weights() items in order.
     toy = parse_hypergraph(TOY_TEXT)
     for cs in [resolve_build(toy, 3, random_coloring(toy, 3, "t2|run0")),
                build_counters(SHARED, apply_split(SHARED, 2), 3, SHARED_COLORING)]:
