@@ -62,14 +62,12 @@ def _load(args):
 
 def _load_graph(args):
     H = _load(args)
-    pairs = []
     for j, e in enumerate(H.edges):
         if len(e) != 2:
             raise HypergraphError(
                 "graph input required: edge %d has %d vertices" % (j, len(e))
             )
-        pairs.append(e)
-    return Graph(H.n, pairs)
+    return Graph(H.n, H.edges)
 
 
 def _check_out(args):

@@ -5,7 +5,9 @@ sorted tuple of distinct vertex ids.  Two notions of "sub-hypergraph on U" are
 provided: the induced one (edges truncated to U, duplicates collapsed, kept if
 nonempty) and the section one (only edges fully inside U).  Whether a vertex
 set is connected, under either notion, is asked of ``masks_connected``, the
-package's one connectivity test.
+package's one connectivity test.  ``Graph`` is the one adjacency builder: it
+takes pairs or whole hyperedges, so the Gaifman projection is
+``Graph(H.n, H.edges)``.
 """
 
 from __future__ import annotations
@@ -94,19 +96,21 @@ class Hypergraph:
 
 
 class Graph:
-    """Simple undirected graph: symmetric sorted adjacency lists, no loops."""
+    """Simple undirected graph: symmetric sorted adjacency lists, no loops.
+    The one adjacency builder: each edge, a pair or a whole hyperedge, makes
+    its vertices a clique, so gaifman(H) is Graph(H.n, H.edges)."""
 
     __slots__ = ("n", "adj")
 
-    def __init__(self, n, edge_pairs=()):
+    def __init__(self, n, edges=()):
         adj = [set() for _ in range(n)]
-        for u, v in edge_pairs:
-            if u == v:
-                continue
-            if not (0 <= u < n and 0 <= v < n):
-                raise HypergraphError("graph edge (%r, %r) out of range" % (u, v))
-            adj[u].add(v)
-            adj[v].add(u)
+        for e in edges:
+            if min(e) < 0 or max(e) >= n:
+                raise HypergraphError("graph edge %r out of range" % (tuple(e),))
+            for v in e:
+                adj[v].update(e)
+        for v, s in enumerate(adj):
+            s.discard(v)
         self.n = n
         self.adj = [sorted(s) for s in adj]
 
@@ -252,13 +256,7 @@ def serialize_hypergraph(H):
 
 def gaifman(H):
     """Gaifman (primal) graph: u ~ v iff some edge of H contains both."""
-    pairs = set()
-    for e in H.edges:
-        for i in range(len(e)):
-            vi = e[i]
-            for j in range(i + 1, len(e)):
-                pairs.add((vi, e[j]))
-    return Graph(H.n, pairs)
+    return Graph(H.n, H.edges)
 
 
 def _check_subset(H, U):

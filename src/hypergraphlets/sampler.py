@@ -362,18 +362,20 @@ def sharded_estimate(gens, K, seed, run, mode="weighted"):
 # -- end-to-end pipeline ------------------------------------------------
 
 
-def resolve_build(H, k, coloring, alpha_policy="auto", gamma=0.01, cap=20):
-    """Build counters under an alpha policy: 'auto' (refined cost model),
-    'naive' (the split at alpha = H.rank, i.e. the Gaifman baseline), or an
-    explicit integer threshold.  gamma is checked under every policy."""
+def resolve_split(H, k, alpha_policy="auto", gamma=0.01):
+    """The split an alpha policy names: 'auto' (refined cost model), 'naive'
+    (alpha = H.rank, i.e. the Gaifman baseline), or an explicit integer
+    threshold.  k and gamma are checked first, under every policy."""
     check_key_order(k)
     check_gamma(gamma)
     if alpha_policy == "auto":
-        split, _cost = choose_split_refined(H, gamma)
-    elif alpha_policy == "naive":
-        split = apply_split(H, H.rank)
-    else:
-        split = apply_split(H, int(alpha_policy))
+        return choose_split_refined(H, gamma)[0]
+    return apply_split(H, H.rank if alpha_policy == "naive" else int(alpha_policy))
+
+
+def resolve_build(H, k, coloring, alpha_policy="auto", gamma=0.01, cap=20):
+    """Build counters on the split resolve_split names."""
+    split = resolve_split(H, k, alpha_policy, gamma)
     return build_counters(H, split, k, coloring, cap=cap)
 
 
@@ -390,11 +392,11 @@ def approx_counts(H, k, samples, seed, runs=1, alpha_policy="auto", gamma=0.01,
         raise SamplerError("runs must be at least 1")
     if samples < 1:
         raise SamplerError("sample budget must be at least 1")
+    split = resolve_split(H, k, alpha_policy, gamma)  # builds only read it
     per_run = []
     for r in range(runs):
         coloring = random_coloring(H, k, "%s|run%d" % (seed, r))
-        cs = resolve_build(H, k, coloring, alpha_policy=alpha_policy,
-                           gamma=gamma, cap=cap)
+        cs = build_counters(H, split, k, coloring, cap=cap)
         try:
             gens = build_generators(cs)
         except NoColorfulOccurrences:

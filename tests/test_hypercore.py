@@ -61,6 +61,32 @@ def test_gaifman_toy(toy):
     }
 
 
+def test_gaifman_matches_pair_oracle():
+    # Singleton edges, repeated edges (as --no-dedupe-edges keeps them) and
+    # n = 0 all project to the pairs the double loop finds.
+    rng = random.Random(21)
+    cases = [Hypergraph(0, []), Hypergraph(3, [(1,), (0, 2), (2, 0), (1,)])]
+    for _ in range(200):
+        H = random_hypergraph(rng)
+        cases.append(Hypergraph(H.n, H.edges + H.edges[::2]))
+    for H in cases:
+        G = gaifman(H)
+        assert set(G.edge_list()) == gaifman_pairs(H)
+        assert all(G.adj[v] == sorted(set(G.adj[v])) and v not in G.adj[v]
+                   for v in range(H.n))
+
+
+def test_graph_takes_hyperedges():
+    G = Graph(5, [(0, 1, 2), (2, 3)])
+    assert G.adj == [[1, 2], [0, 2], [0, 1, 3], [2], []]
+    assert G == Graph(5, [(0, 1), (1, 2), (0, 2), (3, 2), (2, 2)])
+    with pytest.raises(HypergraphError, match=r"graph edge \(-1, 2\) out of range"):
+        Graph(5, [(-1, 2)])
+    # Every tuple is range-checked, loops included.
+    with pytest.raises(HypergraphError, match=r"graph edge \(5, 5\) out of range"):
+        Graph(2, [(5, 5)])
+
+
 def test_parse_header_verbatim_ids():
     # Numeric tokens under a header keep their ids; vertex 7 stays isolated.
     H = parse_hypergraph(TOY_TEXT)

@@ -6,6 +6,7 @@ from itertools import accumulate
 import pytest
 
 import hypergraphlets.sampler as sampler
+from hypergraphlets import cli
 from hypergraphlets.buildup import (
     Coloring,
     build_counters,
@@ -28,7 +29,7 @@ from hypergraphlets.sampler import (
     sharded_estimate,
     spanning_tree_count,
 )
-from hypergraphlets.splitter import apply_split, candidate_alphas
+from hypergraphlets.splitter import apply_split, candidate_alphas, choose_split_refined
 
 from oracles import (
     connected_on,
@@ -612,6 +613,22 @@ def test_resolve_build_policies():
     fixed = resolve_build(toy, 3, col, alpha_policy=3)
     assert fixed.split.alpha == 3
     assert naive.tables_equal(auto) and auto.tables_equal(fixed)
+
+
+def test_count_chooses_the_split_once_per_call(monkeypatch, capsys, tmp_path):
+    calls = []
+
+    def counted(H, gamma=0.01):
+        calls.append(gamma)
+        return choose_split_refined(H, gamma)
+
+    monkeypatch.setattr(sampler, "choose_split_refined", counted)
+    hg = tmp_path / "toy.hg"
+    hg.write_text(TOY_TEXT)
+    assert cli.main(["count", str(hg), "-k", "3", "--samples", "50",
+                     "--seed", "4", "--runs", "3"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) > 1
+    assert calls == [0.01]
 
 
 def test_approx_counts_runs_average():
