@@ -4,17 +4,19 @@ C(T,S,v) counts rooted trees in the Gaifman graph that are isomorphic to the
 rooted treelet T, use exactly the color set S (one vertex per color), and are
 rooted at v.  The recurrence glues T1 (rooted at v) to T2 (rooted at a
 neighbor u), so each T2 needs eta(v) = sum of C(T2,S2,u) over neighbors u of
-v, for every color set S2.  One neighbor-weight round per T2 serves all its
-S2: the counts of each vertex are packed into one integer, a fixed-width
-field per S2, and the round sums those integers.  A round runs across an
-alpha-split: directly on the Gaifman projection of the lower part, then, for
-each vertex in an upper edge, adds the upper neighbors by inclusion-exclusion
-over its type and takes back the pairs adjacent in both parts.  An NWPlan
-holds what no round changes, built once per build.  The DP and the rounds
-walk only the nonzero entries of each table.  eta lives only while the
-build runs: the tables and the split are all the sampler and the table
-loader need.  The naive baseline is the split at alpha = H.rank, whose upper
-part is empty.  Counts are exact arbitrary-precision integers.
+v, for every color set S2.  One neighbor-weight round per order of T2
+serves all its T2 and their S2, at most k - 1 rounds per build: the counts
+of each vertex are packed into one integer, a fixed-width field per (T2,
+S2), and the round sums those integers.  A round runs across an alpha-split:
+directly on the Gaifman projection of the lower part, then, for each vertex
+in an upper edge, adds the upper neighbors by inclusion-exclusion over its
+type and takes back the pairs adjacent in both parts.  An NWPlan holds what
+no round changes, built once per split.  The DP and the rounds walk only the
+nonzero entries of each table.  eta stays one flat array per round and
+lives only while the build runs: the tables and the split are all the
+sampler and the table loader need.  The naive baseline is the split at
+alpha = H.rank, whose upper part is empty.  Counts are exact
+arbitrary-precision integers.
 """
 
 from __future__ import annotations
@@ -153,7 +155,9 @@ def combined_neighbor_weight(plan, w):
 
 
 def packed_neighbor_weights(plan, vectors):
-    """combined_neighbor_weight of each nonnegative vector, in one round.
+    """combined_neighbor_weight of each of m nonnegative vectors in one round,
+    laid out flat: vector j's result at v is flat[v * m + j], in an array if
+    a typecode holds the field width, else in a list.
 
     Vertex v's entries go into one integer, vector j in the j-th
     little-endian field of width bytes, and the round runs once on those
@@ -172,8 +176,7 @@ def packed_neighbor_weights(plan, vectors):
     packed = [int.from_bytes(x, "little")
               for x, in struct.iter_unpack("%ds" % stride, _to_bytes(flat, width))]
     eta = combined_neighbor_weight(plan, packed)
-    flat = _from_bytes(b"".join([x.to_bytes(stride, "little") for x in eta]), width)
-    return [flat[j::m] for j in range(m)]
+    return _from_bytes(b"".join([x.to_bytes(stride, "little") for x in eta]), width)
 
 
 @cache
@@ -216,12 +219,14 @@ class CounterSet:
                 and self.tables == other.tables)
 
 
-def build_counters(H, split, k, coloring, cap=20):
-    """Bottom-up DP over the treelet catalog.  Each treelet T2 that some T
-    glues on gets one neighbor-weight round over the split's NWPlan, which
-    packs C(T2,S2,.) of every S2 whose table is not identically zero (see
-    packed_neighbor_weights).  The DP's products and the divisibility pass
-    walk only nonzero entries."""
+def build_counters(H, split, k, coloring, cap=20, plan=None):
+    """Bottom-up DP over the treelet catalog.  The catalog comes in order of
+    order, so when a treelet first glues a T2 of order h2, every table of
+    order h2 exists: one neighbor-weight round over the split's NWPlan then
+    packs C(T2,S2,.) of every T2 of order h2 that some T glues on and every
+    S2 whose table is not identically zero (see packed_neighbor_weights).
+    plan is NWPlan(split, cap), built here unless the caller passes it.
+    The DP's products and the divisibility pass walk only nonzero entries."""
     catalog = TreeletCatalog(k)
     if coloring.k != k:
         raise BuildError("coloring has %d colors, build wants %d" % (coloring.k, k))
@@ -243,23 +248,30 @@ def build_counters(H, split, k, coloring, cap=20):
     support[0] = {S: list(compress(verts, w)) for S, w in tables[0].items()}
 
     # k = 1 has no neighbor-weight round, so neither a plan nor a cap check.
-    plan = NWPlan(split, cap) if k > 1 else None
-    # eta[t2] lives from t2's round to the last treelet that glues t2.
-    eta = {}
+    plan = NWPlan(split, cap) if plan is None and k > 1 else plan
     glued = catalog.treelets[1:]
-    last = {t.t2: t.tid for t in glued}
+    last = {catalog[t.t2].order: t.tid for t in glued}
+    # fields[t2]: the (S2, j) of each live S2, j its field in its order's
+    # round; eta[h2] = (flat, m), the round's m fields per vertex, lives
+    # from the first treelet that glues an order-h2 T2 to the last.
+    fields = {t.t2: [] for t in glued}
+    eta = {}
     for t in glued:
         h, h2 = t.order, catalog[t.t2].order
         h1 = h - h2
-        if t.t2 not in eta:
-            w2 = tables[t.t2]
-            live = [S2 for S2 in masks_of_size(k, h2) if support[t.t2][S2]]
-            eta[t.t2] = dict(zip(live, packed_neighbor_weights(
-                plan, [w2[S2] for S2 in live]) if live else ()))
+        if h2 not in eta:
+            live = [(t2, S2) for t2 in fields if catalog[t2].order == h2
+                    for S2, nz in support[t2].items() if nz]
+            for j, (t2, S2) in enumerate(live):
+                fields[t2].append((S2, j))
+            vectors = [tables[t2][S2] for t2, S2 in live]
+            eta[h2] = (packed_neighbor_weights(plan, vectors) if live else None, len(live))
+        flat, m = eta[h2]
         acc = {}
         sup1 = support[t.t1]
         w1s = tables[t.t1]
-        for S2, eta2 in eta[t.t2].items():
+        for S2, j in fields[t.t2]:
+            eta2 = _as_list(flat[j::m])
             rest = [c for c in range(k) if not S2 >> c & 1]
             for cset in combinations(rest, h1):
                 S1 = sum(1 << c for c in cset)
@@ -291,8 +303,8 @@ def build_counters(H, split, k, coloring, cap=20):
                     out[i] = q
                 tbl[S] = out
         tables[t.tid] = tbl
-        if last[t.t2] == t.tid:
-            del eta[t.t2]
+        if last[h2] == t.tid:
+            del eta[h2]
         if h < k:
             support[t.tid] = {S: list(compress(verts, w)) for S, w in tbl.items()}
 
@@ -364,15 +376,20 @@ def _to_bytes(values, width):
 
 
 def _from_bytes(raw, width):
-    """Inverse of _to_bytes."""
+    """Inverse of _to_bytes: an array if a typecode holds width, else a list."""
     if width in _TYPECODES:
         arr = array(_TYPECODES[width])
         arr.frombytes(raw)
         if sys.byteorder == "big":
             arr.byteswap()
-        return arr.tolist()
+        return arr
     return [int.from_bytes(raw[i:i + width], "little")
             for i in range(0, len(raw), width)]
+
+
+def _as_list(values):
+    """_from_bytes's values, or a slice of them, as a list."""
+    return values if isinstance(values, list) else values.tolist()
 
 
 def _pack(values):
@@ -388,7 +405,7 @@ def _unpack(buf, pos, n):
     end = pos + width * n
     if not width or end > len(buf):
         raise BuildError(_CORRUPT)
-    return _from_bytes(buf[pos:end], width), end
+    return _as_list(_from_bytes(buf[pos:end], width)), end
 
 
 def catalog_digest(catalog):

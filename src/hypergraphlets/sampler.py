@@ -29,7 +29,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import accumulate, chain, compress
 
-from .buildup import build_counters, derived_rng, masks_of_size, random_coloring
+from .buildup import NWPlan, build_counters, derived_rng, masks_of_size, random_coloring
 from .canonlab import canonical_key, check_key_order
 from .hypercore import HypergraphError
 # The extractor keeps the sampler-level name perfbench/launch.py traces.
@@ -393,10 +393,13 @@ def approx_counts(H, k, samples, seed, runs=1, alpha_policy="auto", gamma=0.01,
     if samples < 1:
         raise SamplerError("sample budget must be at least 1")
     split = resolve_split(H, k, alpha_policy, gamma)  # builds only read it
+    # One plan serves every build, and building it checks the cap first.
+    plan = NWPlan(split, cap) if k > 1 else None
     per_run = []
     for r in range(runs):
         coloring = random_coloring(H, k, "%s|run%d" % (seed, r))
-        cs = build_counters(H, split, k, coloring, cap=cap)
+        cs = build_counters(H, split, k, coloring, cap=cap, plan=plan)
+        plan = plan if r < runs - 1 else None  # freed before the last run samples
         try:
             gens = build_generators(cs)
         except NoColorfulOccurrences:

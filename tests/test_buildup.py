@@ -126,6 +126,13 @@ def test_combined_neighbor_weight_random():
         assert combined_neighbor_weight(NWPlan(split), w) == nw_naive(gaifman(H), w)
 
 
+def fields(flat, m):
+    """Vector j's result is flat[j::m]: packed_neighbor_weights lays the
+    round out as flat[v * m + j]."""
+    assert len(flat) % m == 0
+    return [list(flat[j::m]) for j in range(m)]
+
+
 @pytest.mark.parametrize("alpha", [0, 2, 3, "naive"])
 def test_packed_round_matches_per_s2_rounds(toy, alpha):
     # Alpha 0, 2 and 3 leave upper edges, whose inclusion-exclusion
@@ -136,8 +143,14 @@ def test_packed_round_matches_per_s2_rounds(toy, alpha):
     for t in cs.catalog.treelets:
         if t.order < 4:
             vectors = list(cs.tables[t.tid].values())
-            assert packed_neighbor_weights(plan, vectors) == [
+            assert fields(packed_neighbor_weights(plan, vectors), len(vectors)) == [
                 combined_neighbor_weight(plan, w) for w in vectors]
+    # One round over every T2 of one order, the way a build runs it.
+    order3 = cs.catalog.of_order(3)
+    assert len(order3) > 1
+    vectors = [w for t in order3 for w in cs.tables[t.tid].values()]
+    assert fields(packed_neighbor_weights(plan, vectors), len(vectors)) == [
+        combined_neighbor_weight(plan, w) for w in vectors]
 
 
 @pytest.mark.parametrize("top", [255, 2 ** 64 - 1, 2 ** 70])
@@ -153,10 +166,10 @@ def test_packed_round_at_field_widths(toy, top):
                for j, w in enumerate(cs.tables[leaf].values())]
     expect = [combined_neighbor_weight(plan, w) for w in vectors]
     assert max(map(max, expect)) > top
-    assert packed_neighbor_weights(plan, vectors) == expect
+    assert fields(packed_neighbor_weights(plan, vectors), len(vectors)) == expect
 
 
-def test_one_neighbor_weight_round_per_t2(toy, monkeypatch):
+def test_one_neighbor_weight_round_per_t2_order(toy, monkeypatch):
     calls = []
     per_s2 = buildup.combined_neighbor_weight
 
@@ -167,8 +180,39 @@ def test_one_neighbor_weight_round_per_t2(toy, monkeypatch):
     monkeypatch.setattr(buildup, "combined_neighbor_weight", counted)
     cs = build_counters(toy, apply_split(toy, 2), 4, rainbow(toy, 4))
     glued = {t.t2 for t in cs.catalog.treelets if t.order > 1}
-    live = [t2 for t2 in glued if any(map(any, cs.tables[t2].values()))]
-    assert len(live) > 1 and len(calls) == len(live)
+    live = {cs.catalog[t2].order for t2 in glued
+            if any(map(any, cs.tables[t2].values()))}
+    assert len(live) == 3 and len(calls) == len(live)
+
+
+def test_wide_fields_through_the_whole_build(tmp_path, toy, monkeypatch):
+    # No real build needs fields past 8 bytes.  With no array typecodes,
+    # eta and the .hmt arrays take the int.to_bytes path and its list form.
+    rng = random.Random(71)
+    cases = [(toy, apply_split(toy, toy.rank if alpha == "naive" else alpha), 4,
+              random_coloring(toy, 4, "wide")) for alpha in (0, 2, "naive")]
+    for _ in range(6):
+        H = random_hypergraph(rng, n_max=12, m_max=10, size_max=6)
+        k = rng.randint(2, 4)
+        cases.append((H, apply_split(H, rng.choice(candidate_alphas(H))), k,
+                      random_coloring(H, k, rng.random())))
+    refs = [build_counters(*case) for case in cases]
+    write_table(refs[0], tmp_path / "narrow.hmt")
+    rounds = []
+    packed = buildup.packed_neighbor_weights
+
+    def spy(plan, vectors):
+        rounds.append(packed(plan, vectors))
+        return rounds[-1]
+
+    monkeypatch.setattr(buildup, "packed_neighbor_weights", spy)
+    monkeypatch.setattr(buildup, "_TYPECODES", {})
+    for case, ref in zip(cases, refs):
+        assert build_counters(*case).tables_equal(ref)
+    assert rounds and all(type(flat) is list for flat in rounds)
+    write_table(refs[0], tmp_path / "wide.hmt")
+    assert (tmp_path / "wide.hmt").read_bytes() == (tmp_path / "narrow.hmt").read_bytes()
+    assert read_table(tmp_path / "wide.hmt")["tables"] == refs[0].tables
 
 
 # --- counter builds -------------------------------------------------------

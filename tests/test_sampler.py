@@ -6,7 +6,7 @@ from itertools import accumulate
 import pytest
 
 import hypergraphlets.sampler as sampler
-from hypergraphlets import cli
+from hypergraphlets import buildup, cli
 from hypergraphlets.buildup import (
     Coloring,
     build_counters,
@@ -629,6 +629,37 @@ def test_count_chooses_the_split_once_per_call(monkeypatch, capsys, tmp_path):
                      "--seed", "4", "--runs", "3"]) == 0
     assert len(capsys.readouterr().out.splitlines()) > 1
     assert calls == [0.01]
+
+
+def test_count_builds_one_plan_per_call(monkeypatch, capsys, tmp_path):
+    plans, rounds = [], []
+    nw = buildup.combined_neighbor_weight
+
+    class Counted(buildup.NWPlan):
+        def __init__(self, split, cap=20):
+            plans.append(cap)
+            super().__init__(split, cap)
+
+    def counted(plan, w):
+        rounds.append(plan)
+        return nw(plan, w)
+
+    monkeypatch.setattr(buildup, "NWPlan", Counted)
+    monkeypatch.setattr(sampler, "NWPlan", Counted)
+    monkeypatch.setattr(buildup, "combined_neighbor_weight", counted)
+    hg = tmp_path / "toy.hg"
+    hg.write_text(TOY_TEXT)
+    args = ["count", str(hg), "-k", "3", "--samples", "50", "--seed", "4",
+            "--alpha", "0", "--runs", "3"]
+    assert cli.main(args) == 0
+    assert len(capsys.readouterr().out.splitlines()) > 1
+    assert plans == [20] and rounds and all(p is rounds[0] for p in rounds)
+    # The cap still refuses before any round: toy's degree at alpha 0 is 3.
+    plans.clear()
+    rounds.clear()
+    assert cli.main(args + ["--cap", "2"]) == 1
+    assert "degree 3 exceeds the 2^degree cap 2" in capsys.readouterr().err
+    assert plans == [2] and rounds == []
 
 
 def test_approx_counts_runs_average():
