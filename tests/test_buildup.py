@@ -1,5 +1,7 @@
 import hashlib
 import random
+import sys
+from array import array
 
 import pytest
 
@@ -155,8 +157,9 @@ def test_packed_round_matches_per_s2_rounds(toy, alpha):
 
 @pytest.mark.parametrize("top", [255, 2 ** 64 - 1, 2 ** 70])
 def test_packed_round_at_field_widths(toy, top):
-    # Fields are sized for n * max, not max: an eta of 2 * 255 needs two
-    # bytes.  Past 2^64 the fields take the int.to_bytes path.
+    # Fields are sized for the largest vector sum, not max: an eta of
+    # 2 * 255 needs two bytes.  Past 2^64 the fields take the int.to_bytes
+    # path.
     split = apply_split(toy, 2)
     assert split.upper.m
     plan = NWPlan(split)
@@ -167,6 +170,27 @@ def test_packed_round_at_field_widths(toy, top):
     expect = [combined_neighbor_weight(plan, w) for w in vectors]
     assert max(map(max, expect)) > top
     assert fields(packed_neighbor_weights(plan, vectors), len(vectors)) == expect
+
+
+@pytest.mark.parametrize("total, itemsize", [(255, 1), (65535, 2)])
+@pytest.mark.parametrize("alpha", [0, 2, "naive"])
+def test_packed_round_with_tight_fields(total, itemsize, alpha):
+    # Vector 0's whole mass sits on the neighbors of vertex 0, so eta(0) is
+    # its sum, and the field its sum sizes is exactly full.  At alpha 0 and
+    # 2 vertex 0 lies in an upper edge, and inclusion-exclusion carries and
+    # borrows through the full field on the way.
+    H = Hypergraph(6, [(0, 1), (0, 2), (0, 3, 4), (3, 5)])
+    split = apply_split(H, H.rank if alpha == "naive" else alpha)
+    plan = NWPlan(split)
+    third = total // 3
+    vectors = [[0, third, third, total - 2 * third, 0, 0],
+               [0, 0, 0, total, 0, 0],
+               [1, 0, 1, 0, 1, 0]]
+    expect = [combined_neighbor_weight(plan, w) for w in vectors]
+    assert expect[0][0] == expect[1][0] == total == max(map(sum, vectors))
+    flat = packed_neighbor_weights(plan, vectors)
+    assert flat.itemsize == itemsize
+    assert fields(flat, len(vectors)) == expect
 
 
 def test_one_neighbor_weight_round_per_t2_order(toy, monkeypatch):
@@ -186,8 +210,9 @@ def test_one_neighbor_weight_round_per_t2_order(toy, monkeypatch):
 
 
 def test_wide_fields_through_the_whole_build(tmp_path, toy, monkeypatch):
-    # No real build needs fields past 8 bytes.  With no array typecodes,
-    # eta and the .hmt arrays take the int.to_bytes path and its list form.
+    # No real build needs fields past 8 bytes.  With no array typecodes and
+    # 8-byte lanes refused, as for values from 2^64 up, eta and the .hmt
+    # arrays take the int.to_bytes path and its list form.
     rng = random.Random(71)
     cases = [(toy, apply_split(toy, toy.rank if alpha == "naive" else alpha), 4,
               random_coloring(toy, 4, "wide")) for alpha in (0, 2, "naive")]
@@ -206,11 +231,21 @@ def test_wide_fields_through_the_whole_build(tmp_path, toy, monkeypatch):
         return rounds[-1]
 
     monkeypatch.setattr(buildup, "packed_neighbor_weights", spy)
+    refused = []
+
+    def refuse(values):
+        refused.append(len(values))
+        raise OverflowError
+
     monkeypatch.setattr(buildup, "_TYPECODES", {})
+    monkeypatch.setattr(buildup, "_lanes", refuse)
     for case, ref in zip(cases, refs):
         assert build_counters(*case).tables_equal(ref)
     assert rounds and all(type(flat) is list for flat in rounds)
+    assert len(refused) >= len(rounds)
+    del refused[:]
     write_table(refs[0], tmp_path / "wide.hmt")
+    assert len(refused) >= sum(map(len, refs[0].tables))
     assert (tmp_path / "wide.hmt").read_bytes() == (tmp_path / "narrow.hmt").read_bytes()
     assert read_table(tmp_path / "wide.hmt")["tables"] == refs[0].tables
 
@@ -437,6 +472,37 @@ def test_table_values_past_64_bits(tmp_path, toy):
     data = read_table(str(wide))
     assert data["tables"][tid][7] == big
     assert data["tables"] == cs.tables
+
+
+# Each boundary value with the width the old rule gave it: the narrowest
+# array width that holds the maximum, or its byte count from 2^64 up.
+PACK_BOUNDARIES = [(0, 1), (255, 1), (256, 2), (65535, 2), (65536, 4),
+                   (2 ** 32 - 1, 4), (2 ** 32, 8), (2 ** 64 - 1, 8), (2 ** 64, 9)]
+
+
+def old_pack(values):
+    """The .hmt array encoding as it was first written: the width from a
+    max, the bytes from the array typecode of that width."""
+    width = buildup._width(max(values, default=0))
+    if width in buildup._TYPECODES:
+        arr = array(buildup._TYPECODES[width], values)
+        if sys.byteorder == "big":
+            arr.byteswap()
+        body = arr.tobytes()
+    else:
+        body = b"".join(x.to_bytes(width, "little") for x in values)
+    return width, buildup._varint(width) + body
+
+
+@pytest.mark.parametrize("top, width", PACK_BOUNDARIES + [(None, 1)])
+def test_pack_at_width_boundaries(top, width):
+    below = [x for x, _w in PACK_BOUNDARIES if top is not None and x < top]
+    cases = [[]] if top is None else [[top], [top, 0], below + [top], [top] + below[::-1]]
+    for values in cases:
+        packed = buildup._pack(values)
+        assert old_pack(values) == (width, packed)
+        # _unpack reads n values and stops where the next array starts.
+        assert buildup._unpack(packed + b"next", 0, len(values)) == (values, len(packed))
 
 
 def test_table_bytes_deterministic(tmp_path, toy):

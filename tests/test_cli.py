@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from hypergraphlets.buildup import _width, read_table
 from hypergraphlets.canonlab import key_from_text
 from hypergraphlets.hypercore import parse_hypergraph
 
@@ -168,6 +169,31 @@ def test_build_tables_thread_invariant(tmp_path):
     run_cli("build", TOY, "-k", "3", "--seed", "s9", "--threads", "1", "-o", str(t1))
     run_cli("build", TOY, "-k", "3", "--seed", "s9", "--threads", "4", "-o", str(t4))
     assert t1.read_bytes() == t4.read_bytes()
+
+
+# sha256 of .hmt files as build writes them.  The synthetic instance is a
+# dense 24-vertex power-law file at k = 6, whose arrays take widths 1, 2
+# and 4; at alpha 6 its split keeps six upper edges.
+TABLE_DIGESTS = {
+    "toy-k3-a2": "035dc4c3de1f94ce287321dacb7ae36564b2ad4bf6a02303e1e212cc63a44ecb",
+    "toy-k4-aauto": "ada5a348a88847b51a037193b217163a4d175086219aca70e65990f4e1c73726",
+    "powerlaw-k6-a6": "5ebed0d262278242458c454cf6db567109d7e272b26976a0b576f562bf68cf9f",
+}
+
+
+def test_table_bytes_are_pinned(tmp_path):
+    hg = tmp_path / "powerlaw.hg"
+    run_cli("gen-synthetic", "-n", "24", "-m", "30", "--max-size", "12",
+            "--exponent", "1.5", "--seed", "5", "-o", str(hg))
+    for name, hg_path, k, seed, alpha in [("toy-k3-a2", TOY, "3", "4", "2"),
+                                          ("toy-k4-aauto", TOY, "4", "4", "auto"),
+                                          ("powerlaw-k6-a6", str(hg), "6", "5", "6")]:
+        table = tmp_path / (name + ".hmt")
+        run_cli("build", hg_path, "-k", k, "--seed", seed, "--alpha", alpha,
+                "-o", str(table))
+        assert hashlib.sha256(table.read_bytes()).hexdigest() == TABLE_DIGESTS[name]
+    tables = read_table(str(table))["tables"]
+    assert {_width(max(vec)) for tbl in tables for vec in tbl.values()} == {1, 2, 4}
 
 
 @pytest.mark.parametrize("alpha", ["auto", "naive"])
