@@ -23,17 +23,30 @@ array('Q') conversion into 8-byte lanes, cut to their width by strided
 slices: per 1000 ints that conversion takes about 8.5 us, an array('H')
 one 27 to 36 us and a max scan 17 us.  A .hmt array's width is read off
 the lanes' zero bytes.
+
+A .hmt file's three digests (catalog, host, trailer) are plain SHA-256,
+computed with the interpreter's built-in implementation (_sha256, or _sha2
+from CPython 3.12), and with hashlib only where there is none: hashlib
+loads OpenSSL's libcrypto, about 3.6 MB of every command's peak RSS.  The
+digests, and so the files, are the same either way.
 """
 
 from __future__ import annotations
 
-import hashlib
 import random
 import struct
 import sys
 from array import array
 from functools import cache
 from itertools import combinations, compress
+
+try:  # the built-in SHA-256; hashlib would load OpenSSL's libcrypto
+    from _sha256 import sha256  # CPython 3.10, 3.11
+except ImportError:
+    try:
+        from _sha2 import sha256  # CPython 3.12, 3.13
+    except ImportError:
+        from hashlib import sha256  # a build without the built-in hashes
 
 from .canonlab import MAX_KEY_ORDER
 
@@ -442,12 +455,12 @@ def _unpack(buf, pos, n):
 
 
 def catalog_digest(catalog):
-    return hashlib.sha256(catalog.dump().encode()).digest()
+    return sha256(catalog.dump().encode()).digest()
 
 
 def host_digest(H):
     """sha256 of H's vertex count and edge list, edges and ids in order."""
-    return hashlib.sha256(repr((H.n, H.edges)).encode()).digest()
+    return sha256(repr((H.n, H.edges)).encode()).digest()
 
 
 def write_table(cs, path):
@@ -470,7 +483,7 @@ def write_table(cs, path):
         order = cs.catalog[tid].order
         for S in masks_of_size(cs.k, order):
             out += _pack(cs.tables[tid][S])
-    out += hashlib.sha256(out).digest()
+    out += sha256(out).digest()
     with open(path, "wb") as fh:
         fh.write(out)
 
@@ -478,24 +491,29 @@ def write_table(cs, path):
 def read_table(path):
     """Parse a table file back into its raw parts (header dict + arrays).
 
-    After magic, version and k, the sha256 trailer is checked before any
-    other byte is read."""
+    Magic, version and k are checked on the first 6 bytes before any other
+    byte is read; then the sha256 trailer is checked before any other byte
+    is parsed."""
     with open(path, "rb") as fh:
+        head = fh.read(6)
+        if head[:4] != _MAGIC:
+            raise BuildError("not a counter table file")
+        if len(head) < 6:
+            raise BuildError(_CORRUPT)
+        if head[4] != _VERSION:
+            raise BuildError("unsupported table version %d" % head[4])
+        k = head[5]
+        if not 1 <= k <= MAX_KEY_ORDER:
+            raise BuildError("%s: treelet order %d outside 1..%d"
+                             % (_CORRUPT, k, MAX_KEY_ORDER))
         buf = fh.read()
-    if buf[:4] != _MAGIC:
-        raise BuildError("not a counter table file")
-    if len(buf) < 6:
-        raise BuildError(_CORRUPT)
-    if buf[4] != _VERSION:
-        raise BuildError("unsupported table version %d" % buf[4])
-    k = buf[5]
-    if not 1 <= k <= MAX_KEY_ORDER:
-        raise BuildError("%s: treelet order %d outside 1..%d"
-                         % (_CORRUPT, k, MAX_KEY_ORDER))
+    # body is every byte after the head and before the trailer.
     body = memoryview(buf)[:-_TRAILER]
-    if len(buf) < 6 + _TRAILER or hashlib.sha256(body).digest() != buf[-_TRAILER:]:
+    check = sha256(head)
+    check.update(body)
+    if len(buf) < _TRAILER or check.digest() != buf[-_TRAILER:]:
         raise BuildError(_CORRUPT)
-    alpha, pos = _read_varint(body, 6)
+    alpha, pos = _read_varint(body, 0)
     cap, pos = _read_varint(body, pos)
     slen, pos = _read_varint(body, pos)
     try:

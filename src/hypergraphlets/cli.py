@@ -512,6 +512,11 @@ def main(argv=None):
     except IsADirectoryError as exc:
         print("error: not a file: %s" % (exc.filename or exc), file=sys.stderr)
         return 2
+    except OSError as exc:
+        # A failed write or close names no file: it was the output's.
+        print("error: %s: %s" % (exc.filename or args.out or "stdout",
+                                 exc.strerror or exc), file=sys.stderr)
+        return 1
     except UnicodeDecodeError as exc:
         print("error: input is not UTF-8 text (%s)" % exc.reason, file=sys.stderr)
         return 1

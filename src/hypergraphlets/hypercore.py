@@ -19,6 +19,19 @@ class HypergraphError(ValueError):
     """Invalid hypergraph data or malformed input text."""
 
 
+# The most vertices a hypergraph may have.  Each vertex costs an incidence
+# list (64 bytes) before any edge is read, so a larger count, declared by a
+# header or met in the edges, is refused as out of memory before anything
+# is allocated for it.
+MAX_VERTICES = 1 << 20
+
+
+def check_vertex_count(n):
+    if n > MAX_VERTICES:
+        raise MemoryError("%d vertices, more than MAX_VERTICES = %d"
+                          % (n, MAX_VERTICES))
+
+
 class Hypergraph:
     """Immutable hypergraph on vertices 0..n-1.
 
@@ -33,6 +46,7 @@ class Hypergraph:
     def __init__(self, n, edges, labels=None):
         if n < 0:
             raise HypergraphError("vertex count must be nonnegative")
+        check_vertex_count(n)
         canon = []
         incidence = [[] for _ in range(n)]
         for j, e in enumerate(edges):
@@ -164,7 +178,8 @@ class Hypergraphlet:
         return "Hypergraphlet(order=%d, edges=%s)" % (self.order, list(self.edges))
 
 
-_HEADER_RE = re.compile(r"#\s*vertices\s+(\d+)\s*$")
+# At most 20 digits after leading zeros: int() refuses 4300 and more.
+_HEADER_RE = re.compile(r"#\s*vertices\s+0*(\d{1,20})\s*$")
 
 
 def parse_hypergraph(text, dedupe_edges=True):
@@ -192,6 +207,7 @@ def parse_hypergraph(text, dedupe_edges=True):
             if match is None or raw_edges or header_n is not None:
                 raise HypergraphError("line %d: malformed header line" % lineno)
             header_n = int(match.group(1))
+            check_vertex_count(header_n)
             continue
         tokens = stripped.split()
         seen = set()

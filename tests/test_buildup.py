@@ -553,6 +553,58 @@ def test_table_bad_files(tmp_path, toy):
             read_table(str(bt))
 
 
+def test_sha256_is_the_standard_digest():
+    # buildup hashes with the interpreter's built-in SHA-256 where there is
+    # one; it must agree with hashlib on every input kind read_table passes.
+    data = bytes(range(256)) * 40
+    for value in (data, bytearray(data), memoryview(data)[7:-32], b""):
+        assert buildup.sha256(value).digest() == hashlib.sha256(value).digest()
+    split = buildup.sha256(data[:6])
+    split.update(memoryview(data)[6:])
+    assert split.digest() == hashlib.sha256(data).digest()
+
+
+class ReadSizes:
+    """open() whose files record the size of every read() they are asked for."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def __call__(self, path, mode):
+        fh = open(path, mode)
+        real_read = fh.read
+
+        def read(size=-1):
+            self.sizes.append(size)
+            return real_read(size)
+
+        fh.read = read
+        return fh
+
+
+def test_read_table_reads_only_the_head_of_a_bad_file(tmp_path, toy, monkeypatch):
+    # Magic, version and k are refused on the first 6 bytes: a bad file
+    # is never read to its end, however long (or endless) it is.
+    cs = build_counters_naive(toy, 3, random_coloring(toy, 3, "x"))
+    path = tmp_path / "t.hmt"
+    write_table(cs, str(path))
+    raw = path.read_bytes()
+    opener = ReadSizes()
+    monkeypatch.setattr(buildup, "open", opener, raising=False)
+    assert read_table(str(path))["n"] == toy.n
+    assert opener.sizes == [6, -1]
+    for head, message in [(b"\0" * 6, "not a counter table"),
+                          (raw[:4] + b"\x63" + raw[5:6], "unsupported table version"),
+                          (raw[:5] + b"\x09", "treelet order 9"),
+                          (raw[:5] + b"\x00", "treelet order 0"),
+                          (raw[:5], "truncated or corrupt")]:
+        path.write_bytes(head + raw[6:] if len(head) == 6 else head)
+        opener.sizes.clear()
+        with pytest.raises(BuildError, match=message):
+            read_table(str(path))
+        assert opener.sizes == [6]
+
+
 def test_every_damaged_byte_is_refused(tmp_path, toy):
     # The table of `build toy.hg -k 3 --seed s3 --alpha 2`.  Flipping the low
     # bit of any one byte, header, arrays or trailer, must not load.

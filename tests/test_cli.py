@@ -181,6 +181,14 @@ TABLE_DIGESTS = {
 }
 
 
+# Runs the CLI in a child whose interpreter has no built-in SHA-256, so
+# buildup falls back to hashlib's.
+NO_BUILTIN_SHA256 = (
+    "import sys; sys.modules['_sha256'] = sys.modules['_sha2'] = None; "
+    "import hashlib; from hypergraphlets import buildup, cli; "
+    "assert buildup.sha256 is hashlib.sha256; sys.exit(cli.main(sys.argv[1:]))")
+
+
 def test_table_bytes_are_pinned(tmp_path):
     hg = tmp_path / "powerlaw.hg"
     run_cli("gen-synthetic", "-n", "24", "-m", "30", "--max-size", "12",
@@ -188,12 +196,48 @@ def test_table_bytes_are_pinned(tmp_path):
     for name, hg_path, k, seed, alpha in [("toy-k3-a2", TOY, "3", "4", "2"),
                                           ("toy-k4-aauto", TOY, "4", "4", "auto"),
                                           ("powerlaw-k6-a6", str(hg), "6", "5", "6")]:
+        args = [hg_path, "-k", k, "--seed", seed, "--alpha", alpha]
         table = tmp_path / (name + ".hmt")
-        run_cli("build", hg_path, "-k", k, "--seed", seed, "--alpha", alpha,
-                "-o", str(table))
+        run_cli("build", *args, "-o", str(table))
         assert hashlib.sha256(table.read_bytes()).hexdigest() == TABLE_DIGESTS[name]
+        fallback = tmp_path / (name + ".fallback.hmt")
+        proc = subprocess.run([sys.executable, "-c", NO_BUILTIN_SHA256, "build",
+                               *args, "-o", str(fallback)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(fallback.read_bytes()).hexdigest() == TABLE_DIGESTS[name]
     tables = read_table(str(table))["tables"]
     assert {_width(max(vec)) for tbl in tables for vec in tbl.values()} == {1, 2, 4}
+
+
+def has_builtin_sha256():
+    for name in ("_sha256", "_sha2"):
+        try:
+            __import__(name)
+        except ImportError:
+            continue
+        return True
+    return False
+
+
+@pytest.mark.skipif(not has_builtin_sha256(),
+                    reason="this interpreter has no built-in SHA-256")
+def test_no_command_loads_openssl(tmp_path):
+    # hashlib loads _hashlib, and with it OpenSSL's libcrypto (about 3.6 MB
+    # of peak RSS); build, sample and count hash with the built-in SHA-256.
+    table = str(tmp_path / "toy.hmt")
+    code = ("import sys; from hypergraphlets.cli import main; "
+            "assert main(['build', %r, '-k', '3', '-o', %r]) == 0; "
+            "assert main(['sample', %r, '--table', %r, '--samples', '20']) == 0; "
+            "assert main(['count', %r, '-k', '3', '--samples', '20']) == 0; "
+            "print(sorted(m for m in ('_hashlib', 'hashlib') if m in sys.modules), "
+            "file=sys.stderr)" % (TOY, table, TOY, table, TOY))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "[]\n"
 
 
 @pytest.mark.parametrize("alpha", ["auto", "naive"])
@@ -593,6 +637,33 @@ def test_huge_vertex_header_is_module_error(tmp_path, n):
                           capture_output=True, text=True)
     assert proc.returncode == 1
     assert one_line_error(proc) == "error: out of memory"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("command", [["stats"], ["build", "-k", "3"],
+                                     ["count", "-k", "3", "--samples", "5"]],
+                         ids=["stats", "build", "count"])
+def test_failed_write_is_module_error(command):
+    # /dev/full accepts the open and refuses the write (ENOSPC).
+    proc = run_cli(command[0], TOY, *command[1:], "-o", "/dev/full", expect=1)
+    assert one_line_error(proc) == "error: /dev/full: No space left on device"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_endless_table_is_refused_on_its_head():
+    # /dev/full reads zeros without end.  The child caps its address space
+    # and runs under a timeout, so a table read to its end would fail there
+    # with "out of memory", never in this process.
+    limit = 256 << 20
+    code = ("import resource, sys; "
+            "resource.setrlimit(resource.RLIMIT_AS, (%d, %d)); "
+            "from hypergraphlets.cli import main; sys.exit(main(sys.argv[1:]))"
+            % (limit, limit))
+    proc = subprocess.run([sys.executable, "-c", code, "sample", TOY, "--table",
+                           "/dev/full", "--samples", "5"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert one_line_error(proc) == "error: not a counter table file"
 
 
 @pytest.mark.parametrize("damage", ["truncated", "version1", "trailing", "host",

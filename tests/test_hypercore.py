@@ -1,10 +1,13 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypergraphlets import hypercore
 from hypergraphlets.hypercore import (
+    MAX_VERTICES,
     Graph,
     Hypergraph,
     HypergraphError,
@@ -16,6 +19,7 @@ from hypergraphlets.hypercore import (
     section_sub,
     serialize_hypergraph,
 )
+from hypergraphlets.synth import nice_hypergraph, power_law_hypergraph
 
 from oracles import connected_on, gaifman_pairs, random_hypergraph, truncated_edge_masks
 
@@ -149,6 +153,45 @@ def test_parse_error_line_numbers():
         parse_hypergraph("0 1\n# vertices 5\n")
     with pytest.raises(HypergraphError, match="line 2: vertex id 9"):
         parse_hypergraph("# vertices 3\n9 1\n")
+
+
+@pytest.mark.parametrize("edge", ["0 1", "a b"], ids=["ids", "labels"])
+def test_vertex_count_above_the_cap_is_refused_before_any_allocation(edge):
+    # A header of 2 * 10^6 vertices would cost 128 MB of incidence lists
+    # (and 2 * 10^6 labels under non-numeric tokens); it is refused first.
+    assert MAX_VERTICES < 2 * 10 ** 6
+    text = "# vertices %d\n%s\n" % (2 * 10 ** 6, edge)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError, match="MAX_VERTICES"):
+            parse_hypergraph(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_vertex_cap_holds_for_every_hypergraph(monkeypatch):
+    monkeypatch.setattr(hypercore, "MAX_VERTICES", 4)
+    assert Hypergraph(4, [(0, 3)]).n == 4
+    assert parse_hypergraph("# vertices 4\na b\n").labels == ["a", "b", "2", "3"]
+    for make in (lambda: Hypergraph(5, []),
+                 lambda: parse_hypergraph("0 1\n2 3 4\n"),
+                 lambda: parse_hypergraph("# vertices 5\n0 1\n"),
+                 lambda: power_law_hypergraph(5, 1, "s"),
+                 lambda: nice_hypergraph(5, 1, 3, 1, 4, 0.0, "s")):
+        with pytest.raises(MemoryError):
+            make()
+
+
+def test_header_count_of_many_digits_is_malformed():
+    # int() refuses 4300 digits and more; the header takes at most 20
+    # after leading zeros.
+    assert parse_hypergraph("# vertices %s5\n0 1\n" % ("0" * 5000)).n == 5
+    with pytest.raises(HypergraphError, match="line 1: malformed header"):
+        parse_hypergraph("# vertices %s\n0 1\n" % ("1" * 21))
+    with pytest.raises(HypergraphError, match="line 1: malformed header"):
+        parse_hypergraph("# vertices %s\n0 1\n" % ("9" * 5000))
 
 
 def test_parse_dedupe_default_and_off():
