@@ -19,17 +19,12 @@ class HypergraphError(ValueError):
     """Invalid hypergraph data or malformed input text."""
 
 
-# The most vertices a hypergraph may have.  Each vertex costs an incidence
-# list (64 bytes) before any edge is read, so a larger count, declared by a
-# header or met in the edges, is refused as out of memory before anything
-# is allocated for it.
-MAX_VERTICES = 1 << 20
-
-
-def check_vertex_count(n):
-    if n > MAX_VERTICES:
-        raise MemoryError("%d vertices, more than MAX_VERTICES = %d"
-                          % (n, MAX_VERTICES))
+# The most vertices a `# vertices N` header may declare.  The header is the
+# one count a file does not pay for: each declared vertex takes an 8-byte
+# incidence slot before any edge is read, so the cap holds what a short file
+# can make the parser allocate to 128 MB.  Counts met in the edges, or given
+# to Hypergraph, grow with their input and are not capped.
+MAX_HEADER_VERTICES = 1 << 24
 
 
 class Hypergraph:
@@ -37,18 +32,20 @@ class Hypergraph:
 
     edges: list of sorted tuples of distinct vertex ids (may repeat as sets
     if constructed with duplicates; the parser dedupes by default).
-    incidence[v]: sorted list of indices of edges containing v (the type of v).
-    labels: optional list mapping vertex id -> original string token.
+    incidence[v]: sorted list of indices of edges containing v (the type of v);
+    vertices in no edge share one empty tuple, so an isolated vertex costs
+    one slot.
+    tokens: optional list of the original string tokens of vertices
+    0..len(tokens)-1; label_of gives str(v) past its end.
     """
 
-    __slots__ = ("n", "edges", "incidence", "rank", "max_degree", "size", "labels")
+    __slots__ = ("n", "edges", "incidence", "rank", "max_degree", "size", "tokens")
 
     def __init__(self, n, edges, labels=None):
         if n < 0:
             raise HypergraphError("vertex count must be nonnegative")
-        check_vertex_count(n)
         canon = []
-        incidence = [[] for _ in range(n)]
+        incidence = [()] * n
         for j, e in enumerate(edges):
             e = tuple(sorted(e))
             if not e:
@@ -60,19 +57,29 @@ class Hypergraph:
                 if v == prev:
                     raise HypergraphError("edge %d repeats vertex %d" % (j, v))
                 prev = v
-                incidence[v].append(j)
+                if incidence[v]:
+                    incidence[v].append(j)
+                else:
+                    incidence[v] = [j]
             canon.append(e)
         if labels is not None:
             labels = [str(t) for t in labels]
-            if len(labels) != n:
-                raise HypergraphError("labels must have one entry per vertex")
+            if len(labels) > n:
+                raise HypergraphError("labels must have at most one entry per vertex")
         self.n = n
         self.edges = canon
         self.incidence = incidence
         self.rank = max((len(e) for e in canon), default=0)
         self.max_degree = max((len(i) for i in incidence), default=0)
         self.size = n + sum(len(e) for e in canon)
-        self.labels = labels
+        self.tokens = labels
+
+    @property
+    def labels(self):
+        """One label per vertex, listed on demand; None without tokens."""
+        if self.tokens is None:
+            return None
+        return [self.label_of(v) for v in range(self.n)]
 
     @property
     def m(self):
@@ -82,8 +89,8 @@ class Hypergraph:
         return len(self.incidence[v])
 
     def label_of(self, v):
-        if self.labels is not None:
-            return self.labels[v]
+        if self.tokens is not None and v < len(self.tokens):
+            return self.tokens[v]
         return str(v)
 
     def stats(self):
@@ -207,7 +214,9 @@ def parse_hypergraph(text, dedupe_edges=True):
             if match is None or raw_edges or header_n is not None:
                 raise HypergraphError("line %d: malformed header line" % lineno)
             header_n = int(match.group(1))
-            check_vertex_count(header_n)
+            if header_n > MAX_HEADER_VERTICES:
+                raise MemoryError("header declares %d vertices, more than %d"
+                                  % (header_n, MAX_HEADER_VERTICES))
             continue
         tokens = stripped.split()
         seen = set()
@@ -248,8 +257,7 @@ def parse_hypergraph(text, dedupe_edges=True):
                 raise HypergraphError(
                     "header declares %d vertices but %d distinct tokens appear" % (header_n, n)
                 )
-            labels.extend(str(v) for v in range(n, header_n))
-            n = header_n
+            n = header_n  # label_of names the header's extra vertices
     if dedupe_edges:
         seen_sets = set()
         kept = []

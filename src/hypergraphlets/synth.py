@@ -16,7 +16,7 @@ import math
 from bisect import bisect_right
 
 from .buildup import derived_rng
-from .hypercore import Hypergraph, HypergraphError, check_vertex_count
+from .hypercore import Hypergraph, HypergraphError
 from .splitter import apply_split
 
 
@@ -45,7 +45,6 @@ def _size_sampler(lo, hi, exponent):
 def power_law_hypergraph(n, m, seed, exponent=3.0, min_size=2, max_size=None):
     """m distinct edges on n vertices with power-law sizes; duplicates are
     resampled so the edge multiset is a set."""
-    check_vertex_count(n)
     if m < 0:
         raise HypergraphError("edge count m must be >= 0, got %d" % m)
     if max_size is None:
@@ -69,7 +68,6 @@ def nice_hypergraph(n, m, alpha, beta, big_size, rho, seed):
     """(alpha, beta)-nice family: round(rho*m) small edges with size uniform
     in {2..alpha-1}, the rest of size big_size > alpha under a per-vertex
     large-degree cap of beta."""
-    check_vertex_count(n)
     if alpha < 3:
         raise HypergraphError("alpha must be >= 3 so that {2..alpha-1} is nonempty")
     if not alpha < big_size <= n:

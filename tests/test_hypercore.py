@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hypergraphlets import hypercore
 from hypergraphlets.hypercore import (
-    MAX_VERTICES,
+    MAX_HEADER_VERTICES,
     Graph,
     Hypergraph,
     HypergraphError,
@@ -19,6 +19,7 @@ from hypergraphlets.hypercore import (
     section_sub,
     serialize_hypergraph,
 )
+from hypergraphlets.hardlab import reduce_clique_to_ksh
 from hypergraphlets.synth import nice_hypergraph, power_law_hypergraph
 
 from oracles import connected_on, gaifman_pairs, random_hypergraph, truncated_edge_masks
@@ -155,33 +156,50 @@ def test_parse_error_line_numbers():
         parse_hypergraph("# vertices 3\n9 1\n")
 
 
-@pytest.mark.parametrize("edge", ["0 1", "a b"], ids=["ids", "labels"])
-def test_vertex_count_above_the_cap_is_refused_before_any_allocation(edge):
-    # A header of 2 * 10^6 vertices would cost 128 MB of incidence lists
-    # (and 2 * 10^6 labels under non-numeric tokens); it is refused first.
-    assert MAX_VERTICES < 2 * 10 ** 6
-    text = "# vertices %d\n%s\n" % (2 * 10 ** 6, edge)
+def _parse_peak(text):
     tracemalloc.start()
     try:
-        with pytest.raises(MemoryError, match="MAX_VERTICES"):
-            parse_hypergraph(text)
+        H = parse_hypergraph(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return H, peak
+
+
+@pytest.mark.parametrize("edge", ["0 1", "a b"], ids=["ids", "labels"])
+def test_header_vertex_costs_one_slot(edge):
+    # Untouched vertices share one empty incidence tuple and get no label
+    # string, so 2 * 10^6 of them cost one 8-byte slot each (16 MB).
+    n = 2 * 10 ** 6
+    H, peak = _parse_peak("# vertices %d\n%s\n" % (n, edge))
+    assert peak < 8 * n + (1 << 20)
+    assert H.n == n and H.m == 1 and H.size == n + 2
+    assert H.degree(1) == 1 and H.degree(n - 1) == 0
+    assert H.label_of(0) == edge[0] and H.label_of(n - 1) == str(n - 1)
+
+
+def test_header_above_the_cap_is_refused_before_any_allocation():
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError, match="more than %d" % MAX_HEADER_VERTICES):
+            parse_hypergraph("# vertices %d\na b\n" % (MAX_HEADER_VERTICES + 1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
 
 
-def test_vertex_cap_holds_for_every_hypergraph(monkeypatch):
-    monkeypatch.setattr(hypercore, "MAX_VERTICES", 4)
-    assert Hypergraph(4, [(0, 3)]).n == 4
+def test_vertex_cap_is_on_the_header_only(monkeypatch):
+    # Counts that grow with their input load whatever the cap.
+    monkeypatch.setattr(hypercore, "MAX_HEADER_VERTICES", 4)
     assert parse_hypergraph("# vertices 4\na b\n").labels == ["a", "b", "2", "3"]
-    for make in (lambda: Hypergraph(5, []),
-                 lambda: parse_hypergraph("0 1\n2 3 4\n"),
-                 lambda: parse_hypergraph("# vertices 5\n0 1\n"),
-                 lambda: power_law_hypergraph(5, 1, "s"),
-                 lambda: nice_hypergraph(5, 1, 3, 1, 4, 0.0, "s")):
-        with pytest.raises(MemoryError):
-            make()
+    with pytest.raises(MemoryError):
+        parse_hypergraph("# vertices 5\n0 1\n")
+    assert parse_hypergraph("0 1\n2 3 4\n").n == 5
+    assert Hypergraph(5, []).n == 5
+    assert power_law_hypergraph(5, 1, "s").n == 5
+    assert nice_hypergraph(5, 1, 3, 1, 4, 0.0, "s").n == 5
+    assert reduce_clique_to_ksh(Graph(3, [(0, 1), (1, 2), (0, 2)]), 3).H.n == 12
 
 
 def test_header_count_of_many_digits_is_malformed():
