@@ -15,9 +15,7 @@ from .hypercore import (
     HypergraphError,
     gaifman,
     induced_sub,
-    is_connected_induced,
     parse_hypergraph,
-    section_sub,
     serialize_hypergraph,
 )
 
@@ -28,9 +26,7 @@ __all__ = [
     "HypergraphError",
     "gaifman",
     "induced_sub",
-    "is_connected_induced",
     "parse_hypergraph",
-    "section_sub",
     "serialize_hypergraph",
 ]
 

@@ -148,10 +148,10 @@ class NWPlan:
                 self.upper.append((v, sides[1], sides[0], shared))
 
 
-def nw_ie(H, w, cap=20):
+def nw_ie(H, w):
     """eta over the full hypergraph by inclusion-exclusion (the split at
-    alpha 0, whose lower part is empty); needs Delta <= cap."""
-    return combined_neighbor_weight(NWPlan(apply_split(H, 0), cap), w)
+    alpha 0, whose lower part is empty); needs Delta <= NWPlan's cap."""
+    return combined_neighbor_weight(NWPlan(apply_split(H, 0)), w)
 
 
 def combined_neighbor_weight(plan, w):

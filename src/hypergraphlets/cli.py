@@ -34,6 +34,7 @@ from .hardlab import (
 )
 from .hypercore import (
     Graph,
+    Hypergraph,
     HypergraphError,
     parse_hypergraph,
     serialize_hypergraph,
@@ -42,7 +43,7 @@ from .sampler import (
     NoColorfulOccurrences,
     approx_counts,
     build_generators,
-    resolve_build,
+    resolve_split,
     sharded_estimate,
 )
 from .splitter import apply_split, choose_split_refined, curve_with_costs, split_cost
@@ -91,10 +92,6 @@ def _emit_json(obj, path=None):
     _emit(json.dumps(obj, sort_keys=True, indent=2) + "\n", path)
 
 
-def _frac_cell(x):
-    return str(x) if isinstance(x, (int, Fraction)) else repr(x)
-
-
 def _rows_csv(rows):
     """rows: key -> dict with samples/inv_sigma_sum/estimate/relative_frequency."""
     lines = [CSV_HEADER]
@@ -106,8 +103,8 @@ def _rows_csv(rows):
             % (
                 key_to_text(key),
                 row["samples"],
-                "" if inv is None else _frac_cell(inv),
-                _frac_cell(row["estimate"]),
+                "" if inv is None else inv,
+                row["estimate"],
                 row["relative_frequency"],
             )
         )
@@ -179,12 +176,9 @@ def _cmd_split(args):
         "weighted": cost.weighted,
     }
     if args.out:
-        lower_path = args.out + ".lower.hg"
-        upper_path = args.out + ".upper.hg"
-        _emit(serialize_hypergraph(split.lower), lower_path)
-        _emit(serialize_hypergraph(split.upper), upper_path)
-        info["lower_file"] = lower_path
-        info["upper_file"] = upper_path
+        for name, part in (("lower", split.lower), ("upper", split.upper)):
+            path = info[name + "_file"] = "%s.%s.hg" % (args.out, name)
+            _emit(serialize_hypergraph(Hypergraph(H.n, part.edges, H.tokens)), path)
     _emit_json(info)
     return 0
 
@@ -192,8 +186,8 @@ def _cmd_split(args):
 def _cmd_build(args):
     H = _load(args)
     coloring = random_coloring(H, args.k, "%s|run0" % args.seed)
-    cs = resolve_build(H, args.k, coloring, alpha_policy=args.alpha,
-                       gamma=args.gamma, cap=args.cap)
+    split = resolve_split(H, args.k, args.alpha, args.gamma)
+    cs = build_counters(H, split, args.k, coloring, cap=args.cap)
     write_table(cs, args.out)
     naive = args.alpha == "naive"
     _emit_json({
@@ -241,7 +235,7 @@ def _cmd_exact(args):
             "samples": cnt,
             "inv_sigma_sum": None,
             "estimate": p_k * cnt,
-            "relative_frequency": cnt / total if total else 0.0,
+            "relative_frequency": cnt / total,
         }
         for key, cnt in counts.items()
     }

@@ -21,12 +21,11 @@ package's one connectivity test, on vertex bitmasks.
 from itertools import combinations
 import math
 
-from .buildup import (Coloring, NWPlan, build_counters, build_counters_naive,
+from .buildup import (Coloring, NWPlan, build_counters_naive,
                       combined_neighbor_weight)
 from .canonlab import check_budget
 from .hypercore import Graph, Hypergraph, HypergraphError, gaifman, masks_connected
 from .splitter import choose_split_refined
-from .treelets import TreeletCatalog
 
 
 class ReductionError(HypergraphError):
@@ -41,16 +40,15 @@ class CliqueReductionOutput:
     n*C(k,2) + i.
     """
 
-    __slots__ = ("H", "k", "k_prime", "block_size", "block_map", "edge_map", "g_edges")
+    __slots__ = ("H", "k", "k_prime", "block_size", "block_map", "edge_map")
 
-    def __init__(self, H, k, k_prime, block_size, block_map, edge_map, g_edges):
+    def __init__(self, H, k, k_prime, block_size, block_map, edge_map):
         self.H = H
         self.k = k
         self.k_prime = k_prime
         self.block_size = block_size
         self.block_map = block_map
         self.edge_map = edge_map
-        self.g_edges = g_edges
 
     def sidecar(self):
         """JSON-ready description of the id layout."""
@@ -82,20 +80,23 @@ def reduce_clique_to_ksh(G, k):
     block = k * (k - 1) // 2
     block_map = [range(v * block, (v + 1) * block) for v in range(G.n)]
     base = G.n * block
-    g_edges = G.edge_list()
+    pairs = G.edge_list()
     edges = []
     edge_map = {}
-    for idx, (u, v) in enumerate(g_edges):
+    for idx, (u, v) in enumerate(pairs):
         singleton = base + idx
         edges.append(list(block_map[u]) + list(block_map[v]) + [singleton])
         edge_map[(u, v)] = (singleton, idx)
-    H = Hypergraph(base + len(g_edges), edges)
+    H = Hypergraph(base + len(pairs), edges)
     k_prime = (k + 1) * block
-    return CliqueReductionOutput(H, k, k_prime, block, block_map, edge_map, g_edges)
+    return CliqueReductionOutput(H, k, k_prime, block, block_map, edge_map)
 
 
 def decide_ksh_bruteforce(H, k):
     """Generic decider: does H contain U, |U| = k, with H<U> connected?
+
+    H<U> is the paper's section hypergraph: U with only the edges of H that
+    lie entirely inside U, the ``e & full == e`` filter below.
 
     Enumerates all C(n, k) subsets as vertex bitmasks; refuses up front when
     that count exceeds the enumeration budget.
@@ -139,7 +140,7 @@ def decide_ksh_reduction(red):
     check_budget(total, "%d block sets" % total)
     for t, s in passes:
         for T in combinations(range(n), t):
-            # edges of G[T] in g_edges order, in O(t^2) rather than O(|E(G)|)
+            # edges of G[T] in G's edge order, in O(t^2) rather than O(|E(G)|)
             inner = [pair for pair in combinations(T, 2) if pair in red.edge_map]
             if len(inner) < s:
                 continue
@@ -211,19 +212,8 @@ def solve_ov_via_nc(vectors):
 
 def ov_pairwise(vectors):
     """Quadratic baseline: scan all pairs for an orthogonal one."""
-    masks = []
-    for vec in vectors:
-        m = 0
-        for l, bit in enumerate(vec):
-            if bit:
-                m |= 1 << l
-        masks.append(m)
-    n = len(masks)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if masks[i] & masks[j] == 0:
-                return True
-    return False
+    masks = [sum(1 << l for l, bit in enumerate(vec) if bit) for vec in vectors]
+    return any(a & b == 0 for a, b in combinations(masks, 2))
 
 
 # --- blow-up: neighborhood counting via one rooted-star count per vertex ---
@@ -247,30 +237,25 @@ def star_code(k):
     return "(" + "()" * (k - 1) + ")"
 
 
-def kstar_counts(H, k, use_split=False, cap=20):
+def kstar_counts(H, k):
     """For each v of H, the rooted colorful k-star count at copy (v, 0) of the
     blow-up.  By construction this equals (|N(v)| + 1)^(k-1) when d(v) >= 1
     (the +1 accounts for v's own copies, mutually adjacent through any edge at
     v) and 0 when v is isolated."""
     B, coloring = blowup_with_coloring(H, k)
-    if use_split:
-        split, _ = choose_split_refined(B)
-        cs = build_counters(B, split, k, coloring, cap=cap)
-    else:
-        cs = build_counters_naive(B, k, coloring)
-    cat = TreeletCatalog(k)
-    star_tid = cat.tid_of(star_code(k))
+    cs = build_counters_naive(B, k, coloring)
+    star_tid = cs.catalog.tid_of(star_code(k))
     full = (1 << k) - 1
     return [cs.tables[star_tid][full][v * k] for v in range(H.n)]
 
 
-def kstar_identity_check(H, k, use_split=False, cap=20):
+def kstar_identity_check(H, k):
     """Verify the star identity and recover |N(v)| from the counts alone.
 
     Returns (ok, recovered) where recovered[v] = C^(1/(k-1)) - 1 computed by
     exact integer root, or None for isolated vertices.
     """
-    counts = kstar_counts(H, k, use_split=use_split, cap=cap)
+    counts = kstar_counts(H, k)
     G = gaifman(H)
     ok = True
     recovered = []

@@ -1,11 +1,10 @@
 """Hypergraph data model, edge-list parsing, and induced sub-hypergraph semantics.
 
 A hypergraph is a vertex set {0..n-1} plus a sequence of hyperedges, each a
-sorted tuple of distinct vertex ids.  Two notions of "sub-hypergraph on U" are
-provided: the induced one (edges truncated to U, duplicates collapsed, kept if
-nonempty) and the section one (only edges fully inside U).  Whether a vertex
-set is connected, under either notion, is asked of ``masks_connected``, the
-package's one connectivity test.  ``Graph`` is the one adjacency builder: it
+sorted tuple of distinct vertex ids.  ``induced_sub`` reads H on a vertex set
+U: every edge meeting U, truncated to U, duplicates collapsed.  Whether a
+vertex set is connected is asked of ``masks_connected``, the package's one
+connectivity test, on edge bitmasks.  ``Graph`` is the one adjacency builder: it
 takes pairs or whole hyperedges, so the Gaifman projection is
 ``Graph(H.n, H.edges)``.
 """
@@ -156,8 +155,8 @@ class Hypergraphlet:
     """Small hypergraph on local vertices 0..order-1, edges as bitmasks.
 
     Edge bitmasks form a set (no duplicates); bit i stands for the i-th
-    smallest vertex of the U it was read on.  This is the value type for
-    both induced_sub and section_sub.
+    smallest vertex of the U it was read on.  This is the value type of
+    induced_sub.
     """
 
     __slots__ = ("order", "edges")
@@ -271,10 +270,20 @@ def parse_hypergraph(text, dedupe_edges=True):
 
 
 def serialize_hypergraph(H):
-    """Inverse of parse_hypergraph (up to comment lines)."""
-    lines = ["# vertices %d" % H.n]
+    """Inverse of parse_hypergraph (up to comment lines): the text parses
+    back to H's vertex count, edges and labels.  Ids go under a '# vertices
+    n' header; labels go in id order, so first appearance gives each its id
+    back, and without the header if all are decimal (it would make them
+    ids).  A line leads with its first label that cannot open a comment or
+    header line; its new labels keep their order, as they have its top ids.
+    """
+    tokens = H.tokens
+    numeric = tokens is not None and all(t.isdecimal() for t in tokens)
+    lines = [] if numeric else ["# vertices %d" % H.n]
     for e in H.edges:
-        lines.append(" ".join(H.label_of(v) for v in e))
+        labels = [H.label_of(v) for v in e]
+        lead = next((i for i, t in enumerate(labels) if t[0] not in "%#"), 0)
+        lines.append(" ".join([labels.pop(lead)] + labels))
     return "\n".join(lines) + "\n"
 
 
@@ -309,14 +318,6 @@ def induced_sub(H, U):
     return Hypergraphlet(len(U), _truncations(H, U).values())
 
 
-def section_sub(H, U):
-    """H<U>: only edges entirely inside U, localized to U."""
-    U = _check_subset(H, U)
-    masks = [mask for j, mask in _truncations(H, U).items()
-             if mask.bit_count() == len(H.edges[j])]
-    return Hypergraphlet(len(U), masks)
-
-
 def masks_connected(masks, full):
     """True iff the edge bitmasks, each within full, connect every bit of
     full: the closure grown from full's lowest bit through each mask that
@@ -330,9 +331,3 @@ def masks_connected(masks, full):
                 reach |= mask
                 grown = True
     return reach == full
-
-
-def is_connected_induced(H, U):
-    """True iff H|_U is connected; equals connectivity of Gaif(H) on U."""
-    U = _check_subset(H, U)
-    return masks_connected(_truncations(H, U).values(), (1 << len(U)) - 1)

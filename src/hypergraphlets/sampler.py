@@ -373,12 +373,6 @@ def resolve_split(H, k, alpha_policy="auto", gamma=0.01):
     return apply_split(H, H.rank if alpha_policy == "naive" else int(alpha_policy))
 
 
-def resolve_build(H, k, coloring, alpha_policy="auto", gamma=0.01, cap=20):
-    """Build counters on the split resolve_split names."""
-    split = resolve_split(H, k, alpha_policy, gamma)
-    return build_counters(H, split, k, coloring, cap=cap)
-
-
 def approx_counts(H, k, samples, seed, runs=1, alpha_policy="auto", gamma=0.01,
                   mode="weighted", cap=20):
     """Full estimate: `runs` independent colorings, estimates averaged.

@@ -74,12 +74,11 @@ class SplitCost:
     big integers, so no saturation cap is needed.
     """
 
-    __slots__ = ("lower_cost", "upper_cost", "gamma", "weighted")
+    __slots__ = ("lower_cost", "upper_cost", "weighted")
 
     def __init__(self, lower_cost, upper_cost, gamma):
         self.lower_cost = lower_cost
         self.upper_cost = upper_cost
-        self.gamma = gamma
         self.weighted = _weighted(gamma, lower_cost, upper_cost)
 
     def __repr__(self):

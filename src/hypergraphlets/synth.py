@@ -42,6 +42,24 @@ def _size_sampler(lo, hi, exponent):
     return draw
 
 
+def _check_edge_space(n, lo, hi, m, what="edges"):
+    """Refuse m distinct edges of sizes lo..hi on n vertices when the sum of
+    C(n, s) falls short of m; sum and terms stop growing once they reach m."""
+    room = 0
+    for s in range(lo, hi + 1):
+        c = 1
+        for i in range(min(s, n - s)):
+            if c >= m:
+                break
+            c = c * (n - i) // (i + 1)
+        room += c
+        if room >= m:
+            return
+    raise HypergraphError(
+        "edge space too small for %d %s: %d vertices hold %d distinct "
+        "edges of sizes %d..%d" % (m, what, n, room, lo, hi))
+
+
 def power_law_hypergraph(n, m, seed, exponent=3.0, min_size=2, max_size=None):
     """m distinct edges on n vertices with power-law sizes; duplicates are
     resampled so the edge multiset is a set."""
@@ -52,6 +70,7 @@ def power_law_hypergraph(n, m, seed, exponent=3.0, min_size=2, max_size=None):
     if not 1 <= min_size <= max_size <= n:
         raise HypergraphError("need 1 <= min_size <= max_size <= n")
     draw = _size_sampler(min_size, max_size, exponent)
+    _check_edge_space(n, min_size, max_size, m)
     rng = derived_rng(seed, "powerlaw")
     edges = set()
     attempts = 0
@@ -85,6 +104,8 @@ def nice_hypergraph(n, m, alpha, beta, big_size, rho, seed):
             "infeasible: %d large edges of size %d exceed capacity beta*n = %d"
             % (n_large, big_size, beta * n)
         )
+    _check_edge_space(n, 2, alpha - 1, n_small, "small edges")
+    _check_edge_space(n, big_size, big_size, n_large, "large edges")
     rng = derived_rng(seed, "nice")
     edges = set()
     attempts = 0
@@ -96,7 +117,11 @@ def nice_hypergraph(n, m, alpha, beta, big_size, rho, seed):
         edges.add(tuple(sorted(rng.sample(range(n), s))))
     up_degree = [0] * n
     large = set()
+    attempts = 0
     while len(large) < n_large:
+        attempts += 1
+        if attempts > 50 * m + 100:
+            raise HypergraphError("edge space too small for the large part")
         room = sum(1 for v in range(n) if up_degree[v] < beta)
         if room < big_size:
             raise HypergraphError("degree cap leaves too few eligible vertices")

@@ -106,8 +106,9 @@ def test_nw_ie_degree_cap():
     edges = [(0, i) for i in range(1, 22)]
     H = Hypergraph(22, edges)
     with pytest.raises(BuildError, match="degree 21 exceeds"):
-        nw_ie(H, [1] * 22, cap=20)
-    assert nw_ie(H, [1] * 22, cap=21)[0] == 21
+        NWPlan(apply_split(H, 0), 20)
+    plan = NWPlan(apply_split(H, 0), 21)
+    assert combined_neighbor_weight(plan, [1] * 22)[0] == 21
 
 
 def test_combined_neighbor_weight_toy(toy):

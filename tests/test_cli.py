@@ -126,6 +126,19 @@ def test_split_auto_and_outputs(tmp_path):
     assert "0 1 2 4 6" in lower and upper.strip() == "# vertices 8"
 
 
+@pytest.mark.parametrize("text, lower, upper", [
+    ("5 9\n9 7 11\n", "5 9\n", "9 7 11\n"),
+    ("a b c\nc d\nd e f g\n", "# vertices 7\nc d\n",
+     "# vertices 7\na b c\nd e f g\n"),
+], ids=["decimal", "labeled"])
+def test_split_parts_keep_input_labels(tmp_path, text, lower, upper):
+    src = tmp_path / "in.hg"
+    src.write_text(text)
+    run_cli("split", str(src), "--alpha", "2", "-o", str(tmp_path / "sn"))
+    assert (tmp_path / "sn.lower.hg").read_text() == lower
+    assert (tmp_path / "sn.upper.hg").read_text() == upper
+
+
 def test_split_rejects_naive():
     proc = run_cli("split", TOY, "--alpha", "naive", expect=1)
     assert "naive" in proc.stderr
@@ -513,6 +526,19 @@ def test_gen_synthetic_bad_parameters_are_module_errors(tmp_path, args):
     proc = run_cli("gen-synthetic", "-n", "100", "-m", "10", "--big-size", "20",
                    *args, "-o", str(target), expect=1)
     one_line_error(proc)
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["--model", "nice", "-n", "6", "-m", "7", "--alpha", "3", "--big-size", "5",
+     "--beta", "6", "--rho", "0"],
+    ["-n", "10", "-m", "200000"],
+    ["-n", "10", "-m", "2000000"],
+], ids=["nice-large-part", "powerlaw-2e5", "powerlaw-2e6"])
+def test_gen_synthetic_too_many_edges_is_refused_up_front(tmp_path, args):
+    target = tmp_path / "g.hg"
+    proc = run_cli("gen-synthetic", *args, "-o", str(target), expect=1)
+    assert "edge space too small" in one_line_error(proc)
     assert not target.exists()
 
 

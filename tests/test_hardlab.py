@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypergraphlets import hardlab
+from hypergraphlets.buildup import build_counters
 from hypergraphlets.canonlab import BudgetExceeded
 from hypergraphlets.hardlab import (
     ReductionError,
@@ -24,6 +25,7 @@ from hypergraphlets.hardlab import (
     star_code,
 )
 from hypergraphlets.hypercore import Graph, Hypergraph, gaifman, parse_hypergraph
+from hypergraphlets.splitter import apply_split, choose_split_refined
 
 from oracles import connected_on, random_hypergraph
 
@@ -74,8 +76,6 @@ def test_reduction_requires_k3():
 
 
 def test_reduction_is_all_lower_at_alpha_k_squared():
-    from hypergraphlets.splitter import apply_split
-
     red = reduce_clique_to_ksh(complete_graph(4), 4)
     split = apply_split(red.H, 16)
     assert split.beta == 0
@@ -290,13 +290,19 @@ def test_kstar_identity_and_recovery():
 
 
 def test_kstar_identity_under_split_build():
+    # The blow-up's star column is the same under the naive split, the one
+    # the cost model picks (naive here too) and the all-upper split at 0;
+    # kstar_counts reads that column.
     H = Hypergraph(4, [(0, 1, 2), (2, 3)])
     for k in (3, 4):
-        naive = kstar_counts(H, k, use_split=False)
-        split = kstar_counts(H, k, use_split=True)
-        assert naive == split
-        ok, _ = kstar_identity_check(H, k, use_split=True)
-        assert ok
+        B, coloring = blowup_with_coloring(H, k)
+        columns = []
+        for split in (apply_split(B, B.rank), choose_split_refined(B)[0],
+                      apply_split(B, 0)):
+            cs = build_counters(B, split, k, coloring)
+            star = cs.tables[cs.catalog.tid_of(star_code(k))][(1 << k) - 1]
+            columns.append([star[v * k] for v in range(H.n)])
+        assert columns[0] == columns[1] == columns[2] == kstar_counts(H, k)
 
 
 def test_iroot():

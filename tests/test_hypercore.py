@@ -14,9 +14,8 @@ from hypergraphlets.hypercore import (
     Hypergraphlet,
     gaifman,
     induced_sub,
-    is_connected_induced,
+    masks_connected,
     parse_hypergraph,
-    section_sub,
     serialize_hypergraph,
 )
 from hypergraphlets.hardlab import reduce_clique_to_ksh
@@ -224,6 +223,44 @@ def test_serialize_round_trip(toy):
     assert serialize_hypergraph(again) == serialize_hypergraph(toy)
 
 
+@pytest.mark.parametrize("text", [
+    "5 9\n9 7 11\n",
+    "3 1\n1 2\n0 4\n",
+    "a b c\nc d\nd e f g\n",
+    "# vertices 9\nb a\nc a\n",
+    "# vertices 3\n0 \u00b2\n",
+    "x %p\ny %p z\nq #r\nw #r %p\n",
+    "",
+], ids=["decimal", "decimal-zero", "labeled", "labeled-header", "superscript",
+        "comment-marks", "empty"])
+def test_serialize_round_trips_parsed_text(text):
+    # Headerless all-decimal tokens are labels, not ids; labels that start
+    # with '%' or '#' never lead a line.
+    H = parse_hypergraph(text)
+    again = parse_hypergraph(serialize_hypergraph(H))
+    assert again == H and again.labels == H.labels
+
+
+TOKENS = ["0", "1", "2", "7", "10", "\u0663", "a", "b", "%p", "#q"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.none(), st.integers(min_value=0, max_value=12)),
+       st.lists(st.lists(st.sampled_from(TOKENS), min_size=1, max_size=4, unique=True),
+                max_size=6),
+       st.booleans())
+def test_property_parsed_text_round_trips(header, lines, dedupe):
+    text = "".join(" ".join(line) + "\n" for line in lines)
+    if header is not None:
+        text = "# vertices %d\n" % header + text
+    try:
+        H = parse_hypergraph(text, dedupe_edges=dedupe)
+    except HypergraphError:
+        return
+    again = parse_hypergraph(serialize_hypergraph(H), dedupe_edges=dedupe)
+    assert again == H and again.labels == H.labels
+
+
 def test_graph_basics():
     G = Graph(4, [(0, 1), (1, 2), (2, 0)])
     assert G.m == 3
@@ -248,14 +285,6 @@ def test_induced_sub_truncates_and_dedupes(toy):
 def test_induced_keeps_singletons(toy):
     P = induced_sub(toy, [2, 3])
     assert P.edges == (1, 2)
-    assert not is_connected_induced(toy, [2, 3])
-
-
-def test_section_sub_drops_partial_edges(toy):
-    P = section_sub(toy, [0, 1, 2, 4, 6])
-    assert P.order == 5
-    assert P.edges == (3, 10, 31)
-    assert section_sub(toy, [2, 3]).edges == ()
 
 
 def test_subset_validation(toy):
@@ -264,14 +293,19 @@ def test_subset_validation(toy):
     with pytest.raises(HypergraphError):
         induced_sub(toy, [0, 99])
     with pytest.raises(HypergraphError):
-        section_sub(toy, [-1])
+        induced_sub(toy, [-1])
 
 
-def test_is_connected_induced(toy):
-    assert is_connected_induced(toy, [0, 1, 4])
-    assert is_connected_induced(toy, [3, 5])
-    assert not is_connected_induced(toy, [0, 3])
-    assert is_connected_induced(toy, [7])
+def test_masks_connected_on_induced(toy):
+    def connected(U):
+        return masks_connected(induced_sub(toy, U).edges, (1 << len(U)) - 1)
+
+    assert connected([0, 1, 4])
+    assert connected([3, 5])
+    assert not connected([0, 3])
+    assert connected([7])
+    # Two singleton truncations touch no other vertex.
+    assert not connected([2, 3])
 
 
 def test_hypergraphlet_validation():
@@ -296,10 +330,6 @@ def test_induced_matches_oracle_semantics():
         U = sorted(rng.sample(range(H.n), k))
         P = induced_sub(H, U)
         assert set(P.edges) == truncated_edge_masks(H, U)
-        pos = {v: i for i, v in enumerate(U)}
-        inside = {sum(1 << pos[v] for v in e) for e in H.edges
-                  if all(v in pos for v in e)}
-        assert set(section_sub(H, U).edges) == inside
 
 
 def test_gaifman_commutes_with_induced():
@@ -354,4 +384,5 @@ def test_property_serialize_round_trip(H):
 def test_property_connectivity_matches_gaifman(H, rng):
     k = rng.randint(1, H.n)
     U = sorted(rng.sample(range(H.n), k))
-    assert is_connected_induced(H, U) == connected_on(H, U)
+    full = (1 << len(U)) - 1
+    assert masks_connected(induced_sub(H, U).edges, full) == connected_on(H, U)

@@ -24,7 +24,7 @@ from hypergraphlets.sampler import (
     build_generators,
     estimate_counts,
     extract_hypergraphlet,
-    resolve_build,
+    resolve_split,
     sample_outcome,
     sharded_estimate,
     spanning_tree_count,
@@ -417,7 +417,8 @@ def test_root_draw_matches_one_flat_table(monkeypatch):
     # Every integer below W, once: draw_root gives the same (T, v) as one
     # alias table over the cs.root_weights() items in order.
     toy = parse_hypergraph(TOY_TEXT)
-    for cs in [resolve_build(toy, 3, random_coloring(toy, 3, "t2|run0")),
+    for cs in [build_counters(toy, resolve_split(toy, 3), 3,
+                              random_coloring(toy, 3, "t2|run0")),
                build_counters(SHARED, apply_split(SHARED, 2), 3, SHARED_COLORING)]:
         roots = cs.root_weights()
         flat = VoseAlias([(tid, v) for tid, vec in roots for v in range(len(vec))],
@@ -513,8 +514,8 @@ def test_sigma_is_computed_once_per_key(monkeypatch):
     monkeypatch.setattr(sampler, "spanning_tree_count", counted)
     toy = parse_hypergraph(TOY_TEXT)
     cases = [crafted_generators(alpha=2),
-             build_generators(resolve_build(toy, 3, random_coloring(toy, 3, "t2|run0"),
-                                            alpha_policy=0))]
+             build_generators(build_counters(toy, resolve_split(toy, 3, 0), 3,
+                                             random_coloring(toy, 3, "t2|run0")))]
     for seed, gens in enumerate(cases):
         del calls[:]
         rep = estimate_counts(gens, 500, random.Random(seed))
@@ -603,14 +604,13 @@ def test_sharded_estimate_single_thread_matches_plain():
     assert sharded.rows == direct.rows
 
 
-def test_resolve_build_policies():
+def test_resolve_split_policies():
     toy = parse_hypergraph(TOY_TEXT)
     col = random_coloring(toy, 3, "p")
-    naive = resolve_build(toy, 3, col, alpha_policy="naive")
+    naive, auto, fixed = [build_counters(toy, resolve_split(toy, 3, policy), 3, col)
+                          for policy in ("naive", "auto", 3)]
     assert naive.split.alpha == toy.rank and naive.split.upper.m == 0
-    auto = resolve_build(toy, 3, col, alpha_policy="auto")
-    assert auto.split is not None and auto.split.alpha == 5
-    fixed = resolve_build(toy, 3, col, alpha_policy=3)
+    assert auto.split.alpha == 5
     assert fixed.split.alpha == 3
     assert naive.tables_equal(auto) and auto.tables_equal(fixed)
 

@@ -1,6 +1,11 @@
+import hashlib
+import itertools
+import time
+
 import pytest
 
-from hypergraphlets.hypercore import HypergraphError
+from hypergraphlets import synth
+from hypergraphlets.hypercore import HypergraphError, serialize_hypergraph
 from hypergraphlets.splitter import apply_split
 from hypergraphlets.synth import nice_hypergraph, power_law_hypergraph
 
@@ -84,3 +89,50 @@ def test_nice_validation():
         nice_hypergraph(30, 6, 5, 0, 10, 0.5, "v")
     with pytest.raises(HypergraphError, match="infeasible"):
         nice_hypergraph(20, 10, 5, 1, 10, 0.0, "v")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: nice_hypergraph(6, 7, 3, 6, 5, 0.0, "0"),
+    lambda: power_law_hypergraph(10, 200000, "0"),
+    lambda: power_law_hypergraph(10, 2000000, "0"),
+], ids=["nice-large-part", "powerlaw-2e5", "powerlaw-2e6"])
+def test_edge_count_above_the_edge_space_is_refused_up_front(make):
+    # C(6,5) = 6 edges of size 5; 1013 edges of sizes 2..10 on 10 vertices.
+    t0 = time.perf_counter()
+    with pytest.raises(HypergraphError, match="edge space too small"):
+        make()
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_nice_large_loop_gives_up(monkeypatch):
+    # A stream that keeps drawing the same large edge used to spin forever.
+    class SameEdge:
+        def __init__(self):
+            self.draws = itertools.cycle(range(4))
+
+        def randrange(self, n):
+            return next(self.draws)
+
+    monkeypatch.setattr(synth, "derived_rng", lambda seed, label: SameEdge())
+    with pytest.raises(HypergraphError, match="large part"):
+        nice_hypergraph(10, 2, 3, 5, 4, 0.0, "0")
+
+
+def test_edge_space_checks_spend_no_draws():
+    # The refusals sum binomials only, so the files that generate keep
+    # their bytes (`gen-synthetic -n 50 -m 80` and a nice instance).
+    def digest(H):
+        return hashlib.sha256(serialize_hypergraph(H).encode()).hexdigest()[:16]
+
+    assert digest(power_law_hypergraph(50, 80, "0")) == "c7c26141489cfef6"
+    assert digest(nice_hypergraph(60, 30, 5, 3, 12, 0.9, "0")) == "df24281d6c9710c2"
+
+
+def test_edge_space_check_builds_no_huge_binomial():
+    # C(10^6, 5 * 10^5) takes seconds to compute; the check stops each
+    # binomial once it reaches m.
+    t0 = time.perf_counter()
+    synth._check_edge_space(10 ** 6, 500000, 500000, 10 ** 9)
+    with pytest.raises(HypergraphError, match="edge space too small"):
+        synth._check_edge_space(3, 3, 3, 2)
+    assert time.perf_counter() - t0 < 1.0
