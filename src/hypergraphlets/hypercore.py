@@ -271,11 +271,11 @@ def parse_hypergraph(text, dedupe_edges=True):
 
 def serialize_hypergraph(H):
     """Inverse of parse_hypergraph (up to comment lines): the text parses
-    back to H's vertex count, edges and labels.  Ids go under a '# vertices
-    n' header; labels go in id order, so first appearance gives each its id
-    back, and without the header if all are decimal (it would make them
-    ids).  A line leads with its first label that cannot open a comment or
-    header line; its new labels keep their order, as they have its top ids.
+    back to H's vertex count, edges and labels.  Ids are written under a
+    '# vertices n' header, labels in id order so that first appearance
+    gives each its id back; all-decimal labels go without the header, which
+    would read them as ids.  A line leads with its first label that cannot
+    open a comment or header line (its new labels hold its largest ids).
     """
     tokens = H.tokens
     numeric = tokens is not None and all(t.isdecimal() for t in tokens)
