@@ -4,8 +4,9 @@ The pipeline: split the hypergraph by edge size (splitter), build rooted
 treelet counters bottom-up with color coding (treelets, buildup), sample
 colorful connected vertex sets proportionally to spanning-tree weight
 (sampler), and turn sample frequencies into per-shape count estimates
-keyed by canonical form (canonlab).  exact provides brute-force ground
-truth; hardlab holds the worst-case reductions.
+keyed by canonical form (canonlab).  canonlab.exact_counts gives exact
+counts (the `exact` command); the brute-force ground truth the tests
+check against lives in tests/.  hardlab holds the worst-case reductions.
 """
 
 from .hypercore import (

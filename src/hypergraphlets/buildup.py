@@ -48,7 +48,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256  # a build without the built-in hashes
 
-from .canonlab import MAX_KEY_ORDER
+from .canonlab import MAX_KEY_ORDER, check_budget
 
 # gaifman is unused here but stays importable: perfbench traces buildup.gaifman.
 from .hypercore import HypergraphError, gaifman  # noqa: F401
@@ -117,8 +117,10 @@ class NWPlan:
     size, which inclusion-exclusion adds and subtracts, and v's lower
     neighbors that also share an upper edge with v, the pairs that both
     parts count.  Subsets are enumerated once per distinct type, and the
-    vertices of one type share its id lists.  The 2^degree cap is checked
-    here, before any round runs.
+    vertices of one type share its id lists.  The 2^degree cap, and the
+    enumeration budget against the plan's size, the sum of 2^|type| over
+    the vertices in an upper edge, are checked here, before any subset is
+    enumerated.
     """
 
     __slots__ = ("lower", "members", "upper")
@@ -126,6 +128,8 @@ class NWPlan:
     def __init__(self, split, cap=20):
         check_cap(split, cap)
         types = split.upper_types
+        total = sum(1 << len(ty) for ty in types if ty)
+        check_budget(total, "inclusion-exclusion plan of %d subsets" % total)
         of_type = {}
         for v, ty in enumerate(types):
             if ty:
@@ -146,12 +150,6 @@ class NWPlan:
                 shared = [u for u in split.lower_neighbors[v]
                           if any(map(ty.__contains__, types[u]))]
                 self.upper.append((v, sides[1], sides[0], shared))
-
-
-def nw_ie(H, w):
-    """eta over the full hypergraph by inclusion-exclusion (the split at
-    alpha 0, whose lower part is empty); needs Delta <= NWPlan's cap."""
-    return combined_neighbor_weight(NWPlan(apply_split(H, 0)), w)
 
 
 def combined_neighbor_weight(plan, w):

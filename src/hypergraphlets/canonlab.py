@@ -1,4 +1,4 @@
-"""Canonical forms for small hypergraphlets and exact brute-force counting.
+"""Canonical forms for small hypergraphlets and exact counting.
 
 The canonical key of a hypergraphlet is the lexicographically smallest sorted
 edge-bitmask tuple over all relabelings of its vertices; two hypergraphlets
@@ -12,14 +12,12 @@ hypergraphlet with its vertices ordered by the sizes of their edges, so most
 labelings of one shape share one cache entry and one search.
 
 exact_counts enumerates every connected k-set of the Gaifman graph exactly
-once (pivot growth) and tallies keys; these exact tables are the ground
-truth all estimates are judged against.
+once (pivot growth) and tallies keys: the `exact` command's table.
 """
 
 from __future__ import annotations
 
 import os
-from itertools import combinations
 
 from .hypercore import (
     HypergraphError,
@@ -27,7 +25,6 @@ from .hypercore import (
     gaifman,
     induced_sub,
 )
-from .treelets import canonical_code
 
 DEFAULT_BUDGET = 10 ** 7  # sets an exhaustive search may examine
 MAX_KEY_ORDER = 8  # the largest order canonical_key, -k and .hmt headers accept
@@ -274,118 +271,11 @@ def connected_ksets(H, k):
         # (sets not containing any vertex < v are rooted at v exactly once)
 
 
-def _tally(H, k, ksets):
+def exact_counts(H, k):
+    """Exact per-key counts of connected induced k-vertex sub-hypergraphs."""
     check_key_order(k)
     counts = {}
-    for U in ksets:
+    for U in connected_ksets(H, k):
         key = canonical_key(induced_sub(H, U))
         counts[key] = counts.get(key, 0) + 1
     return counts
-
-
-def exact_counts(H, k):
-    """Exact per-key counts of connected induced k-vertex sub-hypergraphs."""
-    return _tally(H, k, connected_ksets(H, k))
-
-
-def exact_colorful_counts(H, coloring, k):
-    """As exact_counts but restricted to colorful U (all k colors present)."""
-    colors = coloring.colors
-    every = set(range(k))
-    return _tally(H, k, (U for U in connected_ksets(H, k)
-                         if {colors[v] for v in U} == every))
-
-
-def brute_spanning_trees(A):
-    """Count spanning trees of a (small) adjacency matrix by edge subsets."""
-    n = len(A)
-    if n > 8:
-        raise HypergraphError("brute spanning-tree count limited to 8 vertices")
-    if n <= 1:
-        return 1
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if A[i][j]]
-    count = 0
-    for subset in combinations(edges, n - 1):
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        ok = True
-        for u, v in subset:
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                ok = False
-                break
-            parent[ru] = rv
-        if ok:
-            count += 1
-    return count
-
-
-def brute_rooted_colorful_treelets(H, coloring, code, S, v):
-    """Exhaustive C(T,S,v): rooted trees in Gaif(H), shape and colors exact.
-
-    Enumerates h-subsets U containing v whose colors are exactly S (one
-    vertex per color), then every spanning tree of Gaif(H)[U], keeping those
-    whose rooted canonical code at v matches.
-    """
-    if H.n > 12:
-        raise HypergraphError("brute treelet counting limited to n <= 12")
-    h = code.count("(")
-    colors = coloring.colors
-    S_bits = [c for c in range(coloring.k) if S >> c & 1]
-    if len(S_bits) != h:
-        raise HypergraphError("|S| must equal the treelet order")
-    if not S >> colors[v] & 1:
-        return 0
-    G = gaifman(H)
-    adj = [set(a) for a in G.adj]
-    total = 0
-    others = [u for u in range(H.n) if u != v]
-    for rest in combinations(others, h - 1):
-        U = (v,) + rest
-        mask = 0
-        for u in U:
-            mask |= 1 << colors[u]
-        if mask != S or bin(mask).count("1") != h:
-            continue
-        pairs = [(a, b) for i, a in enumerate(U) for b in U[i + 1:] if b in adj[a]]
-        for subset in combinations(pairs, h - 1):
-            parent = {u: u for u in U}
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            ok = True
-            for a, b in subset:
-                ra, rb = find(a), find(b)
-                if ra == rb:
-                    ok = False
-                    break
-                parent[ra] = rb
-            if not ok:
-                continue
-            children = {u: [] for u in U}
-            seen = {v}
-            frontier = [v]
-            tree_adj = {u: [] for u in U}
-            for a, b in subset:
-                tree_adj[a].append(b)
-                tree_adj[b].append(a)
-            while frontier:
-                x = frontier.pop()
-                for y in tree_adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        children[x].append(y)
-                        frontier.append(y)
-            if canonical_code(children, v) == code:
-                total += 1
-    return total

@@ -164,17 +164,6 @@ def decide_ksh_reduction(red):
     return False, None
 
 
-def has_k_clique(G, k):
-    """Direct clique test on G, used as the ground truth in demos."""
-    if k > G.n:
-        return False
-    adj = [set(G.adj[v]) for v in range(G.n)]
-    for T in combinations(range(G.n), k):
-        if all(v in adj[u] for u, v in combinations(T, 2)):
-            return True
-    return False
-
-
 # --- Orthogonal Vectors via neighborhood counting ---
 
 

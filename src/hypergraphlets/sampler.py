@@ -275,12 +275,11 @@ def spanning_tree_count(A):
 
 
 class SampleOutcome:
-    __slots__ = ("U", "sigma", "hypergraphlet", "key")
+    __slots__ = ("U", "sigma", "key")
 
-    def __init__(self, U, sigma, hypergraphlet, key):
+    def __init__(self, U, sigma, key):
         self.U = U
         self.sigma = sigma
-        self.hypergraphlet = hypergraphlet
         self.key = key
 
 
@@ -294,24 +293,19 @@ def sample_outcome(gens, rng):
     sigma = gens.sigmas.get(key)
     if sigma is None:
         sigma = gens.sigmas[key] = spanning_tree_count(_gaifman_matrix(P))
-    return SampleOutcome(U, sigma, P, key)
+    return SampleOutcome(U, sigma, key)
 
 
 class EstimateReport:
     """Aggregated sampling results for one build.
 
     rows maps key -> dict(samples, inv_sigma_sum (Fraction), estimate
-    (Fraction, colorful count scale), relative_frequency (float)).  W, k,
-    samples record the build total and budget.
+    (Fraction, colorful count scale), relative_frequency (float)).
     """
 
-    __slots__ = ("k", "W", "samples", "mode", "rows")
+    __slots__ = ("rows",)
 
-    def __init__(self, k, W, samples, mode, rows):
-        self.k = k
-        self.W = W
-        self.samples = samples
-        self.mode = mode
+    def __init__(self, rows):
         self.rows = rows
 
 
@@ -350,7 +344,7 @@ def estimate_counts(gens, K, rng, mode="weighted"):
     for key, c in counts.items():
         inv = Fraction(c, 1 if uniform else gens.sigmas[key])
         rows[key] = {"samples": c, "inv_sigma_sum": inv, "estimate": scale * inv}
-    return EstimateReport(cs.k, cs.W, K, mode, _with_frequencies(rows))
+    return EstimateReport(_with_frequencies(rows))
 
 
 def sharded_estimate(gens, K, seed, run, mode="weighted"):

@@ -86,11 +86,6 @@ class SplitCost:
             self.lower_cost, self.upper_cost, self.weighted)
 
 
-def candidate_alphas(H):
-    """Thresholds worth considering: 0 plus each distinct edge size."""
-    return [0] + sorted({len(e) for e in H.edges})
-
-
 def apply_split(H, alpha):
     if alpha < 0:
         raise HypergraphError("alpha must be nonnegative")

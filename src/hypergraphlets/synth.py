@@ -77,7 +77,8 @@ def power_law_hypergraph(n, m, seed, exponent=3.0, min_size=2, max_size=None):
     while len(edges) < m:
         attempts += 1
         if attempts > 50 * m + 100:
-            raise HypergraphError("edge space too small for %d distinct edges" % m)
+            raise HypergraphError("ran out of attempts: %d draws gave %d of %d "
+                                  "distinct edges" % (attempts - 1, len(edges), m))
         s = draw(rng)
         edges.add(tuple(sorted(rng.sample(range(n), s))))
     return Hypergraph(n, sorted(edges))
@@ -112,7 +113,9 @@ def nice_hypergraph(n, m, alpha, beta, big_size, rho, seed):
     while len(edges) < n_small:
         attempts += 1
         if attempts > 50 * m + 100:
-            raise HypergraphError("edge space too small for the small part")
+            raise HypergraphError("ran out of attempts for the small part: %d draws "
+                                  "gave %d of %d distinct edges"
+                                  % (attempts - 1, len(edges), n_small))
         s = rng.randint(2, alpha - 1)
         edges.add(tuple(sorted(rng.sample(range(n), s))))
     up_degree = [0] * n
@@ -121,7 +124,9 @@ def nice_hypergraph(n, m, alpha, beta, big_size, rho, seed):
     while len(large) < n_large:
         attempts += 1
         if attempts > 50 * m + 100:
-            raise HypergraphError("edge space too small for the large part")
+            raise HypergraphError("ran out of attempts for the large part: %d draws "
+                                  "gave %d of %d distinct edges"
+                                  % (attempts - 1, len(large), n_large))
         room = sum(1 for v in range(n) if up_degree[v] < beta)
         if room < big_size:
             raise HypergraphError("degree cap leaves too few eligible vertices")

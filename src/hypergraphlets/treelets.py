@@ -41,13 +41,6 @@ def code_from_children(children):
     return "(" + "".join(sorted(children)) + ")"
 
 
-def canonical_code(children_of, root):
-    """Code for a rooted tree given a child-list map (adjacency from root)."""
-    def rec(v):
-        return code_from_children([rec(u) for u in children_of[v]])
-    return rec(root)
-
-
 class TreeletCatalog:
     """All rooted treelets of order 1..k, deterministically ordered and
     indexed, each with its canonical (T1, T2, d) decomposition."""

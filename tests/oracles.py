@@ -1,13 +1,19 @@
-"""Independent oracles used to check the library against first principles.
+"""Oracles and helpers that only tests call.
 
-Everything here is deliberately written from the definitions, without
-importing any library internals beyond the Hypergraph container itself, so
-that agreement between the two is meaningful.
+The oracles are written from the definitions, without library internals
+beyond the Hypergraph container and the coloring they read, so that
+agreement between them and the library is meaningful.  Three helpers drive
+library code in forms only tests need: exact_colorful_counts (exact
+counting restricted to colorful sets), nw_ie (inclusion-exclusion over the
+whole hypergraph) and candidate_alphas (the split thresholds worth trying).
 """
 
 from itertools import combinations, permutations
 
-from hypergraphlets.hypercore import Hypergraph
+from hypergraphlets.buildup import NWPlan, combined_neighbor_weight
+from hypergraphlets.canonlab import canonical_key, check_key_order, connected_ksets
+from hypergraphlets.hypercore import Hypergraph, HypergraphError, induced_sub
+from hypergraphlets.splitter import apply_split
 
 
 def gaifman_pairs(H):
@@ -88,11 +94,12 @@ def ahu_code(n, edges, root):
     return rec(root, None)
 
 
-def count_spanning_trees_brute(n, pairs):
-    """Spanning trees by trying every (n-1)-subset of edges."""
+def spanning_trees(n, pairs):
+    """Every spanning tree of vertices 0..n-1 over pairs, as the (n-1)-subset
+    of pairs it uses, found by trying every such subset."""
     if n <= 1:
-        return 1
-    total = 0
+        yield ()
+        return
     for subset in combinations(pairs, n - 1):
         parent = list(range(n))
 
@@ -109,8 +116,84 @@ def count_spanning_trees_brute(n, pairs):
                 parent[ru] = rv
                 merged += 1
         if merged == n - 1:
-            total += 1
+            yield subset
+
+
+def count_spanning_trees_brute(n, pairs):
+    """How many spanning trees spanning_trees finds."""
+    return sum(1 for _ in spanning_trees(n, pairs))
+
+
+def brute_spanning_trees(A):
+    """count_spanning_trees_brute on an adjacency matrix of at most 8 vertices."""
+    n = len(A)
+    if n > 8:
+        raise HypergraphError("brute spanning-tree count limited to 8 vertices")
+    return count_spanning_trees_brute(
+        n, [(i, j) for i in range(n) for j in range(i + 1, n) if A[i][j]])
+
+
+def brute_rooted_colorful_treelets(H, coloring, code, S, v):
+    """Exhaustive C(T,S,v): rooted trees in Gaif(H), shape and colors exact.
+
+    Enumerates h-subsets U containing v whose colors are exactly S (one
+    vertex per color), then every spanning tree of Gaif(H)[U], keeping those
+    whose rooted code at v matches.
+    """
+    if H.n > 12:
+        raise HypergraphError("brute treelet counting limited to n <= 12")
+    h = code.count("(")
+    colors = coloring.colors
+    want = {c for c in range(coloring.k) if S >> c & 1}
+    if len(want) != h:
+        raise HypergraphError("|S| must equal the treelet order")
+    if not S >> colors[v] & 1:
+        return 0
+    pairs = gaifman_pairs(H)
+    total = 0
+    for rest in combinations([u for u in range(H.n) if u != v], h - 1):
+        U = (v,) + rest
+        if {colors[u] for u in U} != want:
+            continue
+        pos = {u: i for i, u in enumerate(U)}
+        local = [(pos[a], pos[b]) for a, b in pairs if a in pos and b in pos]
+        total += sum(ahu_code(h, tree, 0) == code for tree in spanning_trees(h, local))
     return total
+
+
+def exact_colorful_counts(H, coloring, k):
+    """canonlab.exact_counts restricted to colorful U (all k colors present)."""
+    check_key_order(k)
+    colors = coloring.colors
+    every = set(range(k))
+    counts = {}
+    for U in connected_ksets(H, k):
+        if {colors[v] for v in U} == every:
+            key = canonical_key(induced_sub(H, U))
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def has_k_clique(G, k):
+    """Direct clique test on G."""
+    if k > G.n:
+        return False
+    adj = [set(G.adj[v]) for v in range(G.n)]
+    for T in combinations(range(G.n), k):
+        if all(v in adj[u] for u, v in combinations(T, 2)):
+            return True
+    return False
+
+
+def nw_ie(H, w):
+    """eta over the full hypergraph by inclusion-exclusion (the split at
+    alpha 0, whose lower part is empty); needs Delta <= NWPlan's cap."""
+    return combined_neighbor_weight(NWPlan(apply_split(H, 0)), w)
+
+
+def candidate_alphas(H):
+    """Thresholds worth considering: 0 plus each distinct edge size."""
+    return [0] + sorted({len(e) for e in H.edges})
 
 
 def random_hypergraph(rng, n_max=15, m_max=12, size_max=6):

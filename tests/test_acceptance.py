@@ -23,19 +23,12 @@ from hypergraphlets.buildup import (
     build_counters,
     build_counters_naive,
     derived_rng,
-    nw_ie,
     nw_naive,
     random_coloring,
 )
-from hypergraphlets.canonlab import (
-    brute_rooted_colorful_treelets,
-    brute_spanning_trees,
-    exact_colorful_counts,
-    exact_counts,
-)
+from hypergraphlets.canonlab import exact_counts
 from hypergraphlets.hardlab import (
     decide_ksh_reduction,
-    has_k_clique,
     kstar_identity_check,
     ov_pairwise,
     reduce_clique_to_ksh,
@@ -49,9 +42,18 @@ from hypergraphlets.sampler import (
     sample_outcome,
     spanning_tree_count,
 )
-from hypergraphlets.splitter import apply_split, candidate_alphas
+from hypergraphlets.splitter import apply_split
 from hypergraphlets.synth import power_law_hypergraph
 from hypergraphlets.treelets import TreeletCatalog
+
+from oracles import (
+    brute_rooted_colorful_treelets,
+    brute_spanning_trees,
+    candidate_alphas,
+    exact_colorful_counts,
+    has_k_clique,
+    nw_ie,
+)
 
 DATA = Path(__file__).resolve().parent.parent / "examples" / "data"
 TOY = str(DATA / "toy.hg")

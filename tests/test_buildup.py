@@ -16,20 +16,26 @@ from hypergraphlets.buildup import (
     counterset_from_table,
     derived_rng,
     masks_of_size,
-    nw_ie,
     nw_naive,
     packed_neighbor_weights,
     random_coloring,
     read_table,
     write_table,
 )
-from hypergraphlets.canonlab import brute_rooted_colorful_treelets, connected_ksets
+from hypergraphlets.canonlab import connected_ksets
 from hypergraphlets.hypercore import Hypergraph, gaifman, parse_hypergraph
 from hypergraphlets.sampler import build_generators, sharded_estimate
-from hypergraphlets.splitter import apply_split, candidate_alphas, curve_with_costs
+from hypergraphlets.splitter import apply_split, curve_with_costs
 from hypergraphlets.treelets import TreeletCatalog
 
-from oracles import bounded_degree_hypergraph, count_spanning_trees_brute, random_hypergraph
+from oracles import (
+    bounded_degree_hypergraph,
+    brute_rooted_colorful_treelets,
+    candidate_alphas,
+    count_spanning_trees_brute,
+    nw_ie,
+    random_hypergraph,
+)
 
 TOY_TEXT = "# vertices 8\n0 1\n1 4\n3 5 6\n0 1 2 4 6\n"
 

@@ -7,12 +7,9 @@ from hypergraphlets import canonlab
 from hypergraphlets.buildup import Coloring
 from hypergraphlets.canonlab import (
     BudgetExceeded,
-    brute_rooted_colorful_treelets,
-    brute_spanning_trees,
     canonical_key,
     connected_ksets,
     enumeration_budget,
-    exact_colorful_counts,
     exact_counts,
     key_from_text,
     key_to_hypergraphlet,
@@ -26,7 +23,14 @@ from hypergraphlets.hypercore import (
     parse_hypergraph,
 )
 
-from oracles import brute_canonical_key, naive_connected_ksets, random_hypergraph
+from oracles import (
+    brute_canonical_key,
+    brute_rooted_colorful_treelets,
+    brute_spanning_trees,
+    exact_colorful_counts,
+    naive_connected_ksets,
+    random_hypergraph,
+)
 
 TOY_TEXT = "# vertices 8\n0 1\n1 4\n3 5 6\n0 1 2 4 6\n"
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from hypergraphlets import buildup, cli
 from hypergraphlets.buildup import _width, read_table
 from hypergraphlets.canonlab import key_from_text
 from hypergraphlets.hypercore import parse_hypergraph
@@ -542,6 +544,17 @@ def test_gen_synthetic_too_many_edges_is_refused_up_front(tmp_path, args):
     assert not target.exists()
 
 
+def test_gen_synthetic_out_of_attempts_says_so(tmp_path):
+    # 10 vertices hold exactly 1013 edges of sizes 2..10, so the up-front
+    # check passes, but the size law rarely draws the sizes still missing.
+    target = tmp_path / "g.hg"
+    proc = run_cli("gen-synthetic", "-n", "10", "-m", "1013", "-o", str(target),
+                   expect=1)
+    assert one_line_error(proc) == (
+        "error: ran out of attempts: 50750 draws gave 1012 of 1013 distinct edges")
+    assert not target.exists()
+
+
 def test_gen_synthetic_requires_out():
     run_cli("gen-synthetic", "--model", "powerlaw", "-n", "10", "-m", "5", expect=2)
 
@@ -640,6 +653,32 @@ def test_small_hm_budget_is_module_error(args, what):
     proc = run_cli(*args, expect=1, env=env)
     assert one_line_error(proc) == (
         "error: %s exceeds budget 3 (set HM_BUDGET to raise)" % what)
+
+
+def test_plan_over_budget_is_refused_before_any_subset(tmp_path, monkeypatch, capsys):
+    # Each of 16 vertices lies in 10 of 12 random edges.  At --alpha 2 every
+    # edge is upper and beta = 10 passes --cap, but the inclusion-exclusion
+    # plan would hold 16 * 2^10 subsets.
+    rng = random.Random(21)
+    edges = [[] for _ in range(12)]
+    for v in range(16):
+        for j in rng.sample(range(12), 10):
+            edges[j].append(v)
+    hg = tmp_path / "dense.hg"
+    hg.write_text("".join(" ".join(map(str, e)) + "\n" for e in edges))
+    out = tmp_path / "t.hmt"
+
+    def enumerate_nothing(*args):
+        raise AssertionError("a subset was enumerated")
+
+    monkeypatch.setattr(buildup, "combinations", enumerate_nothing)
+    monkeypatch.setenv("HM_BUDGET", "10000")
+    assert cli.main(["build", str(hg), "-k", "3", "--alpha", "2", "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: inclusion-exclusion plan of 16384 subsets "
+                            "exceeds budget 10000 (set HM_BUDGET to raise)\n")
+    assert not out.exists()
 
 
 def test_superscript_digit_under_a_header_is_a_label(tmp_path):

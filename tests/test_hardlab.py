@@ -15,7 +15,6 @@ from hypergraphlets.hardlab import (
     blowup_with_coloring,
     decide_ksh_bruteforce,
     decide_ksh_reduction,
-    has_k_clique,
     kstar_counts,
     kstar_identity_check,
     ov_hypergraph,
@@ -27,7 +26,7 @@ from hypergraphlets.hardlab import (
 from hypergraphlets.hypercore import Graph, Hypergraph, gaifman, parse_hypergraph
 from hypergraphlets.splitter import apply_split, choose_split_refined
 
-from oracles import connected_on, random_hypergraph
+from oracles import connected_on, has_k_clique, random_hypergraph
 
 
 def complete_graph(n):

@@ -29,9 +29,10 @@ from hypergraphlets.sampler import (
     sharded_estimate,
     spanning_tree_count,
 )
-from hypergraphlets.splitter import apply_split, candidate_alphas, choose_split_refined
+from hypergraphlets.splitter import apply_split, choose_split_refined
 
 from oracles import (
+    candidate_alphas,
     connected_on,
     count_spanning_trees_brute,
     gaifman_pairs,
@@ -460,7 +461,7 @@ def test_extraction_agreement():
                 U = out.U
                 P = extract_hypergraphlet(H, U)
                 assert set(P.edges) == truncated_edge_masks(H, U)
-                assert out.hypergraphlet == P
+                assert out.key == canonical_key(P)
                 pos = {v: i for i, v in enumerate(U)}
                 pairs = [(pos[a], pos[b]) for a, b in gaifman_pairs(H)
                          if a in pos and b in pos]
@@ -562,7 +563,6 @@ def test_estimator_uniform_mode():
     # Acceptance probability 1/sigma = 1/3; the estimate recovers ~1.
     assert four_sigma_ok(row["samples"], 3000, 1 / 3)
     assert row["estimate"] == Fraction(cs.W, 3 * 3000) * row["samples"]
-    assert report.mode == "uniform"
 
 
 def test_estimate_counts_validation():

@@ -6,13 +6,12 @@ import pytest
 from hypergraphlets.hypercore import Hypergraph, HypergraphError, gaifman, parse_hypergraph
 from hypergraphlets.splitter import (
     apply_split,
-    candidate_alphas,
     choose_split_refined,
     curve_with_costs,
     split_cost,
 )
 
-from oracles import random_hypergraph
+from oracles import candidate_alphas, random_hypergraph
 
 TOY_TEXT = "# vertices 8\n0 1\n1 4\n3 5 6\n0 1 2 4 6\n"
 

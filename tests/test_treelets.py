@@ -1,12 +1,11 @@
 import hashlib
-import random
 from itertools import product
 
 import pytest
 
 from hypergraphlets.buildup import catalog_digest
 from hypergraphlets.hypercore import HypergraphError
-from hypergraphlets.treelets import TreeletCatalog, canonical_code, code_from_children
+from hypergraphlets.treelets import TreeletCatalog, code_from_children
 
 from oracles import ahu_code
 
@@ -111,32 +110,6 @@ def test_catalog_order_is_by_order_then_code():
     assert [t.tid for t in cat.treelets] == list(range(len(cat)))
     for t in cat.treelets:
         assert cat.tid_of(t.code) == t.tid
-
-
-def test_canonical_code_matches_oracle_on_random_trees():
-    rng = random.Random(41)
-    for _ in range(200):
-        h = rng.randint(1, 9)
-        parents = [rng.randrange(i) for i in range(1, h)]
-        edges = [(i + 1, p) for i, p in enumerate(parents)]
-        children = [[] for _ in range(h)]
-        for i, p in edges:
-            children[p].append(i)
-        assert canonical_code(children, 0) == ahu_code(h, edges, 0)
-
-
-def test_canonical_code_invariant_under_child_order():
-    rng = random.Random(43)
-    for _ in range(100):
-        h = rng.randint(2, 8)
-        parents = [rng.randrange(i) for i in range(1, h)]
-        children = {v: [] for v in range(h)}
-        for i, p in enumerate(parents):
-            children[p].append(i + 1)
-        base = canonical_code(children, 0)
-        for v in children:
-            rng.shuffle(children[v])
-        assert canonical_code(children, 0) == base
 
 
 def test_dump_versioning_text():
