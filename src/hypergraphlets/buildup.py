@@ -116,11 +116,11 @@ class NWPlan:
     an upper edge: the ids of the subsets of v's type of odd and of even
     size, which inclusion-exclusion adds and subtracts, and v's lower
     neighbors that also share an upper edge with v, the pairs that both
-    parts count.  Subsets are enumerated once per distinct type, and the
-    vertices of one type share its id lists.  The 2^degree cap, and the
-    enumeration budget against the plan's size, the sum of 2^|type| over
-    the vertices in an upper edge, are checked here, before any subset is
-    enumerated.
+    parts count.  Subsets are enumerated once per group of
+    split.upper_groups, and the vertices of one group share its id lists.
+    The 2^degree cap, and the enumeration budget against the plan's size,
+    the sum of 2^|type| over the vertices in an upper edge, are checked
+    here, before any subset is enumerated.
     """
 
     __slots__ = ("lower", "members", "upper")
@@ -130,14 +130,10 @@ class NWPlan:
         types = split.upper_types
         total = sum(1 << len(ty) for ty in types if ty)
         check_budget(total, "inclusion-exclusion plan of %d subsets" % total)
-        of_type = {}
-        for v, ty in enumerate(types):
-            if ty:
-                of_type.setdefault(ty, []).append(v)
         index = {}
         self.lower = split.gaif_lower
         self.members, self.upper = [], []
-        for ty, verts in of_type.items():
+        for ty, verts in split.upper_groups.items():
             sides = ([], [])
             for r in range(1, len(ty) + 1):
                 for X in combinations(ty, r):

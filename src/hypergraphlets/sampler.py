@@ -7,25 +7,28 @@ so the sampled vertex set U lands with probability proportional to the
 number sigma of spanning trees of the Gaifman graph on U.  Dividing each
 observation by its sigma (or rejecting with probability 1 - 1/sigma)
 removes that bias.  The sampler reads only the count tables and the split,
-never eta: a neighbor draw proposes a partition (S1, S2) and then u through
-one slot joining v and u, a lower Gaifman edge or an upper edge they share,
-and keeps the pair with probability one over u's number of slots.  Every
-draw and rejection test is exact integer arithmetic: one integer from
-below(rng, n), uniform below an integer total, located in integer prefix
-sums.  A draw whose outcome is certain (one item, one slot, a total held by
-one item) spends no random bits.  The root draw reads one flat list of
-prefix sums of C(T,[k],.) over every order-k treelet; the partition and
-lower-neighbor draws build their prefix sums per call, since each serves
-about one draw; only upper-edge draws use cached tables, one per upper edge
-and one per upper type, not per vertex.  A sampled treelet is kept only as
-its vertex set U.  Sigma is computed once per shape, and canonical keys come
-from canonlab's cache, which is keyed by an isomorphic copy of each shape.
-Cache warm-up consumes no randomness, so results are reproducible.
+never eta: a neighbor draw picks a partition (S1, S2), then one of two
+disjoint parts of v's Gaifman neighbors, then u in it.  The lower part
+holds v's lower neighbors that share no upper edge with v; the upper part
+holds the vertices of the groups of one full upper type that v's type
+meets.  So every neighbor is counted once, and no draw is retried.  Every
+draw is exact integer arithmetic: one integer from below(rng, n), uniform
+below an integer total, located in integer prefix sums.  A draw whose
+outcome is certain (one item, a total held by one item) spends no random
+bits.  The root draw reads one flat list of prefix sums of C(T,[k],.) over
+every order-k treelet; the partition and lower-neighbor draws build their
+prefix sums per call, since each serves about one draw; only upper draws
+use cached tables, one per (T2,S2) over every group and one per
+(T2,S2,upper type) over the groups that type meets, not per vertex.  A
+sampled treelet is kept only as its vertex set U.  Sigma is computed once
+per shape, and canonical keys come from canonlab's cache, which is keyed by
+an isomorphic copy of each shape.  Cache warm-up consumes no randomness, so
+results are reproducible.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate, chain, compress
 
@@ -58,7 +61,8 @@ def below(rng, n):
     return r
 
 
-# The class keeps the name and methods perfbench/launch.py traces.
+# The class keeps the name and methods perfbench/launch.py traces; no draw
+# of the package uses it.
 class VoseAlias:
     """Exact draws from a fixed weighted support: one integer from
     below(rng, total), located by binary search in the integer prefix sums.
@@ -86,11 +90,13 @@ class Generators:
     The root draw's prefix sums are eager: one flat list of C(T,[k],v)
     prefix sums over every order-k treelet T and vertex v.  Partition and
     lower-neighbor prefix sums are built by each sample_neigh call, which
-    draws from them about once.  Two kinds of upper-edge table are built on
-    first use and cached (their construction is deterministic and consumes
-    no randomness): per-(T2,S2) tables over each upper edge's vertices,
-    weighted by C(T2,S2,.), and per-(T2,S2,upper type) tables over a type's
-    upper edges, each weighted by its edge table's total.  sigmas maps each
+    draws from them about once.  Upper neighbors are drawn through
+    split.upper_groups, the vertices of one full upper type each.  Two
+    kinds of table are built on first use and cached (their construction is
+    deterministic and consumes no randomness): per (T2,S2), the prefix sums
+    of C(T2,S2,.) over every group's members, all groups in one pass; and
+    per (T2,S2,upper type), the prefix sums of the totals of the groups that
+    type meets, shared by every vertex of that type.  sigmas maps each
     canonical key sampled so far to its sigma.
     """
 
@@ -103,32 +109,60 @@ class Generators:
         self._root_tids = [tid for tid, _vec in roots]
         self._root_cum = list(accumulate(chain.from_iterable(
             vec for _tid, vec in roots)))
-        self._edges = {}
+        groups = cs.split.upper_groups
+        self._members = list(groups.values())
+        # _edge_groups[j]: the groups whose type holds upper edge j.
+        self._edge_groups = [[] for _ in cs.split.upper.edges]
+        for g, ty in enumerate(groups):
+            for j in ty:
+                self._edge_groups[j].append(g)
+        self._group_cums = {}
         self._upper = {}
+        self._lower_only = {}
         self.sigmas = {}
 
     # -- lazy table builders ------------------------------------------
 
-    def _edge_gen(self, t2, S2, j):
-        """The vertices of upper edge j weighted by C(T2,S2,.); None if
-        every weight is 0."""
-        key = (t2, S2, j)
-        if key not in self._edges:
-            verts = self.cs.split.upper.edges[j]
-            weights = list(map(self.cs.tables[t2][S2].__getitem__, verts))
-            self._edges[key] = VoseAlias(verts, weights) if any(weights) else None
-        return self._edges[key]
-
-    def _upper_gen(self, t2, S2, ty):
-        """Upper type ty (a vertex's upper edges), each edge weighted by its
-        edge table's total under C(T2,S2,.), shared by every vertex of that
-        type; None if 0."""
+    def _upper_table(self, t2, S2, ty):
+        """(total, groups, cum, cums, single) for the vertices of the groups
+        type ty meets, weighted by C(T2,S2,.): those groups ascending, cum
+        the prefix sums of their totals, cums every group's member prefix
+        sums under (T2,S2), and single the one vertex that carries a
+        positive total whole, else None."""
         key = (t2, S2, ty)
-        if key not in self._upper:
-            gens = [self._edge_gen(t2, S2, j) for j in ty]
-            weights = [gen.total if gen else 0 for gen in gens]
-            self._upper[key] = VoseAlias(ty, weights) if any(weights) else None
-        return self._upper[key]
+        table = self._upper.get(key)
+        if table is None:
+            cums = self._group_cums.get((t2, S2))
+            if cums is None:
+                vec = self.cs.tables[t2][S2]
+                cums = self._group_cums[t2, S2] = [
+                    list(accumulate(map(vec.__getitem__, members)))
+                    for members in self._members]
+            groups = sorted(set(chain.from_iterable(
+                map(self._edge_groups.__getitem__, ty))))
+            cum = list(accumulate(cums[g][-1] for g in groups))
+            total = cum[-1]
+            single = None
+            if total:
+                # The first weighted member of the first weighted group.
+                g = groups[bisect_right(cum, 0)]
+                j = bisect_right(cums[g], 0)
+                if cums[g][j] == total:
+                    single = self._members[g][j]
+            table = self._upper[key] = (total, groups, cum, cums, single)
+        return table
+
+    def _lower_only_neighbors(self, v):
+        """v's lower neighbors that share no upper edge with v: the others
+        are drawn through their groups."""
+        low = self._lower_only.get(v)
+        if low is None:
+            types = self.cs.split.upper_types
+            ty = types[v]
+            low = self._lower_only[v] = [
+                u for u in self.cs.split.lower_neighbors[v]
+                if not any(map(ty.__contains__, types[u]))]
+        return low
 
     # -- the samplers --------------------------------------------------
 
@@ -136,22 +170,23 @@ class Generators:
         """Draw (T2, S1, S2, u) with u a Gaifman neighbor of v, with
         probability proportional to C(T1,S1,v) * C(T2,S2,u).
 
-        One try draws a partition (S1, S2) with weight C(T1,S1,v) times the
-        slot total w_all of v, then one slot joining v to some u, with
-        weight C(T2,S2,u): the pair's lower Gaifman edge, if any, or an
-        upper edge holding both.  One test keeps the try with probability
-        one over u's number of slots; a rejected try redraws the partition
-        too, so each (S1, S2, u) ends up with weight C(T1,S1,v) * C(T2,S2,u)
-        exactly (rejection sampling).  The partition list is built here and
-        serves every try.  The slot test draws only when both kinds of slot
-        have weight, and a lower draw only when two lower neighbors do.
+        v's Gaifman neighbors fall into two disjoint parts: its lower
+        neighbors that share no upper edge with it, and the members of the
+        groups its upper type meets (v among them, with weight 0, since its
+        color lies in S1).  So each neighbor u is counted once, with weight
+        C(T2,S2,u).  One draw picks the partition (S1, S2), weighted by
+        C(T1,S1,v) times the two parts' total; one picks a part, and is
+        made only when both have weight; one integer below that part's
+        total locates u, in the lower part's prefix sums or, in the upper
+        part, in the group totals and then that group's member prefix sums.
+        A vertex with no upper edge has only the lower part.  A part whose
+        total one vertex carries draws nothing.
         """
         cs = self.cs
-        split = cs.split
         t = cs.catalog[tid]
         t2 = t.t2
-        lower_nbrs = split.lower_neighbors[v]
-        ty = split.upper_types[v]
+        ty = cs.split.upper_types[v]
+        low = self._lower_only_neighbors(v) if ty else cs.split.lower_neighbors[v]
         items = []
         cum = []
         total = 0
@@ -162,9 +197,9 @@ class Generators:
             w1 = cs.tables[t.t1][S1][v]
             if not w1:
                 continue
-            w_low = sum(map(cs.tables[t2][S2].__getitem__, lower_nbrs))
-            up = self._upper_gen(t2, S2, ty) if ty else None
-            w_all = w_low + (up.total if up else 0)
+            w_low = sum(map(cs.tables[t2][S2].__getitem__, low))
+            up = self._upper_table(t2, S2, ty) if ty else None
+            w_all = w_low + up[0] if up else w_low
             if w_all:
                 items.append((S1, S2, w_low, w_all, up))
                 total += w1 * w_all
@@ -172,25 +207,23 @@ class Generators:
         if not items:
             raise SamplerError(
                 "sample_neigh called with C(T,S,v) = 0 (no partition weight)")
-        while True:
-            i = bisect_right(cum, below(rng, total)) if len(cum) > 1 else 0
-            S1, S2, w_low, w_all, up = items[i]
-            if w_low == w_all or (w_low and below(rng, w_all) < w_low):
-                # The lower neighbors' prefix sums: the first positive one is
-                # the only one with weight when it is already w_low.
-                low = list(accumulate(map(cs.tables[t2][S2].__getitem__, lower_nbrs)))
-                i = bisect_right(low, 0)
-                if low[i] < w_low:
-                    i = bisect_right(low, below(rng, w_low), i)
-                u = lower_nbrs[i]
-                slots = 1 + split.upper_overlap(u, v) if ty else 1
-            else:
-                u = self._edge_gen(t2, S2, up.draw(rng)).draw(rng)
-                i = bisect_left(lower_nbrs, u)
-                in_lower = i < len(lower_nbrs) and lower_nbrs[i] == u
-                slots = in_lower + split.upper_overlap(u, v)
-            if slots == 1 or not below(rng, slots):
-                return t2, S1, S2, u
+        i = bisect_right(cum, below(rng, total)) if len(cum) > 1 else 0
+        S1, S2, w_low, w_all, up = items[i]
+        if w_low == w_all or (w_low and below(rng, w_all) < w_low):
+            # The lower neighbors' prefix sums: the first positive one is
+            # the only one with weight when it is already w_low.
+            low_cum = list(accumulate(map(cs.tables[t2][S2].__getitem__, low)))
+            i = bisect_right(low_cum, 0)
+            if low_cum[i] < w_low:
+                i = bisect_right(low_cum, below(rng, w_low), i)
+            return t2, S1, S2, low[i]
+        w_up, groups, up_cum, cums, u = up
+        if u is None:
+            r = below(rng, w_up)
+            i = bisect_right(up_cum, r)
+            g = groups[i]
+            u = self._members[g][bisect_right(cums[g], r - up_cum[i - 1] if i else r)]
+        return t2, S1, S2, u
 
     def _sample_rec(self, tid, S, v, rng, vertices):
         if self.cs.catalog[tid].order == 1:

@@ -36,14 +36,16 @@ class AlphaSplit:
     """An alpha-split of H with the pieces the build-up and sampler need.
 
     lower/upper are hypergraphs on H's full vertex set.  upper_types[v] is
-    the sorted tuple of upper-edge indices containing v; upper adjacency is
-    decided by intersecting two such tuples (O(beta) per check), never by
-    materializing the upper Gaifman projection.  At alpha = H.rank the
-    upper part is empty and this is the plain Gaifman baseline.
+    the sorted tuple of upper-edge indices containing v, and upper_groups
+    maps each nonempty type to its vertices, ascending, in order of first
+    appearance.  u and v are upper-adjacent iff their types meet, so the
+    upper Gaifman projection is never materialized: the build and the
+    sampler both reach upper neighbors through the groups.  At alpha =
+    H.rank the upper part is empty and this is the plain Gaifman baseline.
     """
 
     __slots__ = ("alpha", "beta", "lower", "upper", "gaif_lower",
-                 "lower_neighbors", "upper_types")
+                 "lower_neighbors", "upper_types", "upper_groups")
 
     def __init__(self, H, alpha):
         lower_edges = [e for e in H.edges if len(e) <= alpha]
@@ -55,10 +57,10 @@ class AlphaSplit:
         self.gaif_lower = gaifman(self.lower)
         self.lower_neighbors = self.gaif_lower.adj
         self.upper_types = [tuple(t) for t in self.upper.incidence]
-
-    def upper_overlap(self, u, v):
-        """Number of upper edges u and v share."""
-        return len(set(self.upper_types[u]).intersection(self.upper_types[v]))
+        self.upper_groups = {}
+        for v, ty in enumerate(self.upper_types):
+            if ty:
+                self.upper_groups.setdefault(ty, []).append(v)
 
     def __repr__(self):
         return "AlphaSplit(alpha=%d, beta=%d, lower_m=%d, upper_m=%d)" % (

@@ -377,14 +377,13 @@ def test_counterset_accessors(toy):
     assert cs.split.lower_neighbors[1] == [0, 4]
     assert cs.split.upper_types[0] == (0,)
     assert cs.split.upper.edges[0] == (0, 1, 2, 4, 6)
-    assert cs.split.upper_overlap(0, 2) == 1
-    assert cs.split.upper_overlap(0, 3) == 0
+    assert cs.split.upper_groups == {(0,): [0, 1, 2, 4, 6]}
     naive = build_counters_naive(toy, 3, col)
     assert naive.split.alpha == toy.rank
     assert naive.split.upper.m == 0
     assert naive.split.lower_neighbors[0] == [1, 2, 4, 6]
     assert naive.split.upper_types[0] == ()
-    assert naive.split.upper_overlap(0, 2) == 0
+    assert naive.split.upper_groups == {}
     assert naive.tables_equal(cs) and cs.tables_equal(naive)
 
 

@@ -950,23 +950,23 @@ def test_byte_order_mark_is_not_part_of_the_input(tmp_path):
 # to the order in which the stream is consumed, changes them.
 STREAM_MODES = {"plain": [], "uniform": ["--uniform"], "runs": ["--runs", "2"]}
 STREAM_DIGESTS = {
-    "count-k3-a0-plain": "8189e40c1a0713f9aee59795196c93e5379b641646dea056d53e3f76abb40d32",
-    "count-k3-a0-uniform": "d51c80f85598add699257e65105125943025aeb1f17d2b94bb314dcb536566a0",
-    "count-k3-a0-runs": "6430e8489b2cb8061347690ec93c20b9bef0195ca54b0049e316ec50ede660ec",
-    "count-k3-a2-plain": "72ea03789d2bffc7b1a3c0014b1a75931d121fa2c6b164476b3127c9880247e8",
-    "count-k3-a2-uniform": "34e32fe20a8917cfbd13969108a7ba67aef81c3866905f26f50b0b8c777c8e7d",
-    "count-k3-a2-runs": "02661a832a60d3c1f5dd0790307fb386edf0866ca0b35d78b9a8ce2f29df6621",
-    "count-k4-a0-plain": "26eac549e3706536fede0a306da96244eb4f95f8b2f44a0b10c47364bf62b066",
-    "count-k4-a0-uniform": "958508e58fea8a131d8f3d9e7fdaa438dc55462402abbe980da340565c1cc316",
-    "count-k4-a0-runs": "21d5d5577f5c26981a30f699e6fab75b2d7c0edd033e102cef8388bf0f51f3cd",
-    "count-k4-a2-plain": "8d825067aed9d1a76a4779e262fc2608c81e3e237001d6dc18aeb0910d340b62",
-    "count-k4-a2-uniform": "8ab44e46255f5b2961381a4b3a132b98a39ef5cb4ed2fe356c7d5d3dbd6febd2",
-    "count-k4-a2-runs": "88cde59c2e9130cca4ce6f9e024f0184ce2468f0329c50519e9f0e40cf4921f8",
+    "count-k3-a0-plain": "525f7fa810a0678e09f8995abc7152b91cfb2b14a0b9051623f527dfbc562989",
+    "count-k3-a0-uniform": "19699a2777195488c7a6d50ed9463a7a1c55722f509f02070d0cc01ea7f59eae",
+    "count-k3-a0-runs": "b2ba0d9862403bb9addfbc8f95ee0599d6f3025ae1c79bde10d9c23d90e3781c",
+    "count-k3-a2-plain": "22469ee8a8a4493a8e36458bbca41a579c4e5a7276fd6b3e75fc292f861d02da",
+    "count-k3-a2-uniform": "714b8e23d6da36875d2b5f6b31088c3c6f13bc962e37f5fef55bca3773308c3b",
+    "count-k3-a2-runs": "53d7044036059573c93c2ca64c6b6c4c15356a5fddb8cba0bbb96ea7c1b177dd",
+    "count-k4-a0-plain": "e36646e5464585f5c1e5f00f1f2710703bbf1b60f24dea76013700dcf46d6984",
+    "count-k4-a0-uniform": "6203ae59a4e28497c26cd3b48069a55047c9621b3939d135c9bb81c58fa7c52d",
+    "count-k4-a0-runs": "0c2e655c0b427a87de3aac48a921e5603af2a248f70c8a23fc08bd85fdc5ef99",
+    "count-k4-a2-plain": "0fa9dade3cd884aa641d5562d6c7ad666b36198e26b8c356884a6fc2fdc18fc1",
+    "count-k4-a2-uniform": "869147818eca3815f4158edd1b2c760b61938acb68b16a602cb1a487964c9661",
+    "count-k4-a2-runs": "1b21452ddfc2e3c8f5c5a21ed50879d2dbfab500e8770d6524a4d039ba1fb36b",
     # sample reads the build's table, so it prints count's bytes.
-    "sample-k3-a2-plain": "72ea03789d2bffc7b1a3c0014b1a75931d121fa2c6b164476b3127c9880247e8",
-    "sample-k3-a2-uniform": "34e32fe20a8917cfbd13969108a7ba67aef81c3866905f26f50b0b8c777c8e7d",
+    "sample-k3-a2-plain": "22469ee8a8a4493a8e36458bbca41a579c4e5a7276fd6b3e75fc292f861d02da",
+    "sample-k3-a2-uniform": "714b8e23d6da36875d2b5f6b31088c3c6f13bc962e37f5fef55bca3773308c3b",
     # A (4,3)-nice file with six 12-vertex upper edges at alpha 4.
-    "count-nice-k4-a4-plain": "6494aaa25946e0a0d024fcaef0304b8213993550b4b48ec16c1ace105e0de715",
+    "count-nice-k4-a4-plain": "9fc70537e381fad0609d44365c9bbabda4938473da5efc6fe8e8fcce07154891",
 }
 
 

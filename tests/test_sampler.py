@@ -30,6 +30,7 @@ from hypergraphlets.sampler import (
     spanning_tree_count,
 )
 from hypergraphlets.splitter import apply_split, choose_split_refined
+from hypergraphlets.synth import nice_hypergraph
 
 from oracles import (
     candidate_alphas,
@@ -333,7 +334,7 @@ def colorful_sigma_law(H, coloring):
 
 def test_sample_law_through_split_rejection_branches():
     split = apply_split(SHARED, 2)
-    assert split.upper_overlap(0, 1) == 2
+    assert len(set(split.upper_types[0]) & set(split.upper_types[1])) == 2
     assert 1 in split.lower_neighbors[0]
     law = colorful_sigma_law(SHARED, SHARED_COLORING)
     assert law == {(0, 1, 2): Fraction(3, 8), (0, 1, 3): Fraction(3, 8),
@@ -353,19 +354,46 @@ def test_sample_law_through_split_rejection_branches():
 
 
 def test_sample_neigh_accepts_once_per_proposal(monkeypatch):
-    # At alpha 2, vertex 1 is vertex 0's one lower neighbor and shares both
-    # of 0's upper edges, so it has three slots: the slot total w_all is
-    # w_low 1 plus the two upper-edge totals, and one below(3) keeps it.
+    # Every proposal is kept: a partition draw, a part draw only when both
+    # parts have weight, and one draw locating u in its part, each skipped
+    # when its outcome is certain.
     cs = build_counters(SHARED, apply_split(SHARED, 2), 3, SHARED_COLORING)
     gens = build_generators(cs)
+    # At alpha 2, vertex 1 is vertex 0's one lower neighbor but shares its
+    # upper edges, so it sits in the upper part only, and the lower part is
+    # empty.  Along an edge from v = 0 over colors {0, 1}, vertex 1 carries
+    # the whole upper total: the draw spends nothing.
     edge = cs.catalog.of_order(2)[0]
-    # The partition (one item), the lower draw (one neighbor) and the draw
-    # in edge {0,1,3} (one vertex of color 1) are certain and draw nothing.
-    # Lower proposal, rejected; upper proposal, upper edge {0,1,3}, accepted.
-    script = ScriptedBelow([0, 1, 2, 1, 0])
+    script = ScriptedBelow([])
     monkeypatch.setattr(sampler, "below", script)
     assert gens.sample_neigh(edge.tid, 0b011, 0, None) == (edge.t2, 0b001, 0b010, 1)
-    assert script.bounds == [3, 3, 3, 2, 3]
+    assert script.bounds == []
+    # Treelet (()()) at v = 0 over all three colors: the partitions weigh
+    # 2 * 1 (S2 = {1}, u = 1 alone) and 1 * 2 (S2 = {2}, u = 2 or 3).  The
+    # groups that 0's type meets are {0, 1}, {2} and {3}, in that order.
+    tid = cs.catalog.tid_of("(()())")
+    t2 = cs.catalog[tid].t2
+    for values, bounds, drawn in [([1], [4], (0b101, 0b010, 1)),
+                                  ([2, 0], [4, 2], (0b011, 0b100, 2)),
+                                  ([3, 1], [4, 2], (0b011, 0b100, 3))]:
+        script = ScriptedBelow(values)
+        monkeypatch.setattr(sampler, "below", script)
+        assert gens.sample_neigh(tid, 0b111, 0, None) == (t2,) + drawn
+        assert script.bounds == bounds
+    # toy.hg at alpha 3: vertex 6's lower neighbors 3 and 5 share no upper
+    # edge with it, and its upper type meets the group of edge {0,1,2,4,6}.
+    # Over colors {0, 2} the lower part holds weight 1 at 5 and the upper
+    # part weight 1 at 2: one below(2) picks the part, and nothing else is
+    # uncertain.
+    toy = parse_hypergraph(TOY_TEXT)
+    cs = build_counters(toy, apply_split(toy, 3), 3, Coloring(3, (0, 1, 2, 0, 1, 2, 0, 1)))
+    gens = build_generators(cs)
+    edge = cs.catalog.of_order(2)[0]
+    for value, u in [(0, 5), (1, 2)]:
+        script = ScriptedBelow([value])
+        monkeypatch.setattr(sampler, "below", script)
+        assert gens.sample_neigh(edge.tid, 0b101, 6, None) == (edge.t2, 0b001, 0b100, u)
+        assert script.bounds == [2]
 
 
 def test_sample_neigh_redraws_the_partition_on_rejection():
@@ -412,6 +440,80 @@ def test_sampled_neighbors_are_gaifman_neighbors():
                             assert cs.tables[t.t1][S1][v] and cs.tables[t2][S2][u]
                             drawn += 1
             assert drawn
+
+
+def neighbor_draw_law(gens, tid, S, v, monkeypatch):
+    """The exact law of sample_neigh(tid, S, v): sampler.below is scripted
+    through every sequence of values, each with probability the product of
+    one over its bounds.  Also checks that a draw makes at most three below
+    calls, which bounds the enumeration, and that every call has at least
+    two outcomes beneath it, so no certain draw spends bits."""
+    law = {}
+    outcomes = {}  # the values before a call -> the (S1, S2, u) below it
+    pending = [[]]
+    while pending:
+        values = pending.pop()
+        fixed = len(values)
+        bounds = []
+
+        def scripted(_rng, n):
+            assert len(bounds) < 3, "a neighbor draw makes more than 3 below calls"
+            if len(bounds) == len(values):
+                values.append(0)
+            bounds.append(n)
+            return values[len(bounds) - 1]
+
+        monkeypatch.setattr(sampler, "below", scripted)
+        _t2, S1, S2, u = gens.sample_neigh(tid, S, v, None)
+        for i in range(fixed, len(bounds)):
+            pending.extend(values[:i] + [x] for x in range(1, bounds[i]))
+        for i in range(len(bounds)):
+            outcomes.setdefault(tuple(values[:i]), set()).add((S1, S2, u))
+        law[S1, S2, u] = law.get((S1, S2, u), 0) + Fraction(1, math.prod(bounds))
+    assert all(len(seen) > 1 for seen in outcomes.values())
+    return law
+
+
+def test_neighbor_draw_law_is_exact_by_enumeration(monkeypatch):
+    # Every (T, S, v) with C(T,S,v) > 0 under every split: (S1, S2, u) lands
+    # with probability C(T1,S1,v) * C(T2,S2,u) over the sum of that weight
+    # across the partitions of S and v's Gaifman neighbors u.
+    toy = parse_hypergraph(TOY_TEXT)
+    nice = nice_hypergraph(14, 9, 3, 2, 5, 0.67, "law")
+    cases = [(SHARED, SHARED_COLORING),
+             (toy, Coloring(3, (0, 1, 2, 0, 1, 2, 0, 1))),
+             (toy, Coloring(4, (0, 1, 2, 3, 0, 1, 2, 3))),
+             (nice, random_coloring(nice, 4, "law"))]
+    draws = upper = 0
+    for H, coloring in cases:
+        adj = gaifman(H).adj
+        k = coloring.k
+        for alpha in candidate_alphas(H):
+            split = apply_split(H, alpha)
+            cs = build_counters(H, split, k, coloring)
+            gens = build_generators(cs)
+            for t in cs.catalog.treelets:
+                if t.order < 2:
+                    continue
+                for S in masks_of_size(k, t.order):
+                    for v in range(H.n):
+                        if not cs.tables[t.tid][S][v]:
+                            continue
+                        weights = {}
+                        for S2 in masks_of_size(k, cs.catalog[t.t2].order):
+                            S1 = S & ~S2
+                            if S2 & ~S or not cs.tables[t.t1][S1][v]:
+                                continue
+                            for u in adj[v]:
+                                w = cs.tables[t.t1][S1][v] * cs.tables[t.t2][S2][u]
+                                if w:
+                                    weights[S1, S2, u] = w
+                        total = sum(weights.values())
+                        assert neighbor_draw_law(gens, t.tid, S, v, monkeypatch) == {
+                            key: Fraction(w, total) for key, w in weights.items()}
+                        draws += 1
+                        upper += bool(split.upper_types[v])
+    assert draws > 700 and upper > 400
 
 
 def test_root_draw_matches_one_flat_table(monkeypatch):
@@ -478,31 +580,32 @@ def test_vertices_of_one_upper_type_share_one_upper_table():
         split = apply_split(H, alpha)
         ty = split.upper_types[a]
         assert ty and split.upper_types[b] == ty
+        assert split.upper_groups[ty] == [v for v in range(H.n)
+                                          if split.upper_types[v] == ty]
+        members = list(split.upper_groups.values())
+        meets = [g for g, gty in enumerate(split.upper_groups) if set(gty) & set(ty)]
         cs = build_counters(H, split, 3, coloring)
         gens = build_generators(cs)
-        shared = 0
+        positive = 0
         for t in cs.catalog.treelets:
             if t.order < 2:
                 continue
             for S2 in masks_of_size(3, cs.catalog[t.t2].order):
-                gen = gens._upper_gen(t.t2, S2, split.upper_types[a])
-                assert gens._upper_gen(t.t2, S2, split.upper_types[b]) is gen
+                table = gens._upper_table(t.t2, S2, ty)
+                assert gens._upper_table(t.t2, S2, split.upper_types[b]) is table
+                total, groups, cum, cums, single = table
                 vec = cs.tables[t.t2][S2]
-                totals = {j: sum(vec[u] for u in split.upper.edges[j]) for j in ty}
-                # The upper table is weighted by the edges' own tables, and
-                # the edge draw after up.draw reads those cached tables.
-                edge_gens = {j: gens._edges[t.t2, S2, j] for j in ty}
-                for j, edge_gen in edge_gens.items():
-                    assert gens._edge_gen(t.t2, S2, j) is edge_gen
-                    assert (edge_gen.total if edge_gen else 0) == totals[j]
-                if gen is None:
-                    assert not any(totals.values())
-                    continue
-                shared += 1
-                assert gen.items == [j for j in ty if totals[j]]
-                assert gen.cum == list(accumulate(
-                    edge_gens[j].total for j in gen.items))
-        assert shared
+                # One pass per (T2, S2) covers every group, and each type's
+                # table reads those member prefix sums.
+                assert cums is gens._group_cums[t.t2, S2]
+                assert cums == [list(accumulate(vec[u] for u in m)) for m in members]
+                assert groups == meets
+                assert cum == list(accumulate(cums[g][-1] for g in groups))
+                weighted = [u for g in groups for u in members[g] if vec[u]]
+                assert total == sum(vec[u] for u in weighted)
+                assert single == (weighted[0] if len(weighted) == 1 else None)
+                positive += bool(total)
+        assert positive
 
 
 def test_sigma_is_computed_once_per_key(monkeypatch):

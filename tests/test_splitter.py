@@ -75,9 +75,11 @@ def test_apply_split_frozen(toy):
     assert split.lower_neighbors[3] == [5, 6]
     assert split.upper_types[0] == (0,)
     assert split.upper_types[3] == ()
-    assert split.upper_overlap(0, 2) == 1
-    assert split.upper_overlap(0, 3) == 0
-    assert split.upper_overlap(3, 5) == 0
+    types = split.upper_types
+    assert len(set(types[0]) & set(types[2])) == 1
+    assert len(set(types[0]) & set(types[3])) == 0
+    assert len(set(types[3]) & set(types[5])) == 0
+    assert split.upper_groups == {(0,): [0, 1, 2, 4, 6]}
     with pytest.raises(HypergraphError):
         apply_split(toy, -1)
 
@@ -147,6 +149,5 @@ def test_upper_adjacency_matches_gaifman():
             if u == v:
                 continue
             types = split.upper_types
-            overlap = split.upper_overlap(u, v)
-            assert overlap == len(set(types[u]) & set(types[v]))
+            overlap = len(set(types[u]) & set(types[v]))
             assert bool(overlap) == (v in G.adj[u])
