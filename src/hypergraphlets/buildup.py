@@ -8,9 +8,9 @@ v, for every color set S2.  One neighbor-weight round per order of T2
 serves all its T2 and their S2, at most k - 1 rounds per build: the counts
 of each vertex are packed into one integer, a fixed-width field per (T2,
 S2), and the round sums those integers.  A round runs across an alpha-split:
-directly on the Gaifman projection of the lower part, then, for each vertex
-in an upper edge, adds the upper neighbors by inclusion-exclusion over its
-type and takes back the pairs adjacent in both parts.  An NWPlan holds what
+directly on the split's lower-only graph, the lower Gaifman pairs that no
+upper edge joins, then, for each vertex in an upper edge, adds the upper
+neighbors by inclusion-exclusion over its type.  An NWPlan holds what
 no round changes, built once per split.  The DP and the rounds walk only the
 nonzero entries of each table.  eta stays one flat array per round, each
 product reads its field as a slice of it, and it lives only while the
@@ -110,28 +110,26 @@ def check_cap(split, cap):
 class NWPlan:
     """What every neighbor-weight round over one alpha-split reuses.
 
-    Built once per split.  Each nonempty subset X of an upper type is
-    interned as an integer id, and members[id] lists the vertices whose type
-    contains X.  upper holds one (v, odd, even, shared) row per vertex v in
-    an upper edge: the ids of the subsets of v's type of odd and of even
-    size, which inclusion-exclusion adds and subtracts, and v's lower
-    neighbors that also share an upper edge with v, the pairs that both
-    parts count.  Subsets are enumerated once per group of
-    split.upper_groups, and the vertices of one group share its id lists.
-    The 2^degree cap, and the enumeration budget against the plan's size,
-    the sum of 2^|type| over the vertices in an upper edge, are checked
-    here, before any subset is enumerated.
+    Built once per split.  lower is split.lower_only, the lower Gaifman
+    pairs the upper part does not join.  Each nonempty subset X of an upper
+    type is interned as an integer id, and members[id] lists the vertices
+    whose type contains X.  upper holds one (v, odd, even) row per vertex v
+    in an upper edge: the ids of the subsets of v's type of odd and of even
+    size, which inclusion-exclusion adds and subtracts.  Subsets are
+    enumerated once per group of split.upper_groups, and the vertices of
+    one group share its id lists.  The 2^degree cap, and the enumeration
+    budget against the plan's size, the sum of 2^|type| over the vertices
+    in an upper edge, are checked here, before any subset is enumerated.
     """
 
     __slots__ = ("lower", "members", "upper")
 
     def __init__(self, split, cap=20):
         check_cap(split, cap)
-        types = split.upper_types
-        total = sum(1 << len(ty) for ty in types if ty)
+        total = sum(1 << len(ty) for ty in split.upper_types if ty)
         check_budget(total, "inclusion-exclusion plan of %d subsets" % total)
         index = {}
-        self.lower = split.gaif_lower
+        self.lower = split.lower_only
         self.members, self.upper = [], []
         for ty, verts in split.upper_groups.items():
             sides = ([], [])
@@ -143,27 +141,23 @@ class NWPlan:
                     self.members[i] += verts
                     sides[r % 2].append(i)
             for v in verts:
-                shared = [u for u in split.lower_neighbors[v]
-                          if any(map(ty.__contains__, types[u]))]
-                self.upper.append((v, sides[1], sides[0], shared))
+                self.upper.append((v, sides[1], sides[0]))
 
 
 def combined_neighbor_weight(plan, w):
     """eta(v) = sum of w(u) over the Gaifman neighbors u of v, across
     plan's split.
 
-    eta starts as the lower Gaifman pass.  Each vertex v in an upper edge
-    then gains, over the nonempty subsets X of its upper type, -(-1)^|X|
-    times the weight of the vertices whose type contains X.  That counts
-    each upper neighbor once and v itself once, so w(v) is taken back, and
-    so is w(u) for every lower neighbor u that shares an upper edge with v.
+    eta starts as the pass over plan.lower, the lower neighbors that share
+    no upper edge with v.  Each vertex v in an upper edge then gains, over
+    the nonempty subsets X of its upper type, -(-1)^|X| times the weight of
+    the vertices whose type contains X.  That counts each upper neighbor
+    once and v itself once, so w(v) is taken back.
     """
     eta = nw_naive(plan.lower, w)
-    get = w.__getitem__
-    tget = [sum(map(get, m)) for m in plan.members].__getitem__
-    for v, odd, even, shared in plan.upper:
-        eta[v] += (sum(map(tget, odd)) - sum(map(tget, even)) - w[v]
-                   - sum(map(get, shared)))
+    tget = [sum(map(w.__getitem__, m)) for m in plan.members].__getitem__
+    for v, odd, even in plan.upper:
+        eta[v] += sum(map(tget, odd)) - sum(map(tget, even)) - w[v]
     return eta
 
 

@@ -7,23 +7,23 @@ so the sampled vertex set U lands with probability proportional to the
 number sigma of spanning trees of the Gaifman graph on U.  Dividing each
 observation by its sigma (or rejecting with probability 1 - 1/sigma)
 removes that bias.  The sampler reads only the count tables and the split,
-never eta: a neighbor draw picks a partition (S1, S2), then one of two
-disjoint parts of v's Gaifman neighbors, then u in it.  The lower part
-holds v's lower neighbors that share no upper edge with v; the upper part
-holds the vertices of the groups of one full upper type that v's type
-meets.  So every neighbor is counted once, and no draw is retried.  Every
-draw is exact integer arithmetic: one integer from below(rng, n), uniform
-below an integer total, located in integer prefix sums.  A draw whose
-outcome is certain (one item, a total held by one item) spends no random
-bits.  The root draw reads one flat list of prefix sums of C(T,[k],.) over
-every order-k treelet; the partition and lower-neighbor draws build their
-prefix sums per call, since each serves about one draw; only upper draws
-use cached tables, one per (T2,S2) over every group and one per
-(T2,S2,upper type) over the groups that type meets, not per vertex.  A
-sampled treelet is kept only as its vertex set U.  Sigma is computed once
-per shape, and canonical keys come from canonlab's cache, which is keyed by
-an isomorphic copy of each shape.  Cache warm-up consumes no randomness, so
-results are reproducible.
+never eta: a neighbor draw picks a partition (S1, S2), then one of the
+split's two disjoint parts of v's Gaifman neighbors, then u in it.  The
+lower part is v's row of split.lower_only, the graph the build's lower
+pass reads; the upper part holds the vertices of the groups of one full
+upper type that v's type meets.  So every neighbor is counted once, and no
+draw is retried.  Every draw is exact integer arithmetic: one integer from
+below(rng, n), uniform below an integer total, located in integer prefix
+sums.  A draw whose outcome is certain (one item, a total held by one
+item) spends no random bits.  The root draw reads one flat list of prefix
+sums of C(T,[k],.) over every order-k treelet; the partition and
+lower-neighbor draws build their prefix sums per call, since each serves
+about one draw; only upper draws use cached tables, one per (T2,S2) over
+every group and one per (T2,S2,upper type) over the groups that type
+meets, not per vertex.  A sampled treelet is kept only as its vertex set
+U.  Sigma is computed once per shape, and canonical keys come from
+canonlab's cache, which is keyed by an isomorphic copy of each shape.
+Cache warm-up consumes no randomness, so results are reproducible.
 """
 
 from __future__ import annotations
@@ -90,7 +90,8 @@ class Generators:
     The root draw's prefix sums are eager: one flat list of C(T,[k],v)
     prefix sums over every order-k treelet T and vertex v.  Partition and
     lower-neighbor prefix sums are built by each sample_neigh call, which
-    draws from them about once.  Upper neighbors are drawn through
+    draws from them about once; lower neighbors are read from
+    split.lower_only.  Upper neighbors are drawn through
     split.upper_groups, the vertices of one full upper type each.  Two
     kinds of table are built on first use and cached (their construction is
     deterministic and consumes no randomness): per (T2,S2), the prefix sums
@@ -118,7 +119,6 @@ class Generators:
                 self._edge_groups[j].append(g)
         self._group_cums = {}
         self._upper = {}
-        self._lower_only = {}
         self.sigmas = {}
 
     # -- lazy table builders ------------------------------------------
@@ -152,41 +152,29 @@ class Generators:
             table = self._upper[key] = (total, groups, cum, cums, single)
         return table
 
-    def _lower_only_neighbors(self, v):
-        """v's lower neighbors that share no upper edge with v: the others
-        are drawn through their groups."""
-        low = self._lower_only.get(v)
-        if low is None:
-            types = self.cs.split.upper_types
-            ty = types[v]
-            low = self._lower_only[v] = [
-                u for u in self.cs.split.lower_neighbors[v]
-                if not any(map(ty.__contains__, types[u]))]
-        return low
-
     # -- the samplers --------------------------------------------------
 
     def sample_neigh(self, tid, S, v, rng):
         """Draw (T2, S1, S2, u) with u a Gaifman neighbor of v, with
         probability proportional to C(T1,S1,v) * C(T2,S2,u).
 
-        v's Gaifman neighbors fall into two disjoint parts: its lower
-        neighbors that share no upper edge with it, and the members of the
-        groups its upper type meets (v among them, with weight 0, since its
-        color lies in S1).  So each neighbor u is counted once, with weight
-        C(T2,S2,u).  One draw picks the partition (S1, S2), weighted by
-        C(T1,S1,v) times the two parts' total; one picks a part, and is
-        made only when both have weight; one integer below that part's
-        total locates u, in the lower part's prefix sums or, in the upper
-        part, in the group totals and then that group's member prefix sums.
-        A vertex with no upper edge has only the lower part.  A part whose
-        total one vertex carries draws nothing.
+        v's Gaifman neighbors fall into the split's two disjoint parts:
+        split.lower_only.adj[v], and the members of the groups its upper
+        type meets (v among them, with weight 0, since its color lies in
+        S1).  So each neighbor u is counted once, with weight C(T2,S2,u).
+        One draw picks the partition (S1, S2), weighted by C(T1,S1,v)
+        times the two parts' total; one picks a part, and is made only when
+        both have weight; one integer below that part's total locates u, in
+        the lower part's prefix sums or, in the upper part, in the group
+        totals and then that group's member prefix sums.  A vertex with no
+        upper edge has only the lower part.  A part whose total one vertex
+        carries draws nothing.
         """
         cs = self.cs
         t = cs.catalog[tid]
         t2 = t.t2
         ty = cs.split.upper_types[v]
-        low = self._lower_only_neighbors(v) if ty else cs.split.lower_neighbors[v]
+        low = cs.split.lower_only.adj[v]
         items = []
         cum = []
         total = 0

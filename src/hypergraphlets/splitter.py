@@ -40,12 +40,15 @@ class AlphaSplit:
     maps each nonempty type to its vertices, ascending, in order of first
     appearance.  u and v are upper-adjacent iff their types meet, so the
     upper Gaifman projection is never materialized: the build and the
-    sampler both reach upper neighbors through the groups.  At alpha =
-    H.rank the upper part is empty and this is the plain Gaifman baseline.
+    sampler both reach upper neighbors through the groups, and the others
+    through lower_only, the lower part's Gaifman graph without the pairs
+    the upper part also joins.  So each Gaifman neighbor of v lies in one
+    part only.  At alpha = H.rank the upper part is empty and lower_only
+    is the plain Gaifman graph.
     """
 
-    __slots__ = ("alpha", "beta", "lower", "upper", "gaif_lower",
-                 "lower_neighbors", "upper_types", "upper_groups")
+    __slots__ = ("alpha", "beta", "lower", "upper", "lower_only",
+                 "upper_types", "upper_groups")
 
     def __init__(self, H, alpha):
         lower_edges = [e for e in H.edges if len(e) <= alpha]
@@ -54,13 +57,17 @@ class AlphaSplit:
         self.lower = Hypergraph(H.n, lower_edges)
         self.upper = Hypergraph(H.n, upper_edges)
         self.beta = self.upper.max_degree
-        self.gaif_lower = gaifman(self.lower)
-        self.lower_neighbors = self.gaif_lower.adj
-        self.upper_types = [tuple(t) for t in self.upper.incidence]
+        self.upper_types = types = [tuple(t) for t in self.upper.incidence]
         self.upper_groups = {}
-        for v, ty in enumerate(self.upper_types):
+        # Dropping u from v's list iff their types meet is symmetric and
+        # keeps each list sorted, so lower_only stays a Graph.
+        self.lower_only = gaifman(self.lower)
+        adj = self.lower_only.adj
+        for v, ty in enumerate(types):
             if ty:
                 self.upper_groups.setdefault(ty, []).append(v)
+                apart = set(ty).isdisjoint
+                adj[v] = [u for u in adj[v] if apart(types[u])]
 
     def __repr__(self):
         return "AlphaSplit(alpha=%d, beta=%d, lower_m=%d, upper_m=%d)" % (

