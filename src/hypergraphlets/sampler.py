@@ -16,12 +16,15 @@ draw is retried.  Every draw is exact integer arithmetic: one integer from
 below(rng, n), uniform below an integer total, located in integer prefix
 sums.  A draw whose outcome is certain (one item, a total held by one
 item) spends no random bits.  The root draw reads one flat list of prefix
-sums of C(T,[k],.) over every order-k treelet; the partition and
-lower-neighbor draws build their prefix sums per call, since each serves
-about one draw; only upper draws use cached tables, one per (T2,S2) over
-every group and one per (T2,S2,upper type) over the groups that type
-meets, not per vertex.  A sampled treelet is kept only as its vertex set
-U.  Sigma is computed once per shape, and canonical keys come from
+sums of C(T,[k],.) over every order-k treelet.  The partition draw needs
+no prefix sums: by the DP's recurrence its weights sum to d * C(T,S,v),
+which the table holds, so it draws one integer below that and weighs the
+partitions, listed once per (T,S), only up to the one the integer lands
+in.  The lower-neighbor draw builds its prefix sums per call, since each
+serves about one draw; upper draws use cached tables, one per (T2,S2)
+over every group and one per (T2,S2,group) over the groups that group's
+type meets, not per vertex.  A sampled treelet is kept only as its vertex
+set U.  Sigma is computed once per shape, and canonical keys come from
 canonlab's cache, which is keyed by an isomorphic copy of each shape.
 Cache warm-up consumes no randomness, so results are reproducible.
 """
@@ -51,9 +54,12 @@ class NoColorfulOccurrences(SamplerError):
 def below(rng, n):
     """A uniform integer in [0, n), n >= 1: rng.getrandbits((n - 1).bit_length())
     until the result is below n, so fewer than two draws on average.  For
-    n = 1 it returns 0 and draws nothing."""
-    if n == 1:
-        return 0
+    n = 1 it returns 0 and draws nothing; n < 1 has no such integer and
+    raises SamplerError, also without a draw."""
+    if n <= 1:
+        if n == 1:
+            return 0
+        raise SamplerError("no integer lies below %d" % n)
     bits = (n - 1).bit_length()
     r = rng.getrandbits(bits)
     while r >= n:
@@ -88,17 +94,18 @@ class Generators:
     """Exact draws over one CounterSet.
 
     The root draw's prefix sums are eager: one flat list of C(T,[k],v)
-    prefix sums over every order-k treelet T and vertex v.  Partition and
-    lower-neighbor prefix sums are built by each sample_neigh call, which
-    draws from them about once; lower neighbors are read from
-    split.lower_only.  Upper neighbors are drawn through
-    split.upper_groups, the vertices of one full upper type each.  Two
-    kinds of table are built on first use and cached (their construction is
-    deterministic and consumes no randomness): per (T2,S2), the prefix sums
-    of C(T2,S2,.) over every group's members, all groups in one pass; and
-    per (T2,S2,upper type), the prefix sums of the totals of the groups that
-    type meets, shared by every vertex of that type.  sigmas maps each
-    canonical key sampled so far to its sigma.
+    prefix sums over every order-k treelet T and vertex v.  The rest is
+    built on first use, from the counts alone, so it consumes no
+    randomness, and is bounded by the catalog and the split, not by the
+    samples: _partitions lists, per (T,S), the partitions (S1, S2) a
+    neighbor draw walks, with the vectors each reads.  Lower neighbors are
+    read from split.lower_only.  Upper neighbors are drawn through
+    split.upper_groups, the vertices of one full upper type each: per
+    (T2,S2), _group_cums holds the prefix sums of C(T2,S2,.) over every
+    group's members, and _upper_slots one slot per group for the table of
+    the groups that group's type meets, which a vertex reaches by its
+    group index, _group_of[v].  sigmas maps each canonical key sampled so
+    far to its sigma.
     """
 
     def __init__(self, cs):
@@ -112,25 +119,51 @@ class Generators:
             vec for _tid, vec in roots)))
         groups = cs.split.upper_groups
         self._members = list(groups.values())
+        # _group_of[v]: the index of v's group, None for an empty type;
         # _edge_groups[j]: the groups whose type holds upper edge j.
+        self._group_of = [None] * cs.n
         self._edge_groups = [[] for _ in cs.split.upper.edges]
-        for g, ty in enumerate(groups):
+        for g, (ty, members) in enumerate(groups.items()):
+            for v in members:
+                self._group_of[v] = g
             for j in ty:
                 self._edge_groups[j].append(g)
+        self._partitions = {}
         self._group_cums = {}
-        self._upper = {}
+        self._upper_slots = {}
         self.sigmas = {}
 
     # -- lazy table builders ------------------------------------------
+
+    def _partitions_of(self, tid, S):
+        """(t2, d, C(T,S,.), partitions) for T = catalog[tid]: per S2 of
+        T2's order inside S, ascending, the partition (S1, S2, C(T1,S1,.),
+        C(T2,S2,.), the upper slots of (T2,S2)), S1 = S - S2."""
+        cs = self.cs
+        t = cs.catalog[tid]
+        t2 = t.t2
+        partitions = []
+        for S2 in masks_of_size(cs.k, cs.catalog[t2].order):
+            if not S2 & ~S:
+                slots = self._upper_slots.setdefault(
+                    (t2, S2), [None] * len(self._members))
+                partitions.append((S & ~S2, S2, cs.tables[t.t1][S & ~S2],
+                                   cs.tables[t2][S2], slots))
+        entry = self._partitions[tid, S] = (t2, t.d, cs.tables[tid][S],
+                                            partitions)
+        return entry
 
     def _upper_table(self, t2, S2, ty):
         """(total, groups, cum, cums, single) for the vertices of the groups
         type ty meets, weighted by C(T2,S2,.): those groups ascending, cum
         the prefix sums of their totals, cums every group's member prefix
         sums under (T2,S2), and single the one vertex that carries a
-        positive total whole, else None."""
-        key = (t2, S2, ty)
-        table = self._upper.get(key)
+        positive total whole, else None.  Kept in the (T2,S2) slot of ty's
+        group."""
+        slots = self._upper_slots.setdefault(
+            (t2, S2), [None] * len(self._members))
+        slot = self._group_of[self.cs.split.upper_groups[ty][0]]
+        table = slots[slot]
         if table is None:
             cums = self._group_cums.get((t2, S2))
             if cums is None:
@@ -149,58 +182,69 @@ class Generators:
                 j = bisect_right(cums[g], 0)
                 if cums[g][j] == total:
                     single = self._members[g][j]
-            table = self._upper[key] = (total, groups, cum, cums, single)
+            table = slots[slot] = (total, groups, cum, cums, single)
         return table
 
     # -- the samplers --------------------------------------------------
 
     def sample_neigh(self, tid, S, v, rng):
         """Draw (T2, S1, S2, u) with u a Gaifman neighbor of v, with
-        probability proportional to C(T1,S1,v) * C(T2,S2,u).
+        probability proportional to C(T1,S1,v) * C(T2,S2,u); C(T,S,v) > 0.
 
         v's Gaifman neighbors fall into the split's two disjoint parts:
         split.lower_only.adj[v], and the members of the groups its upper
         type meets (v among them, with weight 0, since its color lies in
-        S1).  So each neighbor u is counted once, with weight C(T2,S2,u).
-        One draw picks the partition (S1, S2), weighted by C(T1,S1,v)
-        times the two parts' total; one picks a part, and is made only when
-        both have weight; one integer below that part's total locates u, in
-        the lower part's prefix sums or, in the upper part, in the group
-        totals and then that group's member prefix sums.  A vertex with no
-        upper edge has only the lower part.  A part whose total one vertex
-        carries draws nothing.
+        S1).  So each neighbor u is counted once, with weight C(T2,S2,u),
+        and by the DP's recurrence the partitions (S1, S2) weigh
+        C(T1,S1,v) times the two parts' total, d * C(T,S,v) in all.  One
+        integer below that total, read from the table, picks the
+        partition: the walk weighs partitions in ascending S2 only until
+        their running sum passes it, and a first positive partition that
+        carries the whole total is taken without a draw.  One draw picks a
+        part, and is made only when both have weight; one integer below
+        that part's total locates u, in the lower part's prefix sums or, in
+        the upper part, in the group totals and then that group's member
+        prefix sums.  A vertex with no upper edge has only the lower part.
+        A part whose total one vertex carries draws nothing.  A walk that
+        passes its last partition raises SamplerError: only a table whose
+        counts disagree with their partitions does that.
         """
-        cs = self.cs
-        t = cs.catalog[tid]
-        t2 = t.t2
-        ty = cs.split.upper_types[v]
-        low = cs.split.lower_only.adj[v]
-        items = []
-        cum = []
-        total = 0
-        for S2 in masks_of_size(cs.k, cs.catalog[t2].order):
-            if S2 & ~S:
-                continue
-            S1 = S & ~S2
-            w1 = cs.tables[t.t1][S1][v]
+        entry = self._partitions.get((tid, S))
+        if entry is None:
+            entry = self._partitions_of(tid, S)
+        t2, d, vec, partitions = entry
+        total = d * vec[v]
+        low = self.cs.split.lower_only.adj[v]
+        g = self._group_of[v]
+        r = None
+        run = 0
+        for S1, S2, vec1, vec2, slots in partitions:
+            w1 = vec1[v]
             if not w1:
                 continue
-            w_low = sum(map(cs.tables[t2][S2].__getitem__, low))
-            up = self._upper_table(t2, S2, ty) if ty else None
-            w_all = w_low + up[0] if up else w_low
-            if w_all:
-                items.append((S1, S2, w_low, w_all, up))
-                total += w1 * w_all
-                cum.append(total)
-        if not items:
-            raise SamplerError(
-                "sample_neigh called with C(T,S,v) = 0 (no partition weight)")
-        i = bisect_right(cum, below(rng, total)) if len(cum) > 1 else 0
-        S1, S2, w_low, w_all, up = items[i]
+            w_low = sum(map(vec2.__getitem__, low))
+            if g is None:
+                w_all = w_low
+            else:
+                up = slots[g] or self._upper_table(
+                    t2, S2, self.cs.split.upper_types[v])
+                w_all = w_low + up[0]
+            if not w_all:
+                continue
+            run += w1 * w_all
+            if r is None:
+                if run == total:
+                    break
+                r = below(rng, total)
+            if r < run:
+                break
+        else:
+            raise SamplerError("counter table inconsistent: the neighbor "
+                               "partitions of C(T,S,v) sum below d*C(T,S,v)")
         if w_low == w_all or (w_low and below(rng, w_all) < w_low):
             # The lower neighbors' prefix sums: the first positive one is
             # the only one with weight when it is already w_low.
-            low_cum = list(accumulate(map(cs.tables[t2][S2].__getitem__, low)))
+            low_cum = list(accumulate(map(vec2.__getitem__, low)))
             i = bisect_right(low_cum, 0)
             if low_cum[i] < w_low:
                 i = bisect_right(low_cum, below(rng, w_low), i)
@@ -213,14 +257,6 @@ class Generators:
             u = self._members[g][bisect_right(cums[g], r - up_cum[i - 1] if i else r)]
         return t2, S1, S2, u
 
-    def _sample_rec(self, tid, S, v, rng, vertices):
-        if self.cs.catalog[tid].order == 1:
-            vertices.append(v)
-            return
-        t2, S1, S2, u = self.sample_neigh(tid, S, v, rng)
-        self._sample_rec(self.cs.catalog[tid].t1, S1, v, rng, vertices)
-        self._sample_rec(t2, S2, u, rng, vertices)
-
     def draw_root(self, rng):
         """(T, v) with probability C(T,[k],v) / W: one integer from
         below(rng, W), located in one flat list of prefix sums over the
@@ -230,10 +266,22 @@ class Generators:
         return self._root_tids[i], v
 
     def sample_treelet(self, rng):
-        """The sorted vertex set U of one uniform colorful treelet."""
+        """The sorted vertex set U of one uniform colorful treelet: the root
+        draw, then one neighbor draw per edge of the treelet, depth first
+        with the T1 branch before the T2 branch, from an explicit stack.
+        Treelet 0 is the only one of order 1: its vertex joins U."""
+        treelets = self.cs.catalog.treelets
         tid, v = self.draw_root(rng)
         vertices = []
-        self._sample_rec(tid, (1 << self.cs.k) - 1, v, rng, vertices)
+        stack = [(tid, (1 << self.cs.k) - 1, v)]
+        while stack:
+            tid, S, v = stack.pop()
+            if not tid:
+                vertices.append(v)
+                continue
+            t2, S1, S2, u = self.sample_neigh(tid, S, v, rng)
+            stack.append((t2, S2, u))
+            stack.append((treelets[tid].t1, S1, v))
         return tuple(sorted(vertices))
 
 

@@ -731,6 +731,29 @@ def test_endless_table_is_refused_on_its_head():
     assert one_line_error(proc) == "error: not a counter table file"
 
 
+def test_inconsistent_table_is_module_error(tmp_path):
+    # Scaling the order-2 counts keeps the trailer valid and W unchanged,
+    # since W sums order k only.  A neighbor draw below d * C(T,S,v) at an
+    # order-2 treelet then passes every partition without landing: one error
+    # line, not a CSV.
+    table = tmp_path / "toy.hmt"
+    run_cli("build", TOY, "-k", "3", "--seed", "s9", "-o", str(table))
+    H = parse_hypergraph(Path(TOY).read_text())
+    cs = buildup.counterset_from_table(H, read_table(table))
+    for t in cs.catalog.of_order(2):
+        cs.tables[t.tid] = {S: [1000 * x for x in vec]
+                            for S, vec in cs.tables[t.tid].items()}
+    buildup.write_table(cs, table)
+    assert read_table(table)["W"] == cs.W
+    proc = subprocess.run([sys.executable, "-m", "hypergraphlets.cli", "sample",
+                           TOY, "--table", str(table), "--samples", "200"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert one_line_error(proc) == (
+        "error: counter table inconsistent: the neighbor partitions of C(T,S,v) "
+        "sum below d*C(T,S,v)")
+
+
 @pytest.mark.parametrize("damage", ["truncated", "version1", "trailing", "host",
                                     "k9", "k16"])
 def test_damaged_table_is_module_error(tmp_path, damage):

@@ -163,6 +163,15 @@ def test_below_draws_nothing_for_one():
     assert rng.widths == []
 
 
+def test_below_refuses_an_empty_range():
+    # No integer lies below 0: getrandbits(1) would never return one.
+    rng = CountingRng()
+    for n in (0, -1, -(2 ** 70)):
+        with pytest.raises(SamplerError):
+            sampler.below(rng, n)
+    assert rng.widths == []
+
+
 def test_below_power_of_two_takes_one_draw():
     for e in (1, 2, 3, 10, 64, 100):
         rng = CountingRng(e)
@@ -516,6 +525,52 @@ def test_neighbor_draw_law_is_exact_by_enumeration(monkeypatch):
     assert draws > 700 and upper > 400
 
 
+def test_neighbor_partitions_sum_to_d_times_the_count(tmp_path):
+    # The walk in sample_neigh draws below d * C(T,S,v) and stops in the
+    # partition the integer lands in, so for every (T, S, v) with
+    # C(T,S,v) > 0 the partitions must sum to exactly that: over S2 inside
+    # S, C(T1,S1,v) times C(T2,S2,.) summed over v's lower-only neighbors
+    # and over the members of the upper groups v's type meets.  Checked on
+    # the cases of test_neighbor_draw_law_is_exact_by_enumeration, built and
+    # read back.
+    toy = parse_hypergraph(TOY_TEXT)
+    nice = nice_hypergraph(14, 9, 3, 2, 5, 0.67, "law")
+    cases = [(SHARED, SHARED_COLORING),
+             (toy, Coloring(3, (0, 1, 2, 0, 1, 2, 0, 1))),
+             (toy, Coloring(4, (0, 1, 2, 3, 0, 1, 2, 3))),
+             (nice, random_coloring(nice, 4, "law"))]
+    path = tmp_path / "t.hmt"
+    checked = 0
+    for H, coloring in cases:
+        k = coloring.k
+        for alpha in candidate_alphas(H):
+            built = build_counters(H, apply_split(H, alpha), k, coloring)
+            buildup.write_table(built, path)
+            loaded = buildup.counterset_from_table(H, buildup.read_table(path))
+            for cs in (built, loaded):
+                split = cs.split
+                meets = [[u for u in range(H.n)
+                          if set(split.upper_types[u]) & set(split.upper_types[v])]
+                         for v in range(H.n)]
+                for t in cs.catalog.treelets[1:]:
+                    for S in masks_of_size(k, t.order):
+                        for v in range(H.n):
+                            count = cs.tables[t.tid][S][v]
+                            if not count:
+                                continue
+                            weight = 0
+                            for S2 in masks_of_size(k, cs.catalog[t.t2].order):
+                                if S2 & ~S:
+                                    continue
+                                vec2 = cs.tables[t.t2][S2]
+                                lower = sum(vec2[u] for u in split.lower_only.adj[v])
+                                upper = sum(vec2[u] for u in meets[v])
+                                weight += cs.tables[t.t1][S & ~S2][v] * (lower + upper)
+                            assert weight == t.d * count
+                            checked += 1
+    assert checked > 1400
+
+
 def test_root_draw_matches_one_flat_table(monkeypatch):
     # Every integer below W, once: draw_root gives the same (T, v) as one
     # alias table over the cs.root_weights() items in order.
@@ -599,6 +654,11 @@ def test_vertices_of_one_upper_type_share_one_upper_table():
                 # table reads those member prefix sums.
                 assert cums is gens._group_cums[t.t2, S2]
                 assert cums == [list(accumulate(vec[u] for u in m)) for m in members]
+                # The draw reaches the table through the slot of a vertex's
+                # group, the same slot for both vertices.
+                slots = gens._upper_slots[t.t2, S2]
+                assert len(slots) == len(members)
+                assert slots[gens._group_of[a]] is slots[gens._group_of[b]] is table
                 assert groups == meets
                 assert cum == list(accumulate(cums[g][-1] for g in groups))
                 weighted = [u for g in groups for u in members[g] if vec[u]]
