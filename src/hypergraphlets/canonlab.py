@@ -6,10 +6,15 @@ get the same key iff they are isomorphic.  The key is found by a search that
 places one vertex per position and, at each node, tries one unplaced vertex
 per swap class: vertices whose exchange maps the edge set onto itself.  Such
 an exchange fixes every placed vertex, so the children it skips reach the
-same tuples and the minimum stays exact.  A labeled edge set seen before is
-answered by a front cache.  Behind it, keys are cached by a copy of each
-hypergraphlet with its vertices ordered by the sizes of their edges, so most
-labelings of one shape share one cache entry and one search.
+same tuples and the minimum stays exact.  Singleton edges and the full edge
+sit out of the search: every minimal labeling puts the singleton vertices
+first, so their masks are 1, 2, 4, ..., and the full edge is the largest mask
+under every labeling.  Masks that every labeling shares never decide which of
+two relabelings is smaller, so the search ranks them on the other edges only.
+A labeled edge set seen before is answered by a front cache.  Behind it, keys
+are cached by a copy of each hypergraphlet with its vertices ordered by the
+sizes of their edges, so most labelings of one shape share one cache entry and
+one search.
 
 exact_counts enumerates every connected k-set of the Gaifman graph exactly
 once (pivot growth) and tallies keys: the `exact` command's table.
@@ -166,20 +171,36 @@ def _min_relabeling(kp, edges):
     (_swap_classes): exchanging two unplaced vertices of one class fixes every
     placed vertex and maps the edge set onto itself, so the two children
     reach the same relabeled tuples, and the minimum stays exact.
+    Singleton edges and the full edge sit out of the search: a singleton at p
+    opens its run with 2**p, below every other mask, so every minimal
+    labeling puts the s singleton vertices at positions 0..s-1, and the full
+    edge is the largest mask under every labeling.  Masks that every labeling
+    shares never decide which of two tuples is smaller, so the search ranks
+    runs on the other edges, takes candidates only from the singleton
+    vertices while p < s, and puts the shared masks back into the key.
     """
     classes = _swap_classes(kp, edges)
     low = (1 << kp) - 1
+    singles = 0
+    inner = []
+    for mask in edges:
+        if not mask & mask - 1:
+            singles |= mask
+        elif mask != low:
+            inner.append(mask)
+    s = bin(singles).count("1")
     sentinel = [1 << kp]
     # A node: its unplaced vertices as a mask, and its open edges, each with
     # its placed positions in the low kp bits and unplaced vertex v at kp + v.
-    level = [(low, [mask << kp for mask in edges])]
+    level = [(low, [mask << kp for mask in inner])]
     key = []
     for p in range(kp):
         pbit = 1 << p
+        pool = singles if p < s else low
         best = None
         for free, open_edges in level:
             for cls in classes:
-                vbit = free & cls
+                vbit = free & cls & pool
                 if not vbit:
                     continue
                 vbit &= -vbit
@@ -200,9 +221,13 @@ def _min_relabeling(kp, edges):
                     children = []
                 if run == best:
                     children.append((free ^ vbit, rest))
+        if p < s:
+            key.append(pbit)
         key += best[:-1]
         level = {(free, frozenset(rest)): (free, rest)
                  for free, rest in children}.values()
+    if len(edges) > s + len(inner):  # the full edge
+        key.append(low)
     return tuple(key)
 
 

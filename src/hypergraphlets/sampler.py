@@ -305,18 +305,25 @@ def _gaifman_matrix(P):
 
 
 def spanning_tree_count(A):
-    """Kirchhoff: exact integer determinant of a Laplacian minor (Bareiss)."""
+    """Kirchhoff: exact integer determinant of a Laplacian minor (Bareiss).
+
+    A complete graph, where every row of A sums to n - 1, is answered by
+    Cayley's formula n**(n-2) with no elimination.
+    """
     n = len(A)
     if n == 0:
         raise SamplerError("empty adjacency")
     if n == 1:
         return 1
+    degree = [sum(row) for row in A]
+    if degree.count(n - 1) == n:
+        return n ** (n - 2)
     m = n - 1
     M = [[0] * m for _ in range(m)]
     for i in range(m):
         for j in range(m):
             if i == j:
-                M[i][j] = sum(A[i + 1])
+                M[i][j] = degree[i + 1]
             else:
                 M[i][j] = -A[i + 1][j + 1]
     sign = 1

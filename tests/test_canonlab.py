@@ -173,8 +173,18 @@ def test_canonical_key_matches_brute_on_every_order_4_edge_set():
     assert len(checked) == 1 << 15
 
 
+# An order-6 copy that seeded powerlaw-k6 runs search, among the slowest: six
+# singletons, so every vertex is a singleton vertex.
+SLOW_ORDER_6 = (1, 2, 4, 8, 10, 16, 20, 32, 33, 56)
+
+
 def _random_cases():
-    """Seeded edge sets of order 5 to 8, each with a random relabeling."""
+    """Seeded edge sets of order 5 to 8, each with a random relabeling.
+
+    The second batch puts singletons on a random subset of the vertices,
+    and every other set of it holds the full edge: the key search sets both
+    aside, and the singleton vertices must take the first positions.
+    """
     rng = random.Random(79)
     for order, cases in ((5, 60), (6, 30), (7, 8), (8, 2)):
         for _ in range(cases):
@@ -185,6 +195,21 @@ def _random_cases():
             perm = list(range(order))
             rng.shuffle(perm)
             yield _from_vertex_sets(order, sets), perm
+    for order, cases in ((5, 40), (6, 20), (7, 6), (8, 2)):
+        for i in range(cases):
+            sets = [
+                rng.sample(range(order), rng.choice((2, 2, 3, rng.randint(2, order))))
+                for _ in range(rng.randint(1, order))
+            ]
+            sets += [(v,) for v in range(order) if rng.random() < 0.5]
+            if i % 2:
+                sets.append(range(order))
+            perm = list(range(order))
+            rng.shuffle(perm)
+            yield _from_vertex_sets(order, sets), perm
+    perm = list(range(6))
+    rng.shuffle(perm)
+    yield Hypergraphlet(6, SLOW_ORDER_6), perm
 
 
 def test_canonical_key_matches_brute_on_random_orders_5_to_8():

@@ -269,10 +269,16 @@ def test_spanning_tree_count_random_agreement():
 
 
 def test_spanning_tree_count_is_integer_exact():
-    # A big complete graph: n^(n-2) spanning trees, exact to the last digit.
-    n = 9
-    A = [[int(i != j) for j in range(n)] for i in range(n)]
-    assert spanning_tree_count(A) == n ** (n - 2)
+    # Complete graphs: n^(n-2) spanning trees (Cayley), exact to the last digit.
+    for n in range(1, 10):
+        A = [[int(i != j) for j in range(n)] for i in range(n)]
+        assert spanning_tree_count(A) == n ** (n - 2)
+    # K_n minus one edge is not complete, so it goes through the elimination:
+    # (n-2) * n^(n-3) spanning trees.
+    for n in range(3, 9):
+        A = [[int(i != j) for j in range(n)] for i in range(n)]
+        A[0][1] = A[1][0] = 0
+        assert spanning_tree_count(A) == (n - 2) * n ** (n - 3)
 
 
 # --- treelet sampling law -------------------------------------------------
