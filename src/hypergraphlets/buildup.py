@@ -536,7 +536,12 @@ def read_table(path):
 def counterset_from_table(H, data):
     """Rebuild a usable CounterSet from read_table output plus H.  No round
     runs; the split is still refused under the cap the build recorded, and
-    the file's W under the W of its own tables."""
+    the file's W under the W of its own tables.
+
+    Tables whose digests check are otherwise trusted.  Sampling refuses
+    neighbor partitions that sum below d*C(T,S,v), but partitions that sum
+    above it are drawn from under a skewed law; checking every count here
+    would cost one build per load."""
     if H.n != data["n"]:
         raise BuildError("hypergraph has %d vertices, table says %d" % (H.n, data["n"]))
     if host_digest(H) != data["host"]:

@@ -46,7 +46,7 @@ from .sampler import (
     resolve_split,
     sharded_estimate,
 )
-from .splitter import apply_split, choose_split_refined, curve_with_costs, split_cost
+from .splitter import DEFAULT_GAMMA, apply_split, choose_split_refined, curve_with_costs
 from .synth import nice_hypergraph, power_law_hypergraph
 
 CSV_HEADER = "key,samples,inv_sigma_sum,colorful_estimate,relative_frequency"
@@ -165,7 +165,9 @@ def _cmd_split(args):
         raise HypergraphError("split has no naive mode; use 'auto' or an integer")
     else:
         split = apply_split(H, args.alpha)
-        cost = split_cost(H, split, args.gamma)
+        # The largest candidate <= alpha splits the edges alike.
+        cost = [row for row in curve_with_costs(H, gamma=args.gamma)
+                if row.alpha <= split.alpha][-1]
     info = {
         "alpha": split.alpha,
         "beta": split.beta,
@@ -413,18 +415,18 @@ def _build_parser():
     add("stats", _cmd_stats, "basic hypergraph statistics as JSON")
 
     p = add("curve", _cmd_curve, "alpha/beta tradeoff curve as CSV")
-    p.add_argument("--gamma", type=float, default=0.01)
+    p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
 
     p = add("split", _cmd_split, "apply or choose an alpha-split",
             out_help="output prefix: writes PREFIX.lower.hg and PREFIX.upper.hg")
     p.add_argument("--alpha", type=_parse_alpha, default="auto")
-    p.add_argument("--gamma", type=float, default=0.01)
+    p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
 
     p = add("build", _cmd_build, "build counter tables, write a .hmt file")
     p.add_argument("-k", type=_positive_int, required=True)
     p.add_argument("--seed", default="0")
     p.add_argument("--alpha", type=_parse_alpha, default="auto")
-    p.add_argument("--gamma", type=float, default=0.01)
+    p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
     p.add_argument("--cap", type=_nonnegative_int, default=20, help=CAP_HELP)
     p.add_argument("--threads", type=_positive_int, default=1, help=THREADS_HELP)
 
@@ -441,7 +443,7 @@ def _build_parser():
     p.add_argument("--seed", default="0")
     p.add_argument("--runs", type=_positive_int, default=1)
     p.add_argument("--alpha", type=_parse_alpha, default="auto")
-    p.add_argument("--gamma", type=float, default=0.01)
+    p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
     p.add_argument("--uniform", action="store_true")
     p.add_argument("--cap", type=_nonnegative_int, default=20, help=CAP_HELP)
     p.add_argument("--threads", type=_positive_int, default=1, help=THREADS_HELP)

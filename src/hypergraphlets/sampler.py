@@ -40,7 +40,7 @@ from .canonlab import canonical_key, check_key_order
 from .hypercore import HypergraphError
 # The extractor keeps the sampler-level name perfbench/launch.py traces.
 from .hypercore import induced_sub as extract_hypergraphlet
-from .splitter import apply_split, check_gamma, choose_split_refined
+from .splitter import DEFAULT_GAMMA, apply_split, check_gamma, choose_split_refined
 
 
 class SamplerError(HypergraphError):
@@ -432,7 +432,7 @@ def sharded_estimate(gens, K, seed, run, mode="weighted"):
 # -- end-to-end pipeline ------------------------------------------------
 
 
-def resolve_split(H, k, alpha_policy="auto", gamma=0.01):
+def resolve_split(H, k, alpha_policy="auto", gamma=DEFAULT_GAMMA):
     """The split an alpha policy names: 'auto' (refined cost model), 'naive'
     (alpha = H.rank, i.e. the Gaifman baseline), or an explicit integer
     threshold.  k and gamma are checked first, under every policy."""
@@ -443,8 +443,8 @@ def resolve_split(H, k, alpha_policy="auto", gamma=0.01):
     return apply_split(H, H.rank if alpha_policy == "naive" else int(alpha_policy))
 
 
-def approx_counts(H, k, samples, seed, runs=1, alpha_policy="auto", gamma=0.01,
-                  mode="weighted", cap=20):
+def approx_counts(H, k, samples, seed, runs=1, alpha_policy="auto",
+                  gamma=DEFAULT_GAMMA, mode="weighted", cap=20):
     """Full estimate: `runs` independent colorings, estimates averaged.
 
     Returns (rows, reports): rows maps key -> dict(samples,

@@ -3,33 +3,38 @@
 An alpha-split partitions edges into a lower part (size <= alpha, handled via
 its Gaifman projection) and an upper part (size > alpha, handled by
 inclusion-exclusion over per-vertex types).  beta is the max degree of the
-upper part; the curve maps each candidate alpha to its beta.
+upper part; the curve maps each candidate alpha (0 and each edge size) to
+its beta.
+
+The cost model prices a split by two terms:
+
+    lower_cost = sum of |e|^2 over the lower edges
+    upper_cost = sum over all vertices v of 2^(upper degree of v)
+    weighted   = gamma*lower_cost + (1 - gamma)*upper_cost
+
+with gamma in [0, 1], DEFAULT_GAMMA unless given.  curve_with_costs is its
+one implementation; choose_split_refined takes the smallest weighted cost,
+ties going to the smallest alpha.  Any alpha splits the edges as the largest
+candidate <= alpha does, so `split --alpha N` reports that candidate's row.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
+from operator import attrgetter
 
 from .hypercore import Hypergraph, HypergraphError, gaifman
+
+DEFAULT_GAMMA = 0.01
+
+CurveRow = namedtuple("CurveRow", "alpha beta lower_cost upper_cost weighted")
 
 
 def check_gamma(gamma):
     """Refuse gamma outside [0, 1] (or NaN): it would weight a cost negatively."""
     if not 0.0 <= gamma <= 1.0:
         raise HypergraphError("gamma must lie in [0, 1]")
-
-
-def _weighted(gamma, lower_cost, upper_cost):
-    """gamma*lower + (1-gamma)*upper as a float, infinity on overflow.
-
-    The 2^d terms are exact big integers; a cost too large for a float is
-    effectively infinite for selection purposes anyway.
-    """
-    check_gamma(gamma)
-    try:
-        return gamma * float(lower_cost) + (1.0 - gamma) * float(upper_cost)
-    except OverflowError:
-        return math.inf
 
 
 class AlphaSplit:
@@ -74,62 +79,35 @@ class AlphaSplit:
             self.alpha, self.beta, self.lower.m, self.upper.m)
 
 
-class SplitCost:
-    """Cost-model value of one split.
-
-    lower_cost = sum of |e|^2 over lower edges; upper_cost = sum over all
-    vertices of 2^(upper degree); weighted = gamma*lower + (1-gamma)*upper,
-    the quantity choose_split_refined minimizes.  Powers of two are exact
-    big integers, so no saturation cap is needed.
-    """
-
-    __slots__ = ("lower_cost", "upper_cost", "weighted")
-
-    def __init__(self, lower_cost, upper_cost, gamma):
-        self.lower_cost = lower_cost
-        self.upper_cost = upper_cost
-        self.weighted = _weighted(gamma, lower_cost, upper_cost)
-
-    def __repr__(self):
-        return "SplitCost(lower=%d, upper=%d, weighted=%.6g)" % (
-            self.lower_cost, self.upper_cost, self.weighted)
-
-
 def apply_split(H, alpha):
     if alpha < 0:
         raise HypergraphError("alpha must be nonnegative")
     return AlphaSplit(H, alpha)
 
 
-def split_cost(H, split, gamma):
-    lower_cost = sum(len(e) ** 2 for e in split.lower.edges)
-    upper_cost = sum(1 << len(t) for t in split.upper.incidence)
-    return SplitCost(lower_cost, upper_cost, gamma)
-
-
-def _cost_table(H):
-    """(alpha, beta, lower_cost, upper_cost) at every candidate threshold.
+def curve_with_costs(H, gamma=DEFAULT_GAMMA):
+    """CurveRow(alpha, beta, lower_cost, upper_cost, weighted) at every
+    candidate threshold, in ascending alpha.
 
     One descending pass: upper degrees grow as alpha drops past each edge
     size, and the 2^d sum is maintained by a subtract-old/add-new update per
-    incidence, so the whole table costs O(size of H).
+    incidence, so the whole curve costs O(size of H).  The 2^d terms are
+    exact big integers; a weighted cost too large for a float is infinite,
+    which is what it is for selection purposes anyway.
     """
-    sizes = sorted({len(e) for e in H.edges})
+    check_gamma(gamma)
     by_size = {}
-    sq_by_size = {}
     for e in H.edges:
         by_size.setdefault(len(e), []).append(e)
-        sq_by_size[len(e)] = sq_by_size.get(len(e), 0) + len(e) ** 2
 
-    total_sq = sum(sq_by_size.values())
     d = [0] * H.n
     pow_sum = H.n  # sum of 2^0 over all vertices
     beta = 0
-    rows = []  # descending alpha
-    lower_sq = total_sq
-    for s in reversed(sizes):
+    costs = []  # descending alpha
+    lower_sq = sum(len(e) ** 2 for e in H.edges)
+    for s in sorted(by_size, reverse=True):
         # threshold alpha = s: upper holds sizes > s, already accumulated
-        rows.append((s, beta, lower_sq, pow_sum))
+        costs.append((s, beta, lower_sq, pow_sum))
         for e in by_size[s]:
             for v in e:
                 pow_sum -= 1 << d[v]
@@ -137,25 +115,19 @@ def _cost_table(H):
                 pow_sum += 1 << d[v]
                 if d[v] > beta:
                     beta = d[v]
-        lower_sq -= sq_by_size[s]
-    rows.append((0, beta, 0, pow_sum))
-    rows.reverse()
+        lower_sq -= s * s * len(by_size[s])
+    costs.append((0, beta, 0, pow_sum))
+    rows = []
+    for alpha, beta, lo, up in reversed(costs):
+        try:
+            weighted = gamma * float(lo) + (1.0 - gamma) * float(up)
+        except OverflowError:
+            weighted = math.inf
+        rows.append(CurveRow(alpha, beta, lo, up, weighted))
     return rows
 
 
-def curve_with_costs(H, gamma=0.01):
-    """Rows (alpha, beta, lower_cost, upper_cost, weighted) along the curve."""
-    out = []
-    for alpha, beta, lo, up in _cost_table(H):
-        out.append((alpha, beta, lo, up, _weighted(gamma, lo, up)))
-    return out
-
-
-def choose_split_refined(H, gamma=0.01):
-    """Minimize gamma*sum|e|^2 + (1-gamma)*sum 2^d over all thresholds."""
-    best = None
-    for alpha, _beta, lo, up in _cost_table(H):
-        cost = SplitCost(lo, up, gamma)
-        if best is None or cost.weighted < best[1].weighted:
-            best = (alpha, cost)
-    return apply_split(H, best[0]), best[1]
+def choose_split_refined(H, gamma=DEFAULT_GAMMA):
+    """(split, row) at the first row of least weighted cost on the curve."""
+    row = min(curve_with_costs(H, gamma), key=attrgetter("weighted"))
+    return apply_split(H, row.alpha), row

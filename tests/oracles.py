@@ -191,6 +191,16 @@ def nw_ie(H, w):
     return combined_neighbor_weight(NWPlan(apply_split(H, 0)), w)
 
 
+def split_cost(H, alpha):
+    """(lower_cost, upper_cost) of the split at alpha, from the cost model's
+    definition: sum of |e|^2 over edges of size <= alpha, and sum over the
+    vertices of 2 to the number of larger edges holding them."""
+    lower_cost = sum(len(e) ** 2 for e in H.edges if len(e) <= alpha)
+    upper_cost = sum(2 ** sum(1 for e in H.edges if len(e) > alpha and v in e)
+                     for v in range(H.n))
+    return lower_cost, upper_cost
+
+
 def candidate_alphas(H):
     """Thresholds worth considering: 0 plus each distinct edge size."""
     return [0] + sorted({len(e) for e in H.edges})

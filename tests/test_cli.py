@@ -103,16 +103,21 @@ def test_curve_to_file(tmp_path):
 
 
 def test_split_fixed_alpha():
-    out = json.loads(run_cli("split", TOY, "--alpha", "3").stdout)
-    assert out == {
-        "alpha": 3,
-        "beta": 1,
-        "lower_cost": 17,
-        "upper_cost": 13,
-        "lower_edges": 3,
-        "upper_edges": 1,
-        "weighted": 13.04,
-    }
+    # toy's candidates are 0, 2, 3 and 5: alpha 4 splits the edges like 3
+    # and 9 like 5, so each reports that candidate's costs.
+    for alpha, beta, lower_edges, costs in [(3, 1, 3, (17, 13, 13.04)),
+                                            (4, 1, 3, (17, 13, 13.04)),
+                                            (9, 0, 4, (42, 8, 8.34))]:
+        out = json.loads(run_cli("split", TOY, "--alpha", str(alpha)).stdout)
+        assert out == {
+            "alpha": alpha,
+            "beta": beta,
+            "lower_cost": costs[0],
+            "upper_cost": costs[1],
+            "lower_edges": lower_edges,
+            "upper_edges": 4 - lower_edges,
+            "weighted": costs[2],
+        }
 
 
 def test_split_auto_and_outputs(tmp_path):
@@ -890,7 +895,7 @@ def test_bad_bench_sizes_is_module_error():
     assert "bench sizes must be integers" in one_line_error(proc)
 
 
-@pytest.mark.parametrize("gamma", ["5", "-1", "nan"])
+@pytest.mark.parametrize("gamma", ["5", "-1", "nan", "1.5"])
 @pytest.mark.parametrize("command", [
     ["curve"],
     ["split", "--alpha", "3"],

@@ -29,7 +29,7 @@ from hypergraphlets.sampler import (
     sharded_estimate,
     spanning_tree_count,
 )
-from hypergraphlets.splitter import apply_split, choose_split_refined
+from hypergraphlets.splitter import DEFAULT_GAMMA, apply_split, choose_split_refined
 from hypergraphlets.synth import nice_hypergraph
 
 from oracles import (
@@ -787,7 +787,7 @@ def test_resolve_split_policies():
 def test_count_chooses_the_split_once_per_call(monkeypatch, capsys, tmp_path):
     calls = []
 
-    def counted(H, gamma=0.01):
+    def counted(H, gamma=DEFAULT_GAMMA):
         calls.append(gamma)
         return choose_split_refined(H, gamma)
 
@@ -797,7 +797,7 @@ def test_count_chooses_the_split_once_per_call(monkeypatch, capsys, tmp_path):
     assert cli.main(["count", str(hg), "-k", "3", "--samples", "50",
                      "--seed", "4", "--runs", "3"]) == 0
     assert len(capsys.readouterr().out.splitlines()) > 1
-    assert calls == [0.01]
+    assert calls == [DEFAULT_GAMMA]
 
 
 def test_count_builds_one_plan_per_call(monkeypatch, capsys, tmp_path):

@@ -4,14 +4,9 @@ import random
 import pytest
 
 from hypergraphlets.hypercore import Hypergraph, HypergraphError, gaifman, parse_hypergraph
-from hypergraphlets.splitter import (
-    apply_split,
-    choose_split_refined,
-    curve_with_costs,
-    split_cost,
-)
+from hypergraphlets.splitter import apply_split, choose_split_refined, curve_with_costs
 
-from oracles import candidate_alphas, random_hypergraph
+from oracles import candidate_alphas, random_hypergraph, split_cost
 from test_sampler import SHARED
 
 TOY_TEXT = "# vertices 8\n0 1\n1 4\n3 5 6\n0 1 2 4 6\n"
@@ -63,7 +58,7 @@ def test_weighted_costs_refuse_gamma_out_of_range(toy, gamma):
     with pytest.raises(HypergraphError, match=r"gamma must lie in \[0, 1\]"):
         curve_with_costs(toy, gamma=gamma)
     with pytest.raises(HypergraphError, match=r"gamma must lie in \[0, 1\]"):
-        split_cost(toy, apply_split(toy, 3), gamma)
+        choose_split_refined(toy, gamma)
 
 
 def test_apply_split_frozen(toy):
@@ -106,13 +101,14 @@ def test_curve_matches_direct_recompute():
         H = random_hypergraph(rng)
         rows = curve_with_costs(H, gamma=0.3)
         assert [a for a, *_ in rows] == candidate_alphas(H)
-        for alpha, beta, lo, up, w in rows:
-            split = apply_split(H, alpha)
-            cost = split_cost(H, split, 0.3)
-            assert beta == split.beta
-            assert lo == cost.lower_cost
-            assert up == cost.upper_cost
-            assert w == pytest.approx(cost.weighted)
+        # Every alpha, candidate or not, has the costs of the row that
+        # `split --alpha` reports: the largest candidate <= alpha.
+        for alpha in range(H.rank + 2):
+            row = [r for r in rows if r.alpha <= alpha][-1]
+            lo, up = split_cost(H, alpha)
+            assert row.beta == apply_split(H, alpha).beta
+            assert (row.lower_cost, row.upper_cost) == (lo, up)
+            assert row.weighted == pytest.approx(0.3 * lo + 0.7 * up)
         # Betas never increase along rising alpha.
         betas = [b for _, b, *_ in rows]
         assert betas == sorted(betas, reverse=True)
