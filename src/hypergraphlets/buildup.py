@@ -7,22 +7,24 @@ neighbor u), so each T2 needs eta(v) = sum of C(T2,S2,u) over neighbors u of
 v, for every color set S2.  One neighbor-weight round per order of T2
 serves all its T2 and their S2, at most k - 1 rounds per build: the counts
 of each vertex are packed into one integer, a fixed-width field per (T2,
-S2), and the round sums those integers.  A round runs across an alpha-split:
-directly on the split's lower-only graph, the lower Gaifman pairs that no
-upper edge joins, then, for each vertex in an upper edge, adds the upper
-neighbors by inclusion-exclusion over its type.  An NWPlan holds what
-no round changes, built once per split.  The DP and the rounds walk only the
-nonzero entries of each table.  eta stays one flat array per round, each
-product reads its field as a slice of it, and it lives only while the
-build runs: the tables and the split are all the sampler and the table
-loader need.  The naive baseline is the split at alpha = H.rank, whose
-upper part is empty.  Counts are exact arbitrary-precision integers.
+S2), and the round sums those integers.  Their bytes are written in place,
+each vector straight into its fields of one bytearray.  A round runs
+across an alpha-split: directly on the split's lower-only graph, the lower
+Gaifman pairs that no upper edge joins, then adds the upper neighbors by
+inclusion-exclusion over the upper types, one sum per group of vertices
+that share a type.  An NWPlan holds what no round changes, built once per
+split.  The DP and the rounds walk only the nonzero entries of each table.
+eta stays one flat array per round, each product reads its field as a
+slice of it, and it lives only while the build runs: the tables and the
+split are all the sampler and the table loader need.  The naive baseline
+is the split at alpha = H.rank, whose upper part is empty.  Counts are
+exact arbitrary-precision integers.
 
 Values below 2^64 reach bytes, for a round or a .hmt array, through one
-array('Q') conversion into 8-byte lanes, cut to their width by strided
-slices: per 1000 ints that conversion takes about 8.5 us, an array('H')
-one 27 to 36 us and a max scan 17 us.  A .hmt array's width is read off
-the lanes' zero bytes.
+array('Q') conversion per vector into 8-byte lanes, cut to their width by
+strided slices: per 1000 ints that conversion takes about 8.5 us, an
+array('H') one 27 to 36 us and a max scan 17 us.  A .hmt array's width is
+read off the lanes' zero bytes.
 
 A .hmt file's three digests (catalog, host, trailer) are plain SHA-256,
 computed with the interpreter's built-in implementation (_sha256, or _sha2
@@ -113,13 +115,13 @@ class NWPlan:
     Built once per split.  lower is split.lower_only, the lower Gaifman
     pairs the upper part does not join.  Each nonempty subset X of an upper
     type is interned as an integer id, and members[id] lists the vertices
-    whose type contains X.  upper holds one (v, odd, even) row per vertex v
-    in an upper edge: the ids of the subsets of v's type of odd and of even
-    size, which inclusion-exclusion adds and subtracts.  Subsets are
-    enumerated once per group of split.upper_groups, and the vertices of
-    one group share its id lists.  The 2^degree cap, and the enumeration
-    budget against the plan's size, the sum of 2^|type| over the vertices
-    in an upper edge, are checked here, before any subset is enumerated.
+    whose type contains X.  upper holds one (vertices, odd, even) row per
+    group of split.upper_groups: the group's vertices, which share one
+    type, and the ids of the subsets of that type of odd and of even size,
+    which inclusion-exclusion adds and subtracts.  The 2^degree cap, and
+    the enumeration budget against the plan's size, the sum of 2^|type|
+    over the vertices in an upper edge, are checked here, before any subset
+    is enumerated.
     """
 
     __slots__ = ("lower", "members", "upper")
@@ -140,8 +142,7 @@ class NWPlan:
                         self.members.append([])
                     self.members[i] += verts
                     sides[r % 2].append(i)
-            for v in verts:
-                self.upper.append((v, sides[1], sides[0]))
+            self.upper.append((verts, sides[1], sides[0]))
 
 
 def combined_neighbor_weight(plan, w):
@@ -152,12 +153,16 @@ def combined_neighbor_weight(plan, w):
     no upper edge with v.  Each vertex v in an upper edge then gains, over
     the nonempty subsets X of its upper type, -(-1)^|X| times the weight of
     the vertices whose type contains X.  That counts each upper neighbor
-    once and v itself once, so w(v) is taken back.
+    once and v itself once, so w(v) is taken back.  The sum over X depends
+    only on the type, so it is taken once per row of plan.upper and shared
+    by the row's vertices.
     """
     eta = nw_naive(plan.lower, w)
     tget = [sum(map(w.__getitem__, m)) for m in plan.members].__getitem__
-    for v, odd, even in plan.upper:
-        eta[v] += sum(map(tget, odd)) - sum(map(tget, even)) - w[v]
+    for verts, odd, even in plan.upper:
+        shared = sum(map(tget, odd)) - sum(map(tget, even))
+        for v in verts:
+            eta[v] += shared - w[v]
     return eta
 
 
@@ -174,17 +179,31 @@ def packed_neighbor_weights(plan, vectors):
     sums w_j over neighbors of v, never v itself, so it lies in
     [0, sum(w_j)]: width is _width of the largest vector sum, and no field
     then spills into the next.  A sum is never more than n * max, and is
-    cheaper to take than a max (about 6 against 17 us per 1000 small ints)."""
+    cheaper to take than a max (about 6 against 17 us per 1000 small ints).
+
+    The integers' bytes are one n * m * width bytearray, written in place:
+    each vector's _lanes go byte by byte into its fields by strided slices,
+    and only a vector with a value from 2^64 up goes through int.to_bytes,
+    its values width bytes apart.  Each stage is dropped once the next
+    exists: the bytes once the integers do, the integers once the round
+    has run."""
     n, m = len(vectors[0]), len(vectors)
     width = _width(max(map(sum, vectors)))
     stride = m * width
-    # flat[v * m + j] is vector j at v: byte for byte, the packed integers.
-    flat = [0] * (n * m)
+    raw = bytearray(n * stride)
     for j, vec in enumerate(vectors):
-        flat[j::m] = vec
+        try:
+            src, lane = _lanes(vec), 8
+        except OverflowError:
+            src = b"".join([x.to_bytes(width, "little") for x in vec])
+            lane = width
+        for b in range(min(width, lane)):
+            raw[j * width + b::stride] = src[b::lane]
     packed = [int.from_bytes(x, "little")
-              for x, in struct.iter_unpack("%ds" % stride, _to_bytes(flat, width))]
+              for x, in struct.iter_unpack("%ds" % stride, raw)]
+    del raw
     eta = combined_neighbor_weight(plan, packed)
+    del packed
     return _from_bytes(b"".join([x.to_bytes(stride, "little") for x in eta]), width)
 
 
@@ -392,17 +411,9 @@ def _narrow(lanes, width):
     return out
 
 
-def _to_bytes(values, width):
-    """Every value little-endian in width bytes: cut from 8-byte lanes, or
-    by int.to_bytes once a value reaches 2^64."""
-    try:
-        return _narrow(_lanes(values), width)
-    except OverflowError:
-        return b"".join(x.to_bytes(width, "little") for x in values)
-
-
 def _from_bytes(raw, width):
-    """Inverse of _to_bytes: an array if a typecode holds width, else a list."""
+    """Values of width bytes each, little-endian, from raw: an array if a
+    typecode holds width, else a list."""
     if width in _TYPECODES:
         arr = array(_TYPECODES[width])
         arr.frombytes(raw)
@@ -422,7 +433,7 @@ def _pack(values):
         lanes = _lanes(values)
     except OverflowError:
         width = _width(max(values))
-        return _varint(width) + _to_bytes(values, width)
+        return _varint(width) + b"".join([x.to_bytes(width, "little") for x in values])
     zero = bytes(len(values))
     width = 8
     for w in (4, 2, 1):

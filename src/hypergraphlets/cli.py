@@ -43,6 +43,7 @@ from .sampler import (
     NoColorfulOccurrences,
     approx_counts,
     build_generators,
+    estimate_weights,
     resolve_split,
     sharded_estimate,
 )
@@ -95,7 +96,8 @@ def _emit_json(obj, path=None):
 def _rows_csv(rows):
     """rows: key -> dict with samples/inv_sigma_sum/estimate/relative_frequency."""
     lines = [CSV_HEADER]
-    order = sorted(rows.items(), key=lambda kv: (-kv[1]["estimate"], kv[0]))
+    weights = estimate_weights(rows)
+    order = sorted(rows.items(), key=lambda kv: (-weights[kv[0]], kv[0]))
     for key, row in order:
         inv = row["inv_sigma_sum"]
         lines.append(

@@ -34,6 +34,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate, chain, compress
+from math import lcm
 
 from .buildup import NWPlan, build_counters, derived_rng, masks_of_size, random_coloring
 from .canonlab import canonical_key, check_key_order
@@ -385,11 +386,22 @@ class EstimateReport:
         self.rows = rows
 
 
+def estimate_weights(rows):
+    """key -> its estimate times L, the lcm of the estimates' denominators:
+    integers in the estimates' ratios and order."""
+    L = lcm(*[row["estimate"].denominator for row in rows.values()])
+    return {key: row["estimate"].numerator * (L // row["estimate"].denominator)
+            for key, row in rows.items()}
+
+
 def _with_frequencies(rows):
-    """Fill each row's relative_frequency: its share of the summed estimate."""
-    denom = sum((r["estimate"] for r in rows.values()), Fraction(0))
-    for row in rows.values():
-        row["relative_frequency"] = float(row["estimate"] / denom)
+    """Fill each row's relative_frequency: its share of the summed estimate.
+    w / total is int true division, correctly rounded as float(Fraction)
+    is, so each share is the float nearest estimate / sum of estimates."""
+    weights = estimate_weights(rows)
+    total = sum(weights.values())
+    for key, row in rows.items():
+        row["relative_frequency"] = weights[key] / total
     return rows
 
 

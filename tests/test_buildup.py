@@ -1,6 +1,7 @@
 import hashlib
 import random
 import sys
+import tracemalloc
 from array import array
 
 import pytest
@@ -133,6 +134,22 @@ def test_combined_neighbor_weight_random():
         split = apply_split(H, alpha)
         w = [rng.randrange(-2, 6) for _ in range(H.n)]
         assert combined_neighbor_weight(NWPlan(split), w) == nw_naive(gaifman(H), w)
+    # A few large edges over up to 40 vertices, split off as the upper part:
+    # their types cut the vertices into a few groups of many members each,
+    # and every member of a group takes the group's one shared sum.
+    largest = 0
+    for _ in range(40):
+        n = rng.randint(12, 40)
+        edges = {tuple(sorted(rng.sample(range(n), rng.randint(1, 3))))
+                 for _ in range(rng.randint(0, 2 * n))}
+        edges |= {tuple(sorted(rng.sample(range(n), rng.randint(n // 3, n))))
+                  for _ in range(rng.randint(1, 4))}
+        H = Hypergraph(n, sorted(edges))
+        split = apply_split(H, 3)
+        largest = max(largest, *map(len, split.upper_groups.values()))
+        w = [rng.randrange(-2, 6) for _ in range(H.n)]
+        assert combined_neighbor_weight(NWPlan(split), w) == nw_naive(gaifman(H), w)
+    assert largest >= 10
 
 
 def fields(flat, m):
@@ -198,6 +215,67 @@ def test_packed_round_with_tight_fields(total, itemsize, alpha):
     flat = packed_neighbor_weights(plan, vectors)
     assert flat.itemsize == itemsize
     assert fields(flat, len(vectors)) == expect
+
+
+def test_packed_round_allocates_no_list_per_field():
+    # n = 2000 vertices, m = 100 one-byte fields.  The round's own
+    # allocations, its output included, stay below 6 bytes per field: a
+    # list with one 8-byte slot per field would break the bound by itself.
+    n, m, per_field = 2000, 100, 6
+    rng = random.Random(83)
+    edges = [(v, v + 1) for v in range(n - 1)]
+    edges += [tuple(range(v, v + 5)) for v in range(0, n - 5, 50)]
+    plan = NWPlan(apply_split(Hypergraph(n, edges), 2))
+    vectors = []
+    for _ in range(m):
+        w = [0] * n
+        for v in rng.sample(range(n), 120):
+            w[v] = rng.randint(1, 2)
+        vectors.append(w)
+    assert max(map(sum, vectors)) < 256
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        flat = packed_neighbor_weights(plan, vectors)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert flat.itemsize == 1
+    assert peak < per_field * n * m
+    for j in (0, 37, m - 1):
+        assert list(flat[j::m]) == combined_neighbor_weight(plan, vectors[j])
+
+
+@pytest.mark.parametrize("alpha", [0, 2, "naive"])
+def test_packed_round_mixes_lanes_and_wide_values(toy, alpha, monkeypatch):
+    # One vector holds a value from 2^64 up and goes through int.to_bytes;
+    # the small vectors around it still go through their 8-byte lanes, into
+    # fields as wide as the big vector's sum needs.
+    split = apply_split(toy, toy.rank if alpha == "naive" else alpha)
+    plan = NWPlan(split)
+    vectors = [[v % 3 for v in range(8)],
+               [0, 2 ** 70, 0, 5, 2 ** 64, 0, 1, 0],
+               [1] * 8,
+               [0, 0, 255, 0, 0, 0, 0, 65535]]
+    lanes, refused = buildup._lanes, []
+
+    def spy(values):
+        try:
+            return lanes(values)
+        except OverflowError:
+            refused.append(values)
+            raise
+
+    monkeypatch.setattr(buildup, "_lanes", spy)
+    flat = packed_neighbor_weights(plan, vectors)
+    assert refused == [vectors[1]]
+    assert type(flat) is list
+    assert fields(flat, len(vectors)) == [
+        combined_neighbor_weight(plan, w) for w in vectors]
 
 
 def test_one_neighbor_weight_round_per_t2_order(toy, monkeypatch):

@@ -13,6 +13,7 @@ from hypergraphlets import buildup, cli
 from hypergraphlets.buildup import _width, read_table
 from hypergraphlets.canonlab import key_from_text
 from hypergraphlets.hypercore import parse_hypergraph
+from hypergraphlets.sampler import estimate_weights
 
 from test_buildup import TOY_TEXT
 
@@ -367,6 +368,30 @@ def test_exact_agrees_with_count_estimates():
     for key, row in exact_rows.items():
         est = approx_rows[key]["estimate"] / Fraction(1, 2)  # undo p_k scale
         assert abs(float(est) - row["samples"]) <= 0.35 * row["samples"] + 0.5
+
+
+@pytest.mark.parametrize("args", [
+    ("count", TOY, "-k", "3", "--samples", "300", "--runs", "3", "--seed", "w1"),
+    ("exact", TOY, "-k", "4"),
+])
+def test_csv_order_and_shares_follow_the_fraction_estimates(args, capsys):
+    # The estimates have unequal denominators, and exact at k = 4 has
+    # ties, which go to the key.  Rows come sorted by estimate, then key,
+    # and each share prints as float(estimate / total), both taken on the
+    # Fractions themselves.
+    assert cli.main(list(args)) == 0
+    rows = parse_rows(capsys.readouterr().out)
+    estimates = [r["estimate"] for r in rows]
+    assert len({e.denominator for e in estimates}) > 1
+    order = sorted(rows, key=lambda r: (-r["estimate"], r["key"]))
+    assert [r["key"] for r in rows] == [r["key"] for r in order]
+    total = sum(estimates, Fraction(0))
+    assert [r["rel"] for r in rows] == [float(e / total) for e in estimates]
+    weights = estimate_weights({r["key"]: r for r in rows})
+    assert all(type(x) is int for x in weights.values())
+    first = rows[0]
+    for r in rows:
+        assert weights[r["key"]] * first["estimate"] == weights[first["key"]] * r["estimate"]
 
 
 # --- sampling corner cases ----------------------------------------------------
