@@ -94,9 +94,13 @@ def _emit_json(obj, path=None):
 
 
 def _rows_csv(rows):
-    """rows: key -> dict with samples/inv_sigma_sum/estimate/relative_frequency."""
+    """rows: key -> dict with samples/inv_sigma_sum/estimate, printed by
+    descending estimate, ties by key.  relative_frequency is each row's
+    share of the summed estimate: w / total is int true division,
+    correctly rounded as float(Fraction) is."""
     lines = [CSV_HEADER]
     weights = estimate_weights(rows)
+    total = sum(weights.values())
     order = sorted(rows.items(), key=lambda kv: (-weights[kv[0]], kv[0]))
     for key, row in order:
         inv = row["inv_sigma_sum"]
@@ -107,7 +111,7 @@ def _rows_csv(rows):
                 row["samples"],
                 "" if inv is None else inv,
                 row["estimate"],
-                row["relative_frequency"],
+                weights[key] / total,
             )
         )
     return "\n".join(lines) + "\n"
@@ -214,8 +218,8 @@ def _cmd_sample(args):
     except NoColorfulOccurrences:
         _emit(CSV_HEADER + "\n", args.out)
         return 0
-    rep = sharded_estimate(gens, args.samples, args.seed, 0, mode=mode)
-    _emit(_rows_csv(rep.rows), args.out)
+    rows = sharded_estimate(gens, args.samples, args.seed, 0, mode=mode)
+    _emit(_rows_csv(rows), args.out)
     return 0
 
 
@@ -232,15 +236,9 @@ def _cmd_count(args):
 def _cmd_exact(args):
     H = _load(args)
     counts = exact_counts(H, args.k)
-    total = sum(counts.values())
     p_k = Fraction(factorial(args.k), args.k ** args.k)
     rows = {
-        key: {
-            "samples": cnt,
-            "inv_sigma_sum": None,
-            "estimate": p_k * cnt,
-            "relative_frequency": cnt / total,
-        }
+        key: {"samples": cnt, "inv_sigma_sum": None, "estimate": p_k * cnt}
         for key, cnt in counts.items()
     }
     _emit(_rows_csv(rows), args.out)

@@ -26,7 +26,10 @@ over every group and one per (T2,S2,group) over the groups that group's
 type meets, not per vertex.  A sampled treelet is kept only as its vertex
 set U.  Sigma is computed once per shape, and canonical keys come from
 canonlab's cache, which is keyed by an isomorphic copy of each shape.
-Cache warm-up consumes no randomness, so results are reproducible.
+Cache warm-up consumes no randomness, so results are reproducible.  The
+estimates are plain rows of exact values per key: samples, inv_sigma_sum
+and estimate.  A key's share of the total is a display value, which only
+the CSV writer derives.
 """
 
 from __future__ import annotations
@@ -327,19 +330,12 @@ def spanning_tree_count(A):
                 M[i][j] = degree[i + 1]
             else:
                 M[i][j] = -A[i + 1][j + 1]
-    sign = 1
     prev = 1
     for col in range(m):
-        if M[col][col] == 0:
-            for r in range(col + 1, m):
-                if M[r][col]:
-                    M[col], M[r] = M[r], M[col]
-                    sign = -sign
-                    break
-            else:
-                # Matrix-tree theorem: the minor is singular iff A is disconnected.
-                raise SamplerError("adjacency matrix is disconnected")
         pivot = M[col][col]
+        if not pivot:
+            # PSD minor: a zero pivot has zeros below it, so A is disconnected.
+            raise SamplerError("adjacency matrix is disconnected")
         for r in range(col + 1, m):
             row = M[r]
             base = M[col]
@@ -348,7 +344,7 @@ def spanning_tree_count(A):
                 row[c] = (row[c] * pivot - f * base[c]) // prev
             row[col] = 0
         prev = pivot
-    return sign * M[m - 1][m - 1]
+    return M[m - 1][m - 1]
 
 
 class SampleOutcome:
@@ -373,40 +369,18 @@ def sample_outcome(gens, rng):
     return SampleOutcome(U, sigma, key)
 
 
-class EstimateReport:
-    """Aggregated sampling results for one build.
-
-    rows maps key -> dict(samples, inv_sigma_sum (Fraction), estimate
-    (Fraction, colorful count scale), relative_frequency (float)).
-    """
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows):
-        self.rows = rows
-
-
 def estimate_weights(rows):
     """key -> its estimate times L, the lcm of the estimates' denominators:
-    integers in the estimates' ratios and order."""
+    integers in the estimates' ratios and order, from which the CSV takes
+    its row order and shares."""
     L = lcm(*[row["estimate"].denominator for row in rows.values()])
     return {key: row["estimate"].numerator * (L // row["estimate"].denominator)
             for key, row in rows.items()}
 
 
-def _with_frequencies(rows):
-    """Fill each row's relative_frequency: its share of the summed estimate.
-    w / total is int true division, correctly rounded as float(Fraction)
-    is, so each share is the float nearest estimate / sum of estimates."""
-    weights = estimate_weights(rows)
-    total = sum(weights.values())
-    for key, row in rows.items():
-        row["relative_frequency"] = weights[key] / total
-    return rows
-
-
 def estimate_counts(gens, K, rng, mode="weighted"):
-    """Run K sampling rounds and aggregate per-key statistics.
+    """Run K sampling rounds; the rows, key -> dict(samples, inv_sigma_sum,
+    estimate), hold exact values only (Fractions but for samples).
 
     weighted: every sample contributes 1/sigma to its key.  uniform: a
     sample survives with probability 1/sigma, each accepted one contributing
@@ -432,11 +406,12 @@ def estimate_counts(gens, K, rng, mode="weighted"):
     for key, c in counts.items():
         inv = Fraction(c, 1 if uniform else gens.sigmas[key])
         rows[key] = {"samples": c, "inv_sigma_sum": inv, "estimate": scale * inv}
-    return EstimateReport(_with_frequencies(rows))
+    return rows
 
 
 def sharded_estimate(gens, K, seed, run, mode="weighted"):
-    """One run's single seeded stream; perfbench times this name, K at args[1]."""
+    """One run's rows from its single seeded stream; perfbench times this
+    name, K at args[1]."""
     rng = derived_rng(seed, "run%d|sampling" % run)
     return estimate_counts(gens, K, rng, mode=mode)
 
@@ -459,10 +434,10 @@ def approx_counts(H, k, samples, seed, runs=1, alpha_policy="auto",
                   gamma=DEFAULT_GAMMA, mode="weighted", cap=20):
     """Full estimate: `runs` independent colorings, estimates averaged.
 
-    Returns (rows, reports): rows maps key -> dict(samples,
-    inv_sigma_sum, estimate (Fraction, colorful scale averaged over runs),
-    relative_frequency); reports is the per-run EstimateReport list (entries
-    are None for runs with no colorful occurrence).
+    Returns (rows, per_run): rows maps key -> dict(samples, inv_sigma_sum,
+    estimate), exact values: samples and inv_sigma_sum summed over the
+    runs, estimate their average; per_run holds each run's rows, or None
+    for a run with no colorful occurrence.
     """
     if runs < 1:
         raise SamplerError("runs must be at least 1")
@@ -483,10 +458,10 @@ def approx_counts(H, k, samples, seed, runs=1, alpha_policy="auto",
             continue
         per_run.append(sharded_estimate(gens, samples, seed, r, mode=mode))
     rows = {}
-    for rep in per_run:
-        if rep is None:
+    for run_rows in per_run:
+        if run_rows is None:
             continue
-        for key, row in rep.rows.items():
+        for key, row in run_rows.items():
             agg = rows.get(key)
             if agg is None:
                 agg = rows[key] = {
@@ -499,4 +474,4 @@ def approx_counts(H, k, samples, seed, runs=1, alpha_policy="auto",
             agg["estimate"] += row["estimate"]
     for agg in rows.values():
         agg["estimate"] /= runs
-    return _with_frequencies(rows), per_run
+    return rows, per_run

@@ -223,11 +223,11 @@ def test_criterion_04_sampling_law():
         gens, n_samples, derived_rng("acc4", "uniform"),
         mode="uniform",
     )
-    assert len(rep.rows) == 3
-    total_kept = sum(row["samples"] for row in rep.rows.values())
+    assert len(rep) == 3
+    total_kept = sum(row["samples"] for row in rep.values())
     worst_u = 0.0
     p = 1 / 3
-    for key, row in rep.rows.items():
+    for key, row in rep.items():
         z = abs(row["samples"] / total_kept - p) / math.sqrt(
             p * (1 - p) / total_kept
         )
@@ -258,11 +258,11 @@ def test_criterion_05_estimator_unbiasedness():
                 rng = derived_rng("c5|%d|%d" % (i, k), "unb|run%d" % r)
                 rep = estimate_counts(gens, K, rng)
                 for key in per_key:
-                    row = rep.rows.get(key)
+                    row = rep.get(key)
                     per_key[key].append(
                         float(row["estimate"]) if row is not None else 0.0
                     )
-                for key in rep.rows:
+                for key in rep:
                     assert key in exact, "sampled a type with no exact count"
             for key, vals in per_key.items():
                 mean = sum(vals) / RUNS

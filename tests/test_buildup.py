@@ -72,6 +72,14 @@ def test_random_coloring_deterministic(toy):
         random_coloring(toy, 0, "s")
 
 
+def test_build_refuses_a_coloring_that_does_not_fit(toy):
+    split = apply_split(toy, 2)
+    with pytest.raises(BuildError, match="coloring has 4 colors, build wants 3"):
+        build_counters(toy, split, 3, rainbow(toy, 4))
+    with pytest.raises(BuildError, match="coloring length does not match"):
+        build_counters(toy, split, 3, Coloring(3, [0, 1, 2]))
+
+
 def test_derived_rng_streams_are_stable_and_distinct():
     a = derived_rng("s", "one")
     b = derived_rng("s", "one")
@@ -525,7 +533,7 @@ def test_loading_a_table_runs_no_neighbor_weight_round(tmp_path, toy, monkeypatc
         cs = build_counters(toy, apply_split(toy, alpha), 3, rainbow(toy, 3))
         path = tmp_path / ("a%d.hmt" % alpha)
         write_table(cs, str(path))
-        built.append((path, sharded_estimate(build_generators(cs), 400, "s", 0).rows))
+        built.append((path, sharded_estimate(build_generators(cs), 400, "s", 0)))
 
     def no_round(*_args):
         raise AssertionError("loading ran a neighbor-weight round")
@@ -534,7 +542,7 @@ def test_loading_a_table_runs_no_neighbor_weight_round(tmp_path, toy, monkeypatc
     monkeypatch.setattr(buildup, "NWPlan", no_round)
     for path, rows in built:
         back = counterset_from_table(toy, read_table(str(path)))
-        assert rows and sharded_estimate(build_generators(back), 400, "s", 0).rows == rows
+        assert rows and sharded_estimate(build_generators(back), 400, "s", 0) == rows
 
 
 def test_table_values_past_64_bits(tmp_path, toy):

@@ -154,6 +154,8 @@ def test_split_rejects_naive():
 
 def test_bad_alpha_is_usage_error():
     run_cli("split", TOY, "--alpha", "wat", expect=2)
+    proc = run_cli("split", TOY, "--alpha", "-3", expect=2)
+    assert "fixed alpha must be nonnegative" in usage_error_line(proc)
 
 
 # --- build / sample / count / exact ------------------------------------------
@@ -448,6 +450,18 @@ def test_reduce_clique_outputs(tmp_path):
     assert all(len(line.split()) == 13 for line in text.splitlines()[1:])
 
 
+def test_reduce_clique_writes_beside_its_input_without_out(tmp_path):
+    src = tmp_path / "k4copy.el"
+    src.write_text(Path(K4).read_text())
+    out = json.loads(run_cli("reduce-clique", str(src), "-k", "3").stdout)
+    hg, side = tmp_path / "k4copy.reduced.hg", tmp_path / "k4copy.reduced.json"
+    assert out["hypergraph"] == str(hg) and out["sidecar"] == str(side)
+    assert hg.read_text().startswith("# vertices %d" % out["vertices"])
+    assert json.loads(side.read_text())["k"] == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "k4copy.el", "k4copy.reduced.hg", "k4copy.reduced.json"]
+
+
 def test_ksh_yes_and_witness():
     out = json.loads(run_cli("ksh", K4, "-k", "3", "--reduce").stdout)
     assert out["answer"] is True
@@ -631,6 +645,13 @@ def test_bench_csv(tmp_path):
         assert int(cells[7]) == 5
 
 
+def test_bench_auto_alpha_csv():
+    out = run_cli("bench", "--sizes", "16", "--repeats", "1", "--alpha", "auto")
+    header, row = out.stdout.splitlines()
+    assert header == "n,size,m,k,run,naive_seconds,split_seconds,alpha,beta"
+    assert row.startswith("16,") and len(row.split(",")) == 9
+
+
 # --- exit codes ----------------------------------------------------------------
 
 def test_missing_file_exit_2():
@@ -659,6 +680,17 @@ def test_bad_hm_budget_is_module_error():
     env = dict(os.environ, HM_BUDGET="abc")
     proc = run_cli("exact", TOY, "-k", "3", expect=1, env=env)
     assert one_line_error(proc).startswith("error: HM_BUDGET ")
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+@pytest.mark.parametrize("command", [
+    ["exact", "-k", "3"],
+    ["count", "-k", "3", "--samples", "5"],
+], ids=["exact", "count"])
+def test_nonpositive_hm_budget_is_module_error(command, budget):
+    env = dict(os.environ, HM_BUDGET=budget)
+    proc = run_cli(command[0], TOY, *command[1:], expect=1, env=env)
+    assert one_line_error(proc) == "error: HM_BUDGET must be positive"
 
 
 @pytest.mark.parametrize("args", [
@@ -916,8 +948,14 @@ def test_bench_negative_large_edges_is_usage_error():
 
 
 def test_bad_bench_sizes_is_module_error():
-    proc = run_cli("bench", "--sizes", "abc", expect=1)
-    assert "bench sizes must be integers" in one_line_error(proc)
+    for args, message in [
+        (["--sizes", "abc"], "bench sizes must be integers"),
+        (["--sizes", ","], "bench needs at least one size"),
+        (["--sizes", "15"], "bench sizes must be >= 16"),
+        (["--alpha", "naive"], "bench always times the naive path"),
+    ]:
+        proc = run_cli("bench", *args, expect=1)
+        assert message in one_line_error(proc)
 
 
 @pytest.mark.parametrize("gamma", ["5", "-1", "nan", "1.5"])
@@ -971,6 +1009,12 @@ def test_module_error_exit_1(tmp_path):
 def test_empty_sample_budget_is_usage_error(command, seed):
     proc = run_cli(command[0], TOY, *command[1:], "--seed", seed, expect=2)
     assert "expected a positive integer" in proc.stderr
+
+
+def test_non_integer_samples_is_usage_error():
+    proc = run_cli("count", TOY, "-k", "3", "--samples", "abc", expect=2)
+    assert "argument --samples: expected a positive integer, got 'abc'" in (
+        usage_error_line(proc))
 
 
 @pytest.mark.parametrize("command", [

@@ -689,10 +689,10 @@ def test_sigma_is_computed_once_per_key(monkeypatch):
     for seed, gens in enumerate(cases):
         del calls[:]
         rep = estimate_counts(gens, 500, random.Random(seed))
-        assert len(rep.rows) > 1
-        assert len(calls) == len(rep.rows)
-        assert len(gens.sigmas) == len(rep.rows)
-        for key, row in rep.rows.items():
+        assert len(rep) > 1
+        assert len(calls) == len(rep)
+        assert len(gens.sigmas) == len(rep)
+        for key, row in rep.items():
             assert row["inv_sigma_sum"] == Fraction(row["samples"], gens.sigmas[key])
 
 
@@ -713,12 +713,13 @@ def test_estimator_exact_on_unique_occurrence():
     rng = random.Random(127)
     report = estimate_counts(gens, 500, rng)
     key = canonical_key(induced_sub(H, (0, 1, 2)))
-    assert set(report.rows) == {key}
-    row = report.rows[key]
+    assert set(report) == {key}
+    row = report[key]
     assert row["samples"] == 500
     assert row["inv_sigma_sum"] == Fraction(500, 3)
     assert row["estimate"] == Fraction(1)
-    assert row["relative_frequency"] == 1.0
+    _header, line = cli._rows_csv(report).splitlines()
+    assert line.endswith(",1.0")
 
 
 def test_estimator_uniform_mode():
@@ -728,7 +729,7 @@ def test_estimator_uniform_mode():
     rng = random.Random(131)
     report = estimate_counts(gens, 3000, rng, mode="uniform")
     key = canonical_key(induced_sub(H, (0, 1, 2)))
-    row = report.rows[key]
+    row = report[key]
     # Acceptance probability 1/sigma = 1/3; the estimate recovers ~1.
     assert four_sigma_ok(row["samples"], 3000, 1 / 3)
     assert row["estimate"] == Fraction(cs.W, 3 * 3000) * row["samples"]
@@ -753,7 +754,7 @@ def test_estimator_unbiased_on_crafted():
     for r in range(runs):
         rng = random.Random("law|%d" % r)
         rep = estimate_counts(gens, K, rng)
-        for key, row in rep.rows.items():
+        for key, row in rep.items():
             acc.setdefault(key, []).append(row["estimate"])
     expected_keys = {
         canonical_key(induced_sub(CRAFTED, U)) for U in CRAFTED_LAW
@@ -770,7 +771,7 @@ def test_sharded_estimate_single_thread_matches_plain():
     gens = crafted_generators()
     direct = estimate_counts(gens, 400, derived_rng("s9", "run0|sampling"))
     sharded = sharded_estimate(gens, 400, "s9", 0)
-    assert sharded.rows == direct.rows
+    assert sharded == direct
 
 
 def test_resolve_split_policies():
@@ -838,12 +839,13 @@ def test_approx_counts_runs_average():
     per_key = {}
     for rep in reports:
         assert rep is not None
-        for key, row in rep.rows.items():
+        for key, row in rep.items():
             per_key.setdefault(key, Fraction(0))
             per_key[key] += row["estimate"]
     for key, row in rows.items():
         assert row["estimate"] == per_key[key] / 3
-    total = sum(r["relative_frequency"] for r in rows.values())
+    total = sum(float(line.rsplit(",", 1)[1])
+                for line in cli._rows_csv(rows).splitlines()[1:])
     assert total == pytest.approx(1.0)
 
 
@@ -860,7 +862,7 @@ def test_approx_counts_counts_empty_runs_in_average():
     for rep in reports:
         if rep is None:
             continue
-        for key, row in rep.rows.items():
+        for key, row in rep.items():
             per_key.setdefault(key, Fraction(0))
             per_key[key] += row["estimate"]
     for key, row in rows.items():
