@@ -21,10 +21,14 @@ no prefix sums: by the DP's recurrence its weights sum to d * C(T,S,v),
 which the table holds, so it draws one integer below that and weighs the
 partitions, listed once per (T,S), only up to the one the integer lands
 in.  The lower-neighbor draw builds its prefix sums per call, since each
-serves about one draw; upper draws use cached tables, one per (T2,S2)
-over every group and one per (T2,S2,group) over the groups that group's
-type meets, not per vertex.  A sampled treelet is kept only as its vertex
-set U.  Sigma is computed once per shape, and canonical keys come from
+serves about one draw.  Upper draws use cached values, each keyed by what
+it depends on: one member prefix pass per (T2,S2) over every group's
+members, end to end, one list per type of the groups it meets, and one
+table per (T2,S2,group) over those groups, not per vertex; a draw bisects
+inside its group's range of the member pass.  A sampled treelet is kept
+only as its vertex set U.  Sigma counts spanning trees of U's Gaifman
+graph, so it depends on that labeled graph alone: it is computed once per
+distinct graph and then kept per shape, and canonical keys come from
 canonlab's cache, which is keyed by an isomorphic copy of each shape.
 Cache warm-up consumes no randomness, so results are reproducible.  The
 estimates are plain rows of exact values per key: samples, inv_sigma_sum
@@ -100,16 +104,21 @@ class Generators:
     The root draw's prefix sums are eager: one flat list of C(T,[k],v)
     prefix sums over every order-k treelet T and vertex v.  The rest is
     built on first use, from the counts alone, so it consumes no
-    randomness, and is bounded by the catalog and the split, not by the
-    samples: _partitions lists, per (T,S), the partitions (S1, S2) a
+    randomness, and each value is cached by what it depends on, not by
+    the samples: _partitions lists, per (T,S), the partitions (S1, S2) a
     neighbor draw walks, with the vectors each reads.  Lower neighbors are
     read from split.lower_only.  Upper neighbors are drawn through
-    split.upper_groups, the vertices of one full upper type each: per
-    (T2,S2), _group_cums holds the prefix sums of C(T2,S2,.) over every
-    group's members, and _upper_slots one slot per group for the table of
-    the groups that group's type meets, which a vertex reaches by its
-    group index, _group_of[v].  sigmas maps each canonical key sampled so
-    far to its sigma.
+    split.upper_groups, the vertices of one full upper type each, listed
+    end to end in _members, group g at _offsets[g]:_offsets[g + 1]: per
+    group, _met holds the groups its type meets, derived once per type;
+    per (T2,S2), _member_cums holds one prefix pass of C(T2,S2,.) over
+    _members, and _upper_slots one slot per group for the table over the
+    groups that group's type meets, which a vertex reaches by its group
+    index, _group_of[v].  sigmas maps each canonical key sampled so far to
+    its sigma, read from _graph_sigmas, which holds one sigma per labeled
+    Gaifman graph, keyed by its reach masks (_reach): sigma counts
+    spanning trees of the Gaifman graph alone, and shapes with the same
+    graph share it.
     """
 
     def __init__(self, cs):
@@ -121,8 +130,12 @@ class Generators:
         self._root_tids = [tid for tid, _vec in roots]
         self._root_cum = list(accumulate(chain.from_iterable(
             vec for _tid, vec in roots)))
+        self._t1 = [t.t1 for t in cs.catalog.treelets]
+        self._lower_adj = cs.split.lower_only.adj
         groups = cs.split.upper_groups
-        self._members = list(groups.values())
+        self._types = list(groups)
+        self._members = list(chain.from_iterable(groups.values()))
+        self._offsets = [0, *accumulate(map(len, groups.values()))]
         # _group_of[v]: the index of v's group, None for an empty type;
         # _edge_groups[j]: the groups whose type holds upper edge j.
         self._group_of = [None] * cs.n
@@ -132,10 +145,12 @@ class Generators:
                 self._group_of[v] = g
             for j in ty:
                 self._edge_groups[j].append(g)
+        self._met = [None] * len(groups)
         self._partitions = {}
-        self._group_cums = {}
+        self._member_cums = {}
         self._upper_slots = {}
         self.sigmas = {}
+        self._graph_sigmas = {}
 
     # -- lazy table builders ------------------------------------------
 
@@ -150,43 +165,55 @@ class Generators:
         for S2 in masks_of_size(cs.k, cs.catalog[t2].order):
             if not S2 & ~S:
                 slots = self._upper_slots.setdefault(
-                    (t2, S2), [None] * len(self._members))
+                    (t2, S2), [None] * len(self._types))
                 partitions.append((S & ~S2, S2, cs.tables[t.t1][S & ~S2],
                                    cs.tables[t2][S2], slots))
         entry = self._partitions[tid, S] = (t2, t.d, cs.tables[tid][S],
                                             partitions)
         return entry
 
-    def _upper_table(self, t2, S2, ty):
-        """(total, groups, cum, cums, single) for the vertices of the groups
-        type ty meets, weighted by C(T2,S2,.): those groups ascending, cum
-        the prefix sums of their totals, cums every group's member prefix
-        sums under (T2,S2), and single the one vertex that carries a
-        positive total whole, else None.  Kept in the (T2,S2) slot of ty's
-        group."""
+    def _groups_met(self, ty):
+        """The groups whose type shares an upper edge with type ty,
+        ascending."""
+        return sorted(set(chain.from_iterable(
+            map(self._edge_groups.__getitem__, ty))))
+
+    def _upper_table(self, t2, S2, g):
+        """(total, groups, cum, members, single) for the vertices of the
+        groups that group g's type meets, weighted by C(T2,S2,.): those
+        groups ascending, cum the prefix sums of their totals, members the
+        (T2,S2) pass (mcum, bounds) over _members, and single the one vertex
+        that carries a positive total whole, else None.  mcum holds the
+        prefix sums of C(T2,S2,.) over _members and bounds[h] the sum
+        before group h, so group h weighs bounds[h + 1] - bounds[h].  The
+        table is kept in the (T2,S2) slot of group g, so every vertex of a
+        type reads one table.  The group list depends on the type alone and
+        the member pass on (T2,S2) alone, so each is derived once per thing
+        it depends on and shared by every table that reads it."""
         slots = self._upper_slots.setdefault(
-            (t2, S2), [None] * len(self._members))
-        slot = self._group_of[self.cs.split.upper_groups[ty][0]]
-        table = slots[slot]
+            (t2, S2), [None] * len(self._types))
+        table = slots[g]
         if table is None:
-            cums = self._group_cums.get((t2, S2))
-            if cums is None:
+            members = self._member_cums.get((t2, S2))
+            if members is None:
                 vec = self.cs.tables[t2][S2]
-                cums = self._group_cums[t2, S2] = [
-                    list(accumulate(map(vec.__getitem__, members)))
-                    for members in self._members]
-            groups = sorted(set(chain.from_iterable(
-                map(self._edge_groups.__getitem__, ty))))
-            cum = list(accumulate(cums[g][-1] for g in groups))
+                mcum = list(accumulate(map(vec.__getitem__, self._members)))
+                members = self._member_cums[t2, S2] = (
+                    mcum, [0] + [mcum[e - 1] for e in self._offsets[1:]])
+            mcum, bounds = members
+            groups = self._met[g]
+            if groups is None:
+                groups = self._met[g] = self._groups_met(self._types[g])
+            cum = list(accumulate(bounds[h + 1] - bounds[h] for h in groups))
             total = cum[-1]
             single = None
             if total:
                 # The first weighted member of the first weighted group.
-                g = groups[bisect_right(cum, 0)]
-                j = bisect_right(cums[g], 0)
-                if cums[g][j] == total:
-                    single = self._members[g][j]
-            table = slots[slot] = (total, groups, cum, cums, single)
+                h = groups[bisect_right(cum, 0)]
+                j = bisect_right(mcum, bounds[h], self._offsets[h])
+                if mcum[j] - bounds[h] == total:
+                    single = self._members[j]
+            table = slots[g] = (total, groups, cum, members, single)
         return table
 
     # -- the samplers --------------------------------------------------
@@ -207,8 +234,8 @@ class Generators:
         carries the whole total is taken without a draw.  One draw picks a
         part, and is made only when both have weight; one integer below
         that part's total locates u, in the lower part's prefix sums or, in
-        the upper part, in the group totals and then that group's member
-        prefix sums.  A vertex with no upper edge has only the lower part.
+        the upper part, through _draw_upper.  A vertex with no upper edge
+        has only the lower part.
         A part whose total one vertex carries draws nothing.  A walk that
         passes its last partition raises SamplerError: only a table whose
         counts disagree with their partitions does that.
@@ -218,7 +245,7 @@ class Generators:
             entry = self._partitions_of(tid, S)
         t2, d, vec, partitions = entry
         total = d * vec[v]
-        low = self.cs.split.lower_only.adj[v]
+        low = self._lower_adj[v]
         g = self._group_of[v]
         r = None
         run = 0
@@ -230,8 +257,7 @@ class Generators:
             if g is None:
                 w_all = w_low
             else:
-                up = slots[g] or self._upper_table(
-                    t2, S2, self.cs.split.upper_types[v])
+                up = slots[g] or self._upper_table(t2, S2, g)
                 w_all = w_low + up[0]
             if not w_all:
                 continue
@@ -253,13 +279,23 @@ class Generators:
             if low_cum[i] < w_low:
                 i = bisect_right(low_cum, below(rng, w_low), i)
             return t2, S1, S2, low[i]
-        w_up, groups, up_cum, cums, u = up
+        return t2, S1, S2, self._draw_upper(up, rng)
+
+    def _draw_upper(self, table, rng):
+        """A vertex of an _upper_table, with probability C(T2,S2,u) over the
+        table's total: one integer below that total picks a group in the
+        prefix sums of the group totals and then u by bisection inside that
+        group's range of the member pass.  A table whose total one vertex
+        carries draws nothing."""
+        total, groups, cum, (mcum, bounds), u = table
         if u is None:
-            r = below(rng, w_up)
-            i = bisect_right(up_cum, r)
+            r = below(rng, total)
+            i = bisect_right(cum, r)
             g = groups[i]
-            u = self._members[g][bisect_right(cums[g], r - up_cum[i - 1] if i else r)]
-        return t2, S1, S2, u
+            r += bounds[g] - (cum[i - 1] if i else 0)
+            u = self._members[bisect_right(mcum, r, self._offsets[g],
+                                           self._offsets[g + 1])]
+        return u
 
     def draw_root(self, rng):
         """(T, v) with probability C(T,[k],v) / W: one integer from
@@ -274,7 +310,7 @@ class Generators:
         draw, then one neighbor draw per edge of the treelet, depth first
         with the T1 branch before the T2 branch, from an explicit stack.
         Treelet 0 is the only one of order 1: its vertex joins U."""
-        treelets = self.cs.catalog.treelets
+        t1 = self._t1
         tid, v = self.draw_root(rng)
         vertices = []
         stack = [(tid, (1 << self.cs.k) - 1, v)]
@@ -285,7 +321,7 @@ class Generators:
                 continue
             t2, S1, S2, u = self.sample_neigh(tid, S, v, rng)
             stack.append((t2, S2, u))
-            stack.append((treelets[tid].t1, S1, v))
+            stack.append((t1[tid], S1, v))
         return tuple(sorted(vertices))
 
 
@@ -296,14 +332,22 @@ def build_generators(cs):
 # -- local topology ----------------------------------------------------
 
 
-def _gaifman_matrix(P):
-    """Adjacency of Gaif(P): i ~ j iff some edge mask of P holds both bits."""
+def _reach(P):
+    """Gaif(P) as one mask per vertex: bit j of entry i is set iff some edge
+    mask of P holds both i and j (so bit i, since P has no isolated
+    vertex).  The tuple is the labeled graph, and a dict key."""
     kp = P.order
     reach = [0] * kp
     for mask in P.edges:
         for i in range(kp):
             if mask >> i & 1:
                 reach[i] |= mask
+    return tuple(reach)
+
+
+def _gaifman_matrix(reach):
+    """Adjacency of the graph whose reach masks are reach, without loops."""
+    kp = len(reach)
     return [[int(i != j and reach[i] >> j & 1) for j in range(kp)]
             for i in range(kp)]
 
@@ -359,13 +403,20 @@ class SampleOutcome:
 def sample_outcome(gens, rng):
     """Sample one treelet and complete it with extraction, key and sigma:
     sigma counts spanning trees of Gaif(H|_U) = Gaif(H)[U].  It depends only
-    on the shape, so it is computed once per key and kept in gens.sigmas."""
+    on that graph, so gens.sigmas keeps it per key, and a key not seen yet
+    reads it from gens._graph_sigmas, keyed by the labeled graph's reach
+    masks: shapes that share a Gaifman graph share one elimination."""
     U = gens.sample_treelet(rng)
     P = extract_hypergraphlet(gens.cs.H, U)
     key = canonical_key(P)
     sigma = gens.sigmas.get(key)
     if sigma is None:
-        sigma = gens.sigmas[key] = spanning_tree_count(_gaifman_matrix(P))
+        reach = _reach(P)
+        sigma = gens._graph_sigmas.get(reach)
+        if sigma is None:
+            sigma = gens._graph_sigmas[reach] = spanning_tree_count(
+                _gaifman_matrix(reach))
+        gens.sigmas[key] = sigma
     return SampleOutcome(U, sigma, key)
 
 
@@ -401,11 +452,12 @@ def estimate_counts(gens, K, rng, mode="weighted"):
         if uniform and below(rng, out.sigma):
             continue
         counts[out.key] = counts.get(out.key, 0) + 1
-    scale = Fraction(cs.W, cs.k * K)
+    kK = cs.k * K
     rows = {}
     for key, c in counts.items():
-        inv = Fraction(c, 1 if uniform else gens.sigmas[key])
-        rows[key] = {"samples": c, "inv_sigma_sum": inv, "estimate": scale * inv}
+        sigma = 1 if uniform else gens.sigmas[key]
+        rows[key] = {"samples": c, "inv_sigma_sum": Fraction(c, sigma),
+                     "estimate": Fraction(cs.W * c, kK * sigma)}
     return rows
 
 

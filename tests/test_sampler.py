@@ -644,56 +644,153 @@ def test_vertices_of_one_upper_type_share_one_upper_table():
         assert split.upper_groups[ty] == [v for v in range(H.n)
                                           if split.upper_types[v] == ty]
         members = list(split.upper_groups.values())
+        flat = [u for m in members for u in m]
         meets = [g for g, gty in enumerate(split.upper_groups) if set(gty) & set(ty)]
         cs = build_counters(H, split, 3, coloring)
         gens = build_generators(cs)
+        g = gens._group_of[a]
+        assert gens._group_of[b] == g and members[g] == split.upper_groups[ty]
+        assert gens._members == flat
         positive = 0
         for t in cs.catalog.treelets:
             if t.order < 2:
                 continue
             for S2 in masks_of_size(3, cs.catalog[t.t2].order):
-                table = gens._upper_table(t.t2, S2, ty)
-                assert gens._upper_table(t.t2, S2, split.upper_types[b]) is table
-                total, groups, cum, cums, single = table
+                table = gens._upper_table(t.t2, S2, g)
+                total, groups, cum, (mcum, bounds), single = table
                 vec = cs.tables[t.t2][S2]
-                # One pass per (T2, S2) covers every group, and each type's
-                # table reads those member prefix sums.
-                assert cums is gens._group_cums[t.t2, S2]
-                assert cums == [list(accumulate(vec[u] for u in m)) for m in members]
-                # The draw reaches the table through the slot of a vertex's
-                # group, the same slot for both vertices.
+                # One prefix pass per (T2, S2) over every group's members,
+                # end to end, and every type's table reads that one pass.
+                assert table[3] is gens._member_cums[t.t2, S2]
+                for h in range(len(members)):
+                    assert gens._upper_table(t.t2, S2, h)[3] is table[3]
+                assert mcum == list(accumulate(vec[u] for u in flat))
+                assert bounds == list(accumulate(
+                    [0] + [sum(vec[u] for u in m) for m in members]))
+                # One table per type, reached through the slot of the
+                # vertices' one group.
                 slots = gens._upper_slots[t.t2, S2]
                 assert len(slots) == len(members)
                 assert slots[gens._group_of[a]] is slots[gens._group_of[b]] is table
-                assert groups == meets
-                assert cum == list(accumulate(cums[g][-1] for g in groups))
-                weighted = [u for g in groups for u in members[g] if vec[u]]
+                assert groups == meets and gens._met[g] is groups
+                assert cum == list(accumulate(sum(vec[u] for u in members[h])
+                                              for h in groups))
+                weighted = [u for h in groups for u in members[h] if vec[u]]
                 assert total == sum(vec[u] for u in weighted)
                 assert single == (weighted[0] if len(weighted) == 1 else None)
                 positive += bool(total)
         assert positive
 
 
-def test_sigma_is_computed_once_per_key(monkeypatch):
-    calls = []
+def test_upper_draws_land_where_a_linear_scan_does(monkeypatch):
+    # Every upper table a seeded sampling run on a nice instance builds:
+    # r at the first and at the last unit of each weighted group's range
+    # must give the vertex a linear scan over the table's groups' members,
+    # in ascending group order, reaches at r.
+    H = nice_hypergraph(60, 34, 5, 3, 30, 30 / 34, "scan")
+    split = apply_split(H, 4)
+    cs = build_counters(H, split, 4, random_coloring(H, 4, "scan"))
+    gens = build_generators(cs)
+    estimate_counts(gens, 300, random.Random(151))
+    members = list(split.upper_groups.values())
+    checked = 0
+    for (t2, S2), slots in gens._upper_slots.items():
+        vec = cs.tables[t2][S2]
+        for table in filter(None, slots):
+            total, groups, _cum, _members, single = table
+            scan = [u for h in groups for u in members[h]]
+            start = 0
+            for h in groups:
+                end = start + sum(vec[u] for u in members[h])
+                for r in {start, end - 1} if end > start else ():
+                    running = 0
+                    for expected in scan:
+                        running += vec[expected]
+                        if r < running:
+                            break
+                    script = ScriptedBelow([r])
+                    monkeypatch.setattr(sampler, "below", script)
+                    assert gens._draw_upper(table, None) == expected
+                    assert script.bounds == ([] if single is not None else [total])
+                    checked += 1
+                start = end
+            assert start == total
+    assert checked > 100
+
+
+def record_sigma_work(monkeypatch):
+    """Counts spanning_tree_count calls and lists, per extracted P, its
+    labeled Gaifman graph as a set of pairs, read from its edge masks."""
+    calls, graphs = [], []
 
     def counted(A):
-        calls.append(A)
+        calls.append(frozenset((i, j) for i, row in enumerate(A)
+                               for j, x in enumerate(row) if x and i < j))
         return spanning_tree_count(A)
 
+    def extracted(H, U):
+        P = extract_hypergraphlet(H, U)
+        graphs.append(frozenset(
+            (i, j) for e in P.edges for i in range(P.order)
+            for j in range(i + 1, P.order) if e >> i & 1 and e >> j & 1))
+        return P
+
     monkeypatch.setattr(sampler, "spanning_tree_count", counted)
+    monkeypatch.setattr(sampler, "extract_hypergraphlet", extracted)
+    return calls, graphs
+
+
+def test_sigma_is_computed_once_per_key(monkeypatch):
+    # sigma depends on the labeled Gaifman graph alone: one
+    # spanning_tree_count call per distinct graph, however many shapes
+    # share it.  On TWO_K3 the edge {0,1,2} and the pairs of {3,4,5} are two
+    # shapes with the one graph K3.
+    two_k3 = Hypergraph(6, [(0, 1, 2), (3, 4), (4, 5), (3, 5)])
     toy = parse_hypergraph(TOY_TEXT)
-    cases = [crafted_generators(alpha=2),
+    cases = [build_generators(build_counters_naive(two_k3, 3, Coloring(3, (0, 1, 2) * 2))),
+             crafted_generators(alpha=2),
              build_generators(build_counters(toy, resolve_split(toy, 3, 0), 3,
                                              random_coloring(toy, 3, "t2|run0")))]
     for seed, gens in enumerate(cases):
-        del calls[:]
+        calls, graphs = record_sigma_work(monkeypatch)
         rep = estimate_counts(gens, 500, random.Random(seed))
-        assert len(rep) > 1
-        assert len(calls) == len(rep)
-        assert len(gens.sigmas) == len(rep)
+        assert len(rep) > 1 and len(gens.sigmas) == len(rep)
+        assert len(set(calls)) == len(calls) == len(gens._graph_sigmas)
+        assert set(calls) <= set(graphs)
         for key, row in rep.items():
             assert row["inv_sigma_sum"] == Fraction(row["samples"], gens.sigmas[key])
+        for reach, sigma in gens._graph_sigmas.items():
+            pairs = [(i, j) for i in range(len(reach)) for j in range(i + 1, len(reach))
+                     if reach[i] >> j & 1]
+            assert sigma == count_spanning_trees_brute(len(reach), pairs)
+        if seed == 0:
+            assert len(calls) == 1 and set(gens.sigmas.values()) == {3}
+
+
+@pytest.mark.parametrize("n", [200, 400, 800])
+def test_sampling_warm_up_is_bounded_by_types_and_graphs(monkeypatch, n):
+    # bench's family: four upper edges of n/2 vertices.  Whatever n is, one
+    # sampling run derives exactly one group list per upper type and at
+    # most one sigma per distinct Gaifman graph: no warm-up work grows with
+    # the tables it serves or with the edges' size.  Counted, not timed.
+    H = nice_hypergraph(n, n // 2 + 4, 5, 3, n // 2, (n // 2) / (n // 2 + 4),
+                        "guard|%d" % n)
+    split = apply_split(H, 5)
+    cs = build_counters(H, split, 4, random_coloring(H, 4, "guard|%d" % n))
+    derived = []
+    groups_met = sampler.Generators._groups_met
+
+    def counted(self, ty):
+        derived.append(ty)
+        return groups_met(self, ty)
+
+    monkeypatch.setattr(sampler.Generators, "_groups_met", counted)
+    calls, graphs = record_sigma_work(monkeypatch)
+    gens = build_generators(cs)
+    estimate_counts(gens, 500, random.Random(n))
+    assert sorted(derived) == sorted(split.upper_groups)
+    assert len(set(calls)) == len(calls) <= len(set(graphs))
+    assert len(calls) < len(gens.sigmas)
 
 
 def test_sample_outcome_key_consistency():
