@@ -57,6 +57,8 @@ from .hypercore import HypergraphError, gaifman  # noqa: F401
 from .splitter import AlphaSplit, apply_split
 from .treelets import TreeletCatalog
 
+DEFAULT_CAP = 20
+
 
 class BuildError(HypergraphError):
     pass
@@ -126,7 +128,7 @@ class NWPlan:
 
     __slots__ = ("lower", "members", "upper")
 
-    def __init__(self, split, cap=20):
+    def __init__(self, split, cap=DEFAULT_CAP):
         check_cap(split, cap)
         total = sum(1 << len(ty) for ty in split.upper_types if ty)
         check_budget(total, "inclusion-exclusion plan of %d subsets" % total)
@@ -247,7 +249,7 @@ class CounterSet:
                 and self.tables == other.tables)
 
 
-def build_counters(H, split, k, coloring, cap=20, plan=None):
+def build_counters(H, split, k, coloring, cap=DEFAULT_CAP, plan=None):
     """Bottom-up DP over the treelet catalog.  The catalog comes in order of
     order, so when a treelet first glues a T2 of order h2, every table of
     order h2 exists: one neighbor-weight round over the split's NWPlan then

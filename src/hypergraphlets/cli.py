@@ -17,6 +17,7 @@ from fractions import Fraction
 from math import factorial
 
 from .buildup import (
+    DEFAULT_CAP,
     build_counters,
     build_counters_naive,
     counterset_from_table,
@@ -51,8 +52,6 @@ from .splitter import DEFAULT_GAMMA, apply_split, choose_split_refined, curve_wi
 from .synth import nice_hypergraph, power_law_hypergraph
 
 CSV_HEADER = "key,samples,inv_sigma_sum,colorful_estimate,relative_frequency"
-THREADS_HELP = "accepted for compatibility; output never depends on it"
-CAP_HELP = "refuse splits whose upper part has a vertex of degree above this"
 # Commands whose -o names a prefix for several files, not a file.
 PREFIX_OUT = ("split", "reduce-clique")
 
@@ -147,6 +146,23 @@ def _int_at_least(least, what):
 _positive_int = _int_at_least(1, "positive")
 _nonnegative_int = _int_at_least(0, "nonnegative")
 
+# Every option of build, sample and count, each defined once; the other
+# commands read the ones they share with these by flag.
+OPTIONS = {
+    "-k": dict(type=_positive_int, required=True),
+    "--table": dict(required=True, help=".hmt file from build"),
+    "--samples": dict(type=_positive_int, default=10000),
+    "--seed": dict(default="0"),
+    "--runs": dict(type=_positive_int, default=1),
+    "--alpha": dict(type=_parse_alpha, default="auto"),
+    "--gamma": dict(type=float, default=DEFAULT_GAMMA),
+    "--uniform": dict(action="store_true"),
+    "--cap": dict(type=_nonnegative_int, default=DEFAULT_CAP,
+                  help="refuse splits whose upper part has a vertex of degree above this"),
+    "--threads": dict(type=_positive_int, default=1,
+                      help="accepted for compatibility; output never depends on it"),
+}
+
 
 def _cmd_stats(args):
     H = _load(args)
@@ -212,23 +228,21 @@ def _cmd_build(args):
 def _cmd_sample(args):
     H = _load(args)
     cs = counterset_from_table(H, read_table(args.table))
-    mode = "uniform" if args.uniform else "weighted"
     try:
         gens = build_generators(cs)
     except NoColorfulOccurrences:
         _emit(CSV_HEADER + "\n", args.out)
         return 0
-    rows = sharded_estimate(gens, args.samples, args.seed, 0, mode=mode)
+    rows = sharded_estimate(gens, args.samples, args.seed, 0, args.uniform)
     _emit(_rows_csv(rows), args.out)
     return 0
 
 
 def _cmd_count(args):
     H = _load(args)
-    mode = "uniform" if args.uniform else "weighted"
     rows, _ = approx_counts(
-        H, args.k, args.samples, args.seed, runs=args.runs,
-        alpha_policy=args.alpha, gamma=args.gamma, mode=mode, cap=args.cap)
+        H, args.k, args.samples, args.seed, runs=args.runs, alpha_policy=args.alpha,
+        gamma=args.gamma, uniform=args.uniform, cap=args.cap)
     _emit(_rows_csv(rows), args.out)
     return 0
 
@@ -402,7 +416,7 @@ def _build_parser():
                     "sub-hypergraphs by color coding.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    def add(name, func, help_text, needs_input=True, out_help="output path"):
+    def add(name, func, help_text, *flags, needs_input=True, out_help="output path"):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
         if needs_input:
@@ -410,54 +424,29 @@ def _build_parser():
             p.add_argument("--no-dedupe-edges", action="store_true",
                            help="keep duplicate edges instead of dropping them")
         p.add_argument("-o", "--out", default=None, help=out_help)
+        for flag in flags:
+            p.add_argument(flag, **OPTIONS[flag])
         return p
 
     add("stats", _cmd_stats, "basic hypergraph statistics as JSON")
+    add("curve", _cmd_curve, "alpha/beta tradeoff curve as CSV", "--gamma")
+    add("split", _cmd_split, "apply or choose an alpha-split", "--alpha", "--gamma",
+        out_help="output prefix: writes PREFIX.lower.hg and PREFIX.upper.hg")
+    add("build", _cmd_build, "build counter tables, write a .hmt file",
+        "-k", "--seed", "--alpha", "--gamma", "--cap", "--threads")
 
-    p = add("curve", _cmd_curve, "alpha/beta tradeoff curve as CSV")
-    p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
+    add("sample", _cmd_sample, "sample occurrences from a prebuilt table",
+        "--table", "--samples", "--seed", "--uniform", "--threads")
+    add("count", _cmd_count, "end-to-end approximate counts as CSV", "-k",
+        "--samples", "--seed", "--runs", "--alpha", "--gamma", "--uniform",
+        "--cap", "--threads")
 
-    p = add("split", _cmd_split, "apply or choose an alpha-split",
-            out_help="output prefix: writes PREFIX.lower.hg and PREFIX.upper.hg")
-    p.add_argument("--alpha", type=_parse_alpha, default="auto")
-    p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
+    add("exact", _cmd_exact, "exact counts by subset enumeration as CSV", "-k")
+    add("reduce-clique", _cmd_reduce_clique,
+        "clique instance to k-sub-hypergraph instance", "-k",
+        out_help="output prefix: writes PREFIX.hg and PREFIX.json")
 
-    p = add("build", _cmd_build, "build counter tables, write a .hmt file")
-    p.add_argument("-k", type=_positive_int, required=True)
-    p.add_argument("--seed", default="0")
-    p.add_argument("--alpha", type=_parse_alpha, default="auto")
-    p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
-    p.add_argument("--cap", type=_nonnegative_int, default=20, help=CAP_HELP)
-    p.add_argument("--threads", type=_positive_int, default=1, help=THREADS_HELP)
-
-    p = add("sample", _cmd_sample, "sample occurrences from a prebuilt table")
-    p.add_argument("--table", required=True, help=".hmt file from build")
-    p.add_argument("--samples", type=_positive_int, default=10000)
-    p.add_argument("--seed", default="0")
-    p.add_argument("--uniform", action="store_true")
-    p.add_argument("--threads", type=_positive_int, default=1, help=THREADS_HELP)
-
-    p = add("count", _cmd_count, "end-to-end approximate counts as CSV")
-    p.add_argument("-k", type=_positive_int, required=True)
-    p.add_argument("--samples", type=_positive_int, default=10000)
-    p.add_argument("--seed", default="0")
-    p.add_argument("--runs", type=_positive_int, default=1)
-    p.add_argument("--alpha", type=_parse_alpha, default="auto")
-    p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
-    p.add_argument("--uniform", action="store_true")
-    p.add_argument("--cap", type=_nonnegative_int, default=20, help=CAP_HELP)
-    p.add_argument("--threads", type=_positive_int, default=1, help=THREADS_HELP)
-
-    p = add("exact", _cmd_exact, "exact counts by subset enumeration as CSV")
-    p.add_argument("-k", type=_positive_int, required=True)
-
-    p = add("reduce-clique", _cmd_reduce_clique,
-            "clique instance to k-sub-hypergraph instance",
-            out_help="output prefix: writes PREFIX.hg and PREFIX.json")
-    p.add_argument("-k", type=_positive_int, required=True)
-
-    p = add("ksh", _cmd_ksh, "decide connected k-vertex section existence")
-    p.add_argument("-k", type=_positive_int, required=True)
+    p = add("ksh", _cmd_ksh, "decide connected k-vertex section existence", "-k")
     p.add_argument("--reduce", action="store_true",
                    help="input is a graph; reduce from clique first")
 
@@ -470,7 +459,7 @@ def _build_parser():
     p.add_argument("--model", choices=("powerlaw", "nice"), default="powerlaw")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-m", type=int, required=True)
-    p.add_argument("--seed", default="0")
+    p.add_argument("--seed", **OPTIONS["--seed"])
     p.add_argument("--exponent", type=float, default=3.0)
     p.add_argument("--min-size", type=int, default=2)
     p.add_argument("--max-size", type=int, default=0)
@@ -483,7 +472,7 @@ def _build_parser():
             needs_input=False)
     p.add_argument("--sizes", default="125,250,500,1000,2000,4000")
     p.add_argument("-k", type=_positive_int, default=3)
-    p.add_argument("--seed", default="0")
+    p.add_argument("--seed", **OPTIONS["--seed"])
     p.add_argument("--repeats", type=_positive_int, default=3)
     p.add_argument("--large-edges", type=_nonnegative_int, default=4)
     p.add_argument("--alpha", type=_parse_alpha, default=5,

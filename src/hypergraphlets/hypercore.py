@@ -141,9 +141,6 @@ class Graph:
     def m(self):
         return sum(len(a) for a in self.adj) // 2
 
-    def degree(self, v):
-        return len(self.adj[v])
-
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 

@@ -43,7 +43,8 @@ from fractions import Fraction
 from itertools import accumulate, chain, compress
 from math import lcm
 
-from .buildup import NWPlan, build_counters, derived_rng, masks_of_size, random_coloring
+from .buildup import (DEFAULT_CAP, NWPlan, build_counters, derived_rng,
+                      masks_of_size, random_coloring)
 from .canonlab import canonical_key, check_key_order
 from .hypercore import HypergraphError
 # The extractor keeps the sampler-level name perfbench/launch.py traces.
@@ -353,19 +354,13 @@ def _gaifman_matrix(reach):
 
 
 def spanning_tree_count(A):
-    """Kirchhoff: exact integer determinant of a Laplacian minor (Bareiss).
-
-    A complete graph, where every row of A sums to n - 1, is answered by
-    Cayley's formula n**(n-2) with no elimination.
-    """
+    """Kirchhoff: exact integer determinant of a Laplacian minor (Bareiss)."""
     n = len(A)
     if n == 0:
         raise SamplerError("empty adjacency")
     if n == 1:
         return 1
     degree = [sum(row) for row in A]
-    if degree.count(n - 1) == n:
-        return n ** (n - 2)
     m = n - 1
     M = [[0] * m for _ in range(m)]
     for i in range(m):
@@ -429,22 +424,19 @@ def estimate_weights(rows):
             for key, row in rows.items()}
 
 
-def estimate_counts(gens, K, rng, mode="weighted"):
+def estimate_counts(gens, K, rng, uniform=False):
     """Run K sampling rounds; the rows, key -> dict(samples, inv_sigma_sum,
     estimate), hold exact values only (Fractions but for samples).
 
-    weighted: every sample contributes 1/sigma to its key.  uniform: a
+    By default every sample contributes 1/sigma to its key.  uniform: a
     sample survives with probability 1/sigma, each accepted one contributing
     1.  Either way the colorful-count estimate for key i is
     W/(k*K) * (that key's accumulated contribution).  Sigma is a shape
     invariant, so one count per key holds that contribution exactly: c/sigma
-    in weighted mode and c in uniform mode.
+    by default and c under uniform.
     """
     if K < 1:
         raise SamplerError("sample budget must be at least 1")
-    if mode not in ("weighted", "uniform"):
-        raise SamplerError("unknown mode %r" % (mode,))
-    uniform = mode == "uniform"
     cs = gens.cs
     counts = {}
     for _ in range(K):
@@ -461,11 +453,11 @@ def estimate_counts(gens, K, rng, mode="weighted"):
     return rows
 
 
-def sharded_estimate(gens, K, seed, run, mode="weighted"):
+def sharded_estimate(gens, K, seed, run, uniform=False):
     """One run's rows from its single seeded stream; perfbench times this
     name, K at args[1]."""
     rng = derived_rng(seed, "run%d|sampling" % run)
-    return estimate_counts(gens, K, rng, mode=mode)
+    return estimate_counts(gens, K, rng, uniform)
 
 
 # -- end-to-end pipeline ------------------------------------------------
@@ -483,7 +475,7 @@ def resolve_split(H, k, alpha_policy="auto", gamma=DEFAULT_GAMMA):
 
 
 def approx_counts(H, k, samples, seed, runs=1, alpha_policy="auto",
-                  gamma=DEFAULT_GAMMA, mode="weighted", cap=20):
+                  gamma=DEFAULT_GAMMA, uniform=False, cap=DEFAULT_CAP):
     """Full estimate: `runs` independent colorings, estimates averaged.
 
     Returns (rows, per_run): rows maps key -> dict(samples, inv_sigma_sum,
@@ -508,7 +500,7 @@ def approx_counts(H, k, samples, seed, runs=1, alpha_policy="auto",
         except NoColorfulOccurrences:
             per_run.append(None)
             continue
-        per_run.append(sharded_estimate(gens, samples, seed, r, mode=mode))
+        per_run.append(sharded_estimate(gens, samples, seed, r, uniform))
     rows = {}
     for run_rows in per_run:
         if run_rows is None:

@@ -221,7 +221,7 @@ def test_criterion_04_sampling_law():
     # distinct canonical keys, so per-key acceptance counts are per-set.
     rep = estimate_counts(
         gens, n_samples, derived_rng("acc4", "uniform"),
-        mode="uniform",
+        uniform=True,
     )
     assert len(rep) == 3
     total_kept = sum(row["samples"] for row in rep.values())

@@ -1,4 +1,4 @@
-"""The README's command block runs as written."""
+"""The README's command block and its import block run as written."""
 
 import json
 import os
@@ -15,12 +15,25 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = Path(hypergraphlets.__file__).resolve().parent.parent
 
 
+def readme_block(heading, fence=""):
+    """The first code block under `heading` whose fence names `fence`."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n%s\n" % heading, 1)[1]
+    pattern = r"^```%s\n(.*?)^```$" % re.escape(fence)
+    return re.search(pattern, section, re.S | re.M).group(1)
+
+
 def readme_commands():
     """The lines of the first code block under "## Command line"."""
-    text = (ROOT / "README.md").read_text(encoding="utf-8")
-    section = text.split("\n## Command line\n", 1)[1]
-    block = re.search(r"^```\n(.*?)^```$", section, re.S | re.M).group(1)
+    block = readme_block("## Command line")
     return [line for line in block.splitlines() if line.strip()]
+
+
+def test_readme_imports_run():
+    # "Everything is importable": every name the Library block lists exists.
+    block = readme_block("## Library", "python")
+    assert "import" in block
+    exec(compile(block, "README.md", "exec"), {})
 
 
 def test_readme_commands_run(tmp_path):

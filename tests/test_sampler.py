@@ -273,8 +273,7 @@ def test_spanning_tree_count_is_integer_exact():
     for n in range(1, 10):
         A = [[int(i != j) for j in range(n)] for i in range(n)]
         assert spanning_tree_count(A) == n ** (n - 2)
-    # K_n minus one edge is not complete, so it goes through the elimination:
-    # (n-2) * n^(n-3) spanning trees.
+    # K_n minus one edge: (n-2) * n^(n-3) spanning trees.
     for n in range(3, 9):
         A = [[int(i != j) for j in range(n)] for i in range(n)]
         A[0][1] = A[1][0] = 0
@@ -824,7 +823,7 @@ def test_estimator_uniform_mode():
     cs = build_counters_naive(H, 3, Coloring(3, [0, 1, 2]))
     gens = build_generators(cs)
     rng = random.Random(131)
-    report = estimate_counts(gens, 3000, rng, mode="uniform")
+    report = estimate_counts(gens, 3000, rng, uniform=True)
     key = canonical_key(induced_sub(H, (0, 1, 2)))
     row = report[key]
     # Acceptance probability 1/sigma = 1/3; the estimate recovers ~1.
@@ -837,8 +836,6 @@ def test_estimate_counts_validation():
     rng = random.Random(1)
     with pytest.raises(SamplerError):
         estimate_counts(gens, 0, rng)
-    with pytest.raises(SamplerError):
-        estimate_counts(gens, 10, rng, mode="nonsense")
 
 
 def test_estimator_unbiased_on_crafted():
