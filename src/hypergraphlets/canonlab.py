@@ -11,10 +11,11 @@ sit out of the search: every minimal labeling puts the singleton vertices
 first, so their masks are 1, 2, 4, ..., and the full edge is the largest mask
 under every labeling.  Masks that every labeling shares never decide which of
 two relabelings is smaller, so the search ranks them on the other edges only.
-A labeled edge set seen before is answered by a front cache.  Behind it, keys
-are cached by a copy of each hypergraphlet with its vertices ordered by the
-sizes of their edges, so most labelings of one shape share one cache entry and
-one search.
+Keys of order 4 are read from a precomputed table of the search's answers,
+one entry per edge set (order4keys).  At every other order, a labeled edge set
+seen before is answered by a front cache.  Behind it, keys are cached by a
+copy of each hypergraphlet with its vertices ordered by the sizes of their
+edges, so most labelings of one shape share one cache entry and one search.
 
 exact_counts enumerates every connected k-set of the Gaifman graph exactly
 once (pivot growth) and tallies keys: the `exact` command's table.
@@ -72,18 +73,44 @@ def check_key_order(k):
 
 _KEY_CACHE = {}
 _LABELED_KEYS = {}
+_ORDER4_TABLE = None  # order4keys.KEYS, bound on the first key of order 4
+_ORDER4_KEYS = {}  # a table entry -> its key; at most one per shape of order 4
+
+# Work done since import, counted where it happens; nothing on the default
+# path reads these.  Every profile copy is one shape-cache lookup, so the
+# shape-cache misses are copies - shape_hits.
+front_hits = 0  # keys answered by _LABELED_KEYS
+shape_hits = 0  # keys answered by _KEY_CACHE
+copies = 0  # _profile_ordered calls
+searches = 0  # _min_relabeling calls
+table_reads = 0  # keys of order 4 read from the table
 
 
 def canonical_key(P):
     """The key of the module docstring, as (order, sorted masks); k' <= 8.
 
-    A labeled edge set seen before is answered from _LABELED_KEYS with no
-    copy made.  Otherwise keys are cached by _profile_ordered(P), an
-    isomorphic copy of P, so the labelings of one shape that the copy maps
-    to the same masks share one entry and one search.  Each cache is
-    emptied whenever it reaches KEY_CACHE_CAP entries.
+    Order 4 reads the key's integer from the table and memoizes one tuple
+    per distinct key.  At other orders, a labeled edge set seen before is
+    answered from _LABELED_KEYS with no copy made.  Otherwise keys are
+    cached by _profile_ordered(P), an isomorphic copy of P, so the
+    labelings of one shape that the copy maps to the same masks share one
+    entry and one search.  Each cache is emptied whenever it reaches
+    KEY_CACHE_CAP entries.
     """
+    global front_hits, shape_hits, table_reads
     kp = P.order
+    if kp == 4:
+        table_reads += 1
+        table = _ORDER4_TABLE or _load_order4_table()
+        i = 0
+        for mask in P.edges:
+            i |= 1 << (mask - 1)
+        code = table[i]
+        key = _ORDER4_KEYS.get(code)
+        if key is None:
+            key = _ORDER4_KEYS[code] = (
+                4, tuple([m for m in range(1, 16) if code >> (m - 1) & 1]))
+        return key
     labeled = (kp, P.edges)
     key = _LABELED_KEYS.get(labeled)
     if key is None:
@@ -94,10 +121,22 @@ def canonical_key(P):
             if len(_KEY_CACHE) >= KEY_CACHE_CAP:
                 _KEY_CACHE.clear()
             key = _KEY_CACHE[copy] = (kp, _min_relabeling(*copy))
+        else:
+            shape_hits += 1
         if len(_LABELED_KEYS) >= KEY_CACHE_CAP:
             _LABELED_KEYS.clear()
         _LABELED_KEYS[labeled] = key
+    else:
+        front_hits += 1
     return key
+
+
+def _load_order4_table():
+    """Import the order-4 table, which decodes it, and keep it for later keys."""
+    global _ORDER4_TABLE
+    from .order4keys import KEYS
+    _ORDER4_TABLE = KEYS
+    return KEYS
 
 
 # The local vertices of every mask of order <= MAX_KEY_ORDER.
@@ -113,6 +152,8 @@ def _profile_ordered(kp, edges):
     the key whatever invariant orders it; the invariant decides only how
     many labelings map to one copy.
     """
+    global copies
+    copies += 1
     profile = [0] * kp
     for mask in edges:
         bits = _BITS[mask]
@@ -179,6 +220,8 @@ def _min_relabeling(kp, edges):
     runs on the other edges, takes candidates only from the singleton
     vertices while p < s, and puts the shared masks back into the key.
     """
+    global searches
+    searches += 1
     classes = _swap_classes(kp, edges)
     low = (1 << kp) - 1
     singles = 0

@@ -167,19 +167,6 @@ class Hypergraphlet:
         self.order = order
         self.edges = edges
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Hypergraphlet)
-            and self.order == other.order
-            and self.edges == other.edges
-        )
-
-    def __hash__(self):
-        return hash((self.order, self.edges))
-
-    def __repr__(self):
-        return "Hypergraphlet(order=%d, edges=%s)" % (self.order, list(self.edges))
-
 
 # At most 20 digits after leading zeros: int() refuses 4300 and more.
 _HEADER_RE = re.compile(r"#\s*vertices\s+0*(\d{1,20})\s*$")

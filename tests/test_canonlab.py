@@ -1,9 +1,16 @@
+import os
 import random
+import subprocess
+import sys
+import zlib
+from array import array
+from base64 import b64decode, b64encode
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 
-from hypergraphlets import canonlab
+from hypergraphlets import canonlab, cli, order4keys
 from hypergraphlets.buildup import Coloring
 from hypergraphlets.canonlab import (
     BudgetExceeded,
@@ -173,6 +180,91 @@ def test_canonical_key_matches_brute_on_every_order_4_edge_set():
     assert len(checked) == 1 << 15
 
 
+def test_order_4_table_is_the_search_answer_on_every_edge_set():
+    # Rebuilds the table from the search.  On a mismatch the fresh literal
+    # is printed: paste it into order4keys._DATA to regenerate the table.
+    fresh = array("H", bytes(2 << 15))
+    for i in range(1 << 15):
+        edges = tuple([m for m in range(1, 16) if i >> (m - 1) & 1])
+        for mask in canonlab._min_relabeling(4, edges):
+            fresh[i] |= 1 << (mask - 1)
+    if sys.byteorder == "big":
+        fresh.byteswap()
+    data = fresh.tobytes()
+    if zlib.decompress(b64decode(order4keys._DATA)) != data:
+        print(b64encode(zlib.compress(data, 9)).decode())
+        pytest.fail("order4keys._DATA differs from the search; fresh literal printed")
+
+
+def _counts():
+    return {name: getattr(canonlab, name) for name in
+            ("front_hits", "shape_hits", "copies", "searches", "table_reads")}
+
+
+def _deltas(before):
+    return {name: value - before[name] for name, value in _counts().items()}
+
+
+def test_key_counters_match_the_work_done(monkeypatch):
+    monkeypatch.setattr(canonlab, "_KEY_CACHE", {})
+    monkeypatch.setattr(canonlab, "_LABELED_KEYS", {})
+    rng = random.Random(83)
+    shapes = [P for P, _perm in _random_cases()] + list(_every_edge_set(3))
+    shapes += rng.sample(list(_every_edge_set(4)), 200)
+    before = _counts()
+    calls = 0
+    for _ in range(2):
+        for P in shapes:
+            perm = list(range(P.order))
+            rng.shuffle(perm)
+            for Q in (P, _relabeled(P, perm)):
+                canonical_key(Q)
+                calls += 1
+    done = _deltas(before)
+    # Every key is a front-cache hit, a profile copy or a table read, and
+    # every copy that misses the shape cache makes one search.
+    assert done["front_hits"] + done["copies"] + done["table_reads"] == calls
+    assert done["searches"] == done["copies"] - done["shape_hits"]
+    assert done["table_reads"] == 2 * 2 * 200
+    assert done["front_hits"] and done["shape_hits"] and done["searches"]
+
+
+def test_order_4_keys_make_no_search_and_no_copy():
+    before = _counts()
+    for P in _every_edge_set(4):
+        canonical_key(P)
+    assert _deltas(before) == {"front_hits": 0, "shape_hits": 0, "copies": 0,
+                               "searches": 0, "table_reads": 1 << 15}
+
+
+RING_TEXT = ("# vertices 10\n0 1\n1 2\n2 3\n3 4\n4 5\n5 6\n6 7\n7 8\n8 9\n9 0\n"
+             "0 2 4\n1 5 7 9\n3 6 8\n")
+
+
+def test_seeded_count_k4_reads_the_table_once_per_sample(tmp_path, capsys):
+    path = tmp_path / "ring.hg"
+    path.write_text(RING_TEXT)
+    before = canonlab.table_reads
+    assert cli.main(["count", str(path), "-k", "4", "--samples", "300", "--seed", "t4"]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert sum(int(row.split(",")[1]) for row in rows) == 300
+    assert canonlab.table_reads - before == 300
+
+
+def test_order_4_table_is_imported_on_the_first_order_4_key_only():
+    code = ("import sys; import hypergraphlets.cli; "
+            "from hypergraphlets.canonlab import canonical_key; "
+            "from hypergraphlets.hypercore import Hypergraphlet; "
+            "canonical_key(Hypergraphlet(6, [3, 12, 48, 63])); "
+            "assert 'hypergraphlets.order4keys' not in sys.modules; "
+            "assert canonical_key(Hypergraphlet(4, [12])) == (4, (3,)); "
+            "assert 'hypergraphlets.order4keys' in sys.modules")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+
+
 # An order-6 copy that seeded powerlaw-k6 runs search, among the slowest: six
 # singletons, so every vertex is a singleton vertex.
 SLOW_ORDER_6 = (1, 2, 4, 8, 10, 16, 20, 32, 33, 56)
@@ -263,13 +355,13 @@ def test_profile_ordered_copy_keeps_the_key():
 
 
 def test_relabelings_of_one_shape_share_one_cache_entry(monkeypatch):
-    # Edges {0,1,2,3}, {0,1,2}, {0,1} and {0}: the four vertices lie in edges
-    # of different size multisets, so every relabeling maps to one copy.
+    # Edges {0..4}, {0..3}, {0,1,2}, {0,1} and {0}: the five vertices lie in
+    # edges of different size multisets, so every relabeling maps to one copy.
     monkeypatch.setattr(canonlab, "_KEY_CACHE", {})
     monkeypatch.setattr(canonlab, "_LABELED_KEYS", {})
-    P = _from_vertex_sets(4, [(0, 1, 2, 3), (0, 1, 2), (0, 1), (0,)])
+    P = _from_vertex_sets(5, [(0, 1, 2, 3, 4), (0, 1, 2, 3), (0, 1, 2), (0, 1), (0,)])
     key = brute_canonical_key(P)
-    for perm in permutations(range(4)):
+    for perm in permutations(range(5)):
         assert canonical_key(_relabeled(P, perm)) == key
     assert len(canonlab._KEY_CACHE) == 1
 
